@@ -1,11 +1,5 @@
-"""Hot inner loops of the method-of-lines propagator.
-
-Two interchangeable implementations of the same RK4 time march: a
-numba ``@njit`` kernel (default when numba imports) and a vectorized
-pure-numpy fallback.  Selection: the ``QNLSE_NUMBA`` environment
-variable ("0" disables the JIT path) or an explicit ``backend=``
-argument; ``benchmarks/bench_propagate.py`` times one against the
-other.
+"""Hot inner loop of the method-of-lines propagator: a vectorized numpy
+RK4 time march.
 
 The state is the complex field plus a per-point continuous phase
 ``theta``.  The pointwise fractional power of the field is taken on
@@ -18,164 +12,35 @@ power would jump and inject O(1) errors into the stencil.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
-
-
-def _env_wants_numba() -> bool:
-    return os.environ.get("QNLSE_NUMBA", "1").strip().lower() not in ("0", "false", "no")
-
-
-DEFAULT_BACKEND = "numba" if (HAVE_NUMBA and _env_wants_numba()) else "numpy"
 
 STATUS_OK = 0
 STATUS_ZERO = 1
 STATUS_NONFINITE = 2
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
+def _phase_step(y, theta):
+    """Argument of ``y`` relative to ``theta``, wrapped into [-pi, pi]."""
+    d = np.angle(y) - theta
+    d -= TWO_PI * np.round(d / TWO_PI)
+    return d
 
 
-# ---------------------------------------------------------------------------
-# numba path
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _rhs_numba(y, theta, s, cinv, kappa, dxinv2, pot, w, out):  # pragma: no cover
-    n = y.shape[0]
-    if s == 1.0:
-        for j in range(n):
-            w[j] = y[j]
-    else:
-        for j in range(n):
-            r = abs(y[j])
-            if r == 0.0:
-                return False
-            d = math.atan2(y[j].imag, y[j].real) - theta[j]
-            d -= TWO_PI * round(d / TWO_PI)
-            ang = s * (theta[j] + d)
-            mag = r**s
-            w[j] = complex(mag * math.cos(ang), mag * math.sin(ang))
-    out[0] = 0j
-    out[n - 1] = 0j
-    for j in range(1, n - 1):
-        lap = (w[j + 1] - 2.0 * w[j] + w[j - 1]) * dxinv2
-        out[j] = (kappa * lap + pot[j] * w[j]) * cinv
-    return True
-
-
-@njit(cache=True)
-def _propagate_numba(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):  # pragma: no cover
-    n = v0.shape[0]
-    frames = np.empty((n_steps + 1, n), dtype=np.complex128)
-    theta = th0.copy()
-    status = np.zeros(3, dtype=np.int64)
-
-    y = v0.copy()
-    frames[0, :] = y
-    w = np.empty(n, dtype=np.complex128)
-    k = np.empty(n, dtype=np.complex128)
-    acc = np.empty(n, dtype=np.complex128)
-    stage = np.empty(n, dtype=np.complex128)
-
-    for step in range(n_steps):
-        y[0] = bl[step, 0]
-        y[n - 1] = br[step, 0]
-        if not _rhs_numba(y, theta, s, cinv, kappa, dxinv2, pot, w, k):
-            status[0] = STATUS_ZERO
-            status[1] = step
-            return frames, theta, status
-        for j in range(n):
-            acc[j] = k[j]
-            stage[j] = y[j] + 0.5 * dt * k[j]
-        stage[0] = bl[step, 1]
-        stage[n - 1] = br[step, 1]
-        if not _rhs_numba(stage, theta, s, cinv, kappa, dxinv2, pot, w, k):
-            status[0] = STATUS_ZERO
-            status[1] = step
-            return frames, theta, status
-        for j in range(n):
-            acc[j] += 2.0 * k[j]
-            stage[j] = y[j] + 0.5 * dt * k[j]
-        stage[0] = bl[step, 1]
-        stage[n - 1] = br[step, 1]
-        if not _rhs_numba(stage, theta, s, cinv, kappa, dxinv2, pot, w, k):
-            status[0] = STATUS_ZERO
-            status[1] = step
-            return frames, theta, status
-        for j in range(n):
-            acc[j] += 2.0 * k[j]
-            stage[j] = y[j] + dt * k[j]
-        stage[0] = bl[step, 2]
-        stage[n - 1] = br[step, 2]
-        if not _rhs_numba(stage, theta, s, cinv, kappa, dxinv2, pot, w, k):
-            status[0] = STATUS_ZERO
-            status[1] = step
-            return frames, theta, status
-        for j in range(n):
-            y[j] = y[j] + dt / 6.0 * (acc[j] + k[j])
-        y[0] = bl[step, 2]
-        y[n - 1] = br[step, 2]
-
-        for j in range(n):
-            re = y[j].real
-            im = y[j].imag
-            if not (math.isfinite(re) and math.isfinite(im)):
-                status[0] = STATUS_NONFINITE
-                status[1] = step
-                status[2] = j
-                return frames, theta, status
-            if re == 0.0 and im == 0.0:
-                status[0] = STATUS_ZERO
-                status[1] = step
-                status[2] = j
-                return frames, theta, status
-            d = math.atan2(im, re) - theta[j]
-            d -= TWO_PI * round(d / TWO_PI)
-            theta[j] += d
-        frames[step + 1, :] = y
-    return frames, theta, status
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback
-# ---------------------------------------------------------------------------
-
-
-def _tracked_power_numpy(y, theta, s):
+def _tracked_power(y, theta, s):
     if s == 1.0:
         return y.copy()
     r = np.abs(y)
     if np.any(r == 0.0):
         return None
-    d = np.angle(y) - theta
-    d -= TWO_PI * np.round(d / TWO_PI)
-    ang = s * (theta + d)
+    ang = s * (theta + _phase_step(y, theta))
     return r**s * (np.cos(ang) + 1j * np.sin(ang))
 
 
-def _rhs_numpy(y, theta, s, cinv, kappa, dxinv2, pot):
-    w = _tracked_power_numpy(y, theta, s)
+def _rhs(y, theta, s, cinv, kappa, dxinv2, pot):
+    w = _tracked_power(y, theta, s)
     if w is None:
         return None
     out = np.zeros_like(y)
@@ -184,10 +49,19 @@ def _rhs_numpy(y, theta, s, cinv, kappa, dxinv2, pot):
     return out
 
 
-def _propagate_numpy(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
+def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
+    """Run the RK4 march; returns (frames, theta, status) with status[0]
+    one of the STATUS_* codes and status[1:3] = (step, index) on failure."""
+    v0 = np.ascontiguousarray(v0, dtype=np.complex128)
+    theta = np.array(th0, dtype=np.float64)
+    s, cinv, kappa, dxinv2 = float(s), complex(cinv), float(kappa), float(dxinv2)
+    pot = np.ascontiguousarray(pot, dtype=np.float64)
+    dt, n_steps = float(dt), int(n_steps)
+    bl = np.ascontiguousarray(bl, dtype=np.complex128)
+    br = np.ascontiguousarray(br, dtype=np.complex128)
+
     n = v0.shape[0]
     frames = np.empty((n_steps + 1, n), dtype=np.complex128)
-    theta = th0.copy()
     status = np.zeros(3, dtype=np.int64)
 
     y = v0.copy()
@@ -202,25 +76,25 @@ def _propagate_numpy(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
     for step in range(n_steps):
         y[0] = bl[step, 0]
         y[-1] = br[step, 0]
-        k1 = _rhs_numpy(y, theta, s, cinv, kappa, dxinv2, pot)
+        k1 = _rhs(y, theta, s, cinv, kappa, dxinv2, pot)
         if k1 is None:
             return fail(STATUS_ZERO, step)
         stage = y + 0.5 * dt * k1
         stage[0] = bl[step, 1]
         stage[-1] = br[step, 1]
-        k2 = _rhs_numpy(stage, theta, s, cinv, kappa, dxinv2, pot)
+        k2 = _rhs(stage, theta, s, cinv, kappa, dxinv2, pot)
         if k2 is None:
             return fail(STATUS_ZERO, step)
         stage = y + 0.5 * dt * k2
         stage[0] = bl[step, 1]
         stage[-1] = br[step, 1]
-        k3 = _rhs_numpy(stage, theta, s, cinv, kappa, dxinv2, pot)
+        k3 = _rhs(stage, theta, s, cinv, kappa, dxinv2, pot)
         if k3 is None:
             return fail(STATUS_ZERO, step)
         stage = y + dt * k3
         stage[0] = bl[step, 2]
         stage[-1] = br[step, 2]
-        k4 = _rhs_numpy(stage, theta, s, cinv, kappa, dxinv2, pot)
+        k4 = _rhs(stage, theta, s, cinv, kappa, dxinv2, pot)
         if k4 is None:
             return fail(STATUS_ZERO, step)
         y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -233,38 +107,6 @@ def _propagate_numpy(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
         zero = y == 0
         if np.any(zero):
             return fail(STATUS_ZERO, step, int(np.argmax(zero)))
-        d = np.angle(y) - theta
-        d -= TWO_PI * np.round(d / TWO_PI)
-        theta += d
+        theta += _phase_step(y, theta)
         frames[step + 1, :] = y
     return frames, theta, status
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br,
-                     backend: str | None = None):
-    """Run the RK4 march; returns (frames, theta, status) with status[0]
-    one of the STATUS_* codes and status[1:3] = (step, index) on failure."""
-    chosen = backend or DEFAULT_BACKEND
-    if chosen == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    if chosen not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {chosen!r}")
-    impl = _propagate_numba if chosen == "numba" else _propagate_numpy
-    return impl(
-        np.ascontiguousarray(v0, dtype=np.complex128),
-        np.ascontiguousarray(th0, dtype=np.float64),
-        float(s),
-        complex(cinv),
-        float(kappa),
-        float(dxinv2),
-        np.ascontiguousarray(pot, dtype=np.float64),
-        float(dt),
-        int(n_steps),
-        np.ascontiguousarray(bl, dtype=np.complex128),
-        np.ascontiguousarray(br, dtype=np.complex128),
-    )

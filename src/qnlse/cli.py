@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, PropagationError, QnlseError
+from .errors import DomainError, QnlseError
 from .integrators import (
     GridSpec,
     OdeSpaceCase,
@@ -129,6 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (command, format) pairs that cannot go to stdout, with what --out must
+# name; svg exists only for the pairs listed here.
+_NEEDS_OUT = {
+    ("propagate", "csv"): "DIRECTORY",
+    ("propagate", "svg"): "FILE",
+    ("compare", "svg"): "FILE",
+}
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     equation = SolutionKind.NEW if args.equation == "new" else SolutionKind.NRT
     if equation is SolutionKind.NRT and args.q == 2.0:
@@ -140,6 +149,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--q must differ from 0 when --equation new")
     if args.tol <= 0:
         raise UsageError("--tol must be positive")
+    target = _NEEDS_OUT.get((args.command, args.fmt))
+    if args.fmt == "svg" and target is None:
+        raise UsageError(f"the {args.command} command has no svg representation")
+    if target is not None and args.out is None:
+        raise UsageError(f"{args.command} --format {args.fmt} needs --out {target}")
     try:
         spec = FreeParticleSpec(q=args.q, p=args.p, m=args.mass, hbar=args.hbar)
         grid = GridSpec(args.xmin, args.xmax, args.nx, args.dt, args.steps)
@@ -163,8 +177,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit_report(report: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "svg":
-        raise UsageError(f"the {cfg.command} command has no svg representation")
     text = report_json_text(report) if cfg.fmt == "json" else report_csv_text(report)
     if cfg.out is not None:
         write_text(cfg.out, text)
@@ -250,8 +262,6 @@ def cmd_propagate(cfg: RunConfig) -> int:
                        cfg.spec.hbar, boundary=exact)
     xs = cfg.grid.x_values()
     if cfg.fmt == "csv":
-        if cfg.out is None:
-            raise UsageError("propagate --format csv needs --out DIRECTORY")
         cfg.out.mkdir(parents=True, exist_ok=True)
         for k, frame in enumerate(frames):
             write_text(cfg.out / frame_filename(k),
@@ -276,8 +286,6 @@ def cmd_propagate(cfg: RunConfig) -> int:
         else:
             sys.stdout.write(text)
     else:
-        if cfg.out is None:
-            raise UsageError("propagate --format svg needs --out FILE")
         write_text(cfg.out, field_svg_text(xs, frames[-1].t, frames[-1].values))
     return EXIT_OK
 
@@ -345,8 +353,6 @@ def cmd_compare(cfg: RunConfig) -> int:
         rows.append((float(x), abs(vn - vr), abs(vn), abs(vr)))
     max_diff = max(r[1] for r in rows)
     if cfg.fmt == "svg":
-        if cfg.out is None:
-            raise UsageError("compare --format svg needs --out FILE")
         series = [
             ("|g_new|", [r[2] for r in rows]),
             ("|g_nrt|", [r[3] for r in rows]),
@@ -375,6 +381,14 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# The most specific listed class of a raised error picks the exit code;
+# PropagationError and every other QnlseError fall through to QnlseError.
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    DomainError: EXIT_USAGE,
+    QnlseError: EXIT_CHECK_FAILED,
+}
+
 _COMMANDS = {
     "verify": cmd_verify,
     "residual": cmd_residual,
@@ -394,18 +408,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _build_config(args)
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as err:
+    except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except PropagationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except QnlseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return next(_EXIT_CODES[kind] for kind in type(err).__mro__ if kind in _EXIT_CODES)
 
 
 def console_main() -> None:

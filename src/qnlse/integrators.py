@@ -154,21 +154,22 @@ class _TrackedPower:
     def __init__(self, initial: complex):
         self.theta = cmath.phase(initial)
 
+    def _phase_step(self, value: complex) -> float:
+        d = cmath.phase(value) - self.theta
+        d -= 2.0 * math.pi * round(d / (2.0 * math.pi))
+        return d
+
     def __call__(self, value: complex, s: float) -> complex:
         r = abs(value)
         if r == 0.0:
             raise DomainError("trajectory value reached zero (fractional power undefined)")
         if s == 1.0:
             return value
-        d = cmath.phase(value) - self.theta
-        d -= 2.0 * math.pi * round(d / (2.0 * math.pi))
-        ang = s * (self.theta + d)
+        ang = s * (self.theta + self._phase_step(value))
         return r**s * complex(math.cos(ang), math.sin(ang))
 
     def advance(self, value: complex) -> None:
-        d = cmath.phase(value) - self.theta
-        d -= 2.0 * math.pi * round(d / (2.0 * math.pi))
-        self.theta += d
+        self.theta += self._phase_step(value)
 
 
 def _step_count(span: float, step: float) -> int:
@@ -286,8 +287,8 @@ def _initial_theta(values: np.ndarray, xs: np.ndarray, t0: float, boundary) -> n
 
 
 def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
-              hbar: float, boundary, potential: Optional[Callable[[float], float]] = None,
-              backend: Optional[str] = None) -> list[WaveField]:
+              hbar: float, boundary,
+              potential: Optional[Callable[[float], float]] = None) -> list[WaveField]:
     """March the chosen deformed equation from an initial frame.
 
     q-power form:  i*hbar  d(phi)/dt = H[phi^(1/q)]  (phi normalized at origin);
@@ -339,7 +340,7 @@ def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
     theta0 = _initial_theta(values, xs, initial.t, boundary)
     frames, _, status = _kernels.propagate_frames(
         values, theta0, s, -1j / (hbar * coef), -hbar * hbar / (2.0 * m),
-        1.0 / (dx * dx), pot, grid.dt, n_steps, bl, br, backend=backend,
+        1.0 / (dx * dx), pot, grid.dt, n_steps, bl, br,
     )
     if status[0] != _kernels.STATUS_OK:
         reason = "zero" if status[0] == _kernels.STATUS_ZERO else "non-finite"
@@ -437,7 +438,7 @@ def _ode_error(case, dt_or_dx: float) -> float:
     return abs(traj[-1][1] - exact)
 
 
-def _pde_error(case: PdeCase, dx: float, backend: Optional[str]) -> float:
+def _pde_error(case: PdeCase, dx: float) -> float:
     span = case.x_max - case.x_min
     n_points = max(3, round(span / dx) + 1)
     n_steps = max(1, round(case.t_final / case.dt))
@@ -445,12 +446,11 @@ def _pde_error(case: PdeCase, dx: float, backend: Optional[str]) -> float:
     exact = manufactured_field(case.equation, case.spec)
     initial = sample_field(exact, grid, 0.0)
     frames = propagate(case.equation, initial, case.spec.q, case.spec.m,
-                       case.spec.hbar, boundary=exact, backend=backend)
+                       case.spec.hbar, boundary=exact)
     return interior_linf_error(frames[-1], exact)
 
 
-def convergence_study(case, refinement_levels: int = 3,
-                      backend: Optional[str] = None) -> ConvergenceReport:
+def convergence_study(case, refinement_levels: int = 3) -> ConvergenceReport:
     """Halve the discretization per level and fit the observed order."""
     if refinement_levels < 2:
         raise DegenerateStudyError("a convergence study needs at least two levels")
@@ -465,7 +465,7 @@ def convergence_study(case, refinement_levels: int = 3,
             err = _ode_error(case, h)
         elif isinstance(case, PdeCase):
             h = case.dx0 / 2.0**level
-            err = _pde_error(case, h, backend)
+            err = _pde_error(case, h)
         else:
             raise DomainError(f"unknown study case {type(case).__name__}")
         resolutions.append(h)

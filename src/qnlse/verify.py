@@ -11,6 +11,7 @@ variable (default 42) so reruns are reproducible.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 import os
 import warnings
@@ -601,31 +602,7 @@ def suite_propagation_determinism() -> SuiteResult:
                        0.0 if identical else 1.0, 0.0)
 
 
-ALL_SUITES = (
-    ("binomial-identity", "rng"),
-    ("hypergeometric-ode", "rng"),
-    ("hypergeometric-symmetry", "rng"),
-    ("power-integer-consistency", "rng"),
-    ("deformed-exp-product-rule", "rng"),
-    ("deformed-exp-limit", "rng"),
-    ("plane-wave-representations", ""),
-    ("classical-limit", ""),
-    ("non-coincidence", ""),
-    ("origin-normalization", ""),
-    ("residual-exactness-analytic", ""),
-    ("residual-exactness-fd", ""),
-    ("change-of-variables", ""),
-    ("derivative-method-agreement", ""),
-    ("lambda-uniqueness", ""),
-    ("cross-equation-rejection", ""),
-    ("ode-vs-closed-form", ""),
-    ("ode-order", ""),
-    ("pde-manufactured", ""),
-    ("pde-spatial-order", ""),
-    ("pde-classical-agreement", ""),
-    ("propagation-determinism", ""),
-)
-
+# The one registry of suites, in report order.
 _SUITE_FUNCS = {
     "binomial-identity": suite_binomial_identity,
     "hypergeometric-ode": suite_hypergeometric_ode,
@@ -659,9 +636,9 @@ def run_verification(seed: int | None = None,
         seed = seed_from_env()
     rng = np.random.default_rng(seed)
     results = []
-    for name, wants_rng in ALL_SUITES:
+    for name, func in _SUITE_FUNCS.items():
         if names is not None and name not in names:
             continue
-        func = _SUITE_FUNCS[name]
+        wants_rng = "rng" in inspect.signature(func).parameters
         results.append(func(rng) if wants_rng else func())
     return results

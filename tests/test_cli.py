@@ -5,7 +5,15 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from qnlse import cli
 from qnlse.cli import main
+from qnlse.errors import (
+    ConvergenceError,
+    DegenerateStudyError,
+    DomainError,
+    PropagationError,
+    QnlseError,
+)
 from qnlse.reports import parse_report_csv
 
 
@@ -54,6 +62,63 @@ class TestExitCodes:
                            "--solution", "plane", "--tol", "1e-4")
         assert code == 0
         assert json.loads(out)["max_abs"] <= 1e-5
+
+    @pytest.mark.parametrize("error, expected", [
+        (cli.UsageError, 2),
+        (DomainError, 2),
+        (PropagationError, 1),
+        (ConvergenceError, 1),
+        (DegenerateStudyError, 1),
+        (QnlseError, 1),
+    ])
+    def test_command_errors_map_to_exit_codes(self, capsys, monkeypatch, error, expected):
+        def fail(_cfg):
+            raise error("raised by the command")
+
+        monkeypatch.setitem(cli._COMMANDS, "residual", fail)
+        code, out, err = run(capsys, "residual")
+        assert code == expected
+        assert out == ""
+        assert "raised by the command" in err
+
+
+# The functions through which the commands start real work.
+WORK_ENTRY_POINTS = (
+    "run_verification", "propagate", "scan_residual", "convergence_study",
+    "manufactured_field", "sample_field", "classical_plane_wave_field",
+    "q_plane_wave_field", "product_solution_field", "separated_space_curve",
+    "separated_time_curve",
+)
+
+
+class TestFormatOutPairsFailFast:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("work started before the usage error")
+
+        for name in WORK_ENTRY_POINTS:
+            monkeypatch.setattr(cli, name, forbidden)
+
+    @pytest.mark.parametrize("command", ["verify", "residual", "converge", "limit"])
+    def test_svg_rejected_for_reports(self, capsys, tmp_path, command):
+        for extra in ((), ("--out", str(tmp_path / "report.svg"))):
+            code, out, err = run(capsys, command, "--format", "svg", *extra)
+            assert code == 2
+            assert out == ""
+            assert "svg" in err
+        assert not (tmp_path / "report.svg").exists()
+
+    @pytest.mark.parametrize("command, fmt, target", [
+        ("propagate", "csv", "DIRECTORY"),
+        ("propagate", "svg", "FILE"),
+        ("compare", "svg", "FILE"),
+    ])
+    def test_file_formats_need_out(self, capsys, command, fmt, target):
+        code, out, err = run(capsys, command, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert f"needs --out {target}" in err
 
 
 class TestSeparatedForms:
@@ -129,10 +194,6 @@ class TestPropagateCommand:
         assert header == "x,t,re,im"
         x, t, re, im = (float(v) for v in first.split(","))
         assert (x, t) == (-5.0, 0.0)
-
-    def test_csv_needs_out(self, capsys):
-        code, _, _ = run(capsys, "propagate", "--steps", "0", "--format", "csv")
-        assert code == 2
 
     def test_json_frames(self, capsys):
         code, out, _ = run(capsys, "propagate", "--steps", "2", "--dt", "1e-5",
@@ -210,7 +271,3 @@ class TestVerifyCommand:
             if isinstance(value, float):
                 assert from_csv[key] == value
         assert from_csv["all_passed"] == 1
-
-    def test_verify_rejects_svg(self, capsys):
-        code, _, _ = run(capsys, "verify", "--format", "svg")
-        assert code == 2

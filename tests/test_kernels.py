@@ -1,64 +1,23 @@
-"""Backend parity: the numba kernel and the numpy fallback must agree."""
+"""The method-of-lines RK4 kernel against closed forms and its linear path."""
 
 import warnings
 
 import numpy as np
-import pytest
 
 from qnlse import _kernels
 from qnlse.integrators import GridSpec, interior_linf_error, manufactured_field, propagate, sample_field
 from qnlse.solutions import FreeParticleSpec, SolutionKind
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
 
-
-def run_backend(backend, kind=SolutionKind.NEW, q=1.2, n_steps=50):
-    spec = FreeParticleSpec(q=q)
-    exact = manufactured_field(kind, spec)
-    grid = GridSpec(-3.0, 3.0, 121, 5e-5, n_steps)
+def test_march_matches_closed_form():
+    spec = FreeParticleSpec(q=1.2)
+    exact = manufactured_field(SolutionKind.NEW, spec)
+    grid = GridSpec(-3.0, 3.0, 121, 5e-5, 50)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return propagate(kind, sample_field(exact, grid, 0.0), spec.q, spec.m,
-                         spec.hbar, boundary=exact, backend=backend), exact
-
-
-def test_default_backend_reflects_environment():
-    assert _kernels.DEFAULT_BACKEND in ("numba", "numpy")
-    if _kernels.HAVE_NUMBA and _kernels._env_wants_numba():
-        assert _kernels.DEFAULT_BACKEND == "numba"
-
-
-def test_numpy_backend_is_always_available():
-    frames, exact = run_backend("numpy")
+        frames = propagate(SolutionKind.NEW, sample_field(exact, grid, 0.0), spec.q,
+                           spec.m, spec.hbar, boundary=exact)
     assert interior_linf_error(frames[-1], exact) < 1e-5
-
-
-@needs_numba
-def test_backends_agree():
-    frames_nb, _ = run_backend("numba")
-    frames_np, _ = run_backend("numpy")
-    assert len(frames_nb) == len(frames_np)
-    worst = max(
-        float(np.max(np.abs(a.values - b.values)))
-        for a, b in zip(frames_nb, frames_np)
-    )
-    assert worst <= 1e-12
-
-
-@needs_numba
-def test_backends_agree_for_nrt():
-    frames_nb, _ = run_backend("numba", kind=SolutionKind.NRT, q=0.9)
-    frames_np, _ = run_backend("numpy", kind=SolutionKind.NRT, q=0.9)
-    worst = max(
-        float(np.max(np.abs(a.values - b.values)))
-        for a, b in zip(frames_nb, frames_np)
-    )
-    assert worst <= 1e-12
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        run_backend("fortran")
 
 
 def test_unit_power_shortcut_keeps_linear_path_exact():
@@ -70,7 +29,7 @@ def test_unit_power_shortcut_keeps_linear_path_exact():
     bl = np.ones((1, 3), dtype=np.complex128) * v0[0]
     br = np.ones((1, 3), dtype=np.complex128) * v0[-1]
     frames, _, status = _kernels.propagate_frames(
-        v0, th0, 1.0, -1j, -1.0, 1.0, pot, 0.0, 1, bl, br, backend="numpy")
+        v0, th0, 1.0, -1j, -1.0, 1.0, pot, 0.0, 1, bl, br)
     assert status[0] == _kernels.STATUS_OK
     # dt = 0 keeps the interior exactly equal to the initial values
     assert np.array_equal(frames[1][1:-1], v0[1:-1])
