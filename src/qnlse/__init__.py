@@ -57,15 +57,10 @@ from .residuals import (
 from .solutions import (
     FreeParticleSpec,
     SolutionKind,
-    amplitude_wave,
     classical_plane_wave_field,
-    product_solution,
     product_solution_field,
-    q_plane_wave,
     q_plane_wave_field,
     q_plane_wave_hypergeometric,
-    separated_f,
-    separated_g,
     separated_space_curve,
     separated_time_curve,
 )
@@ -91,7 +86,6 @@ __all__ = [
     "ResidualReport",
     "SolutionKind",
     "WaveField",
-    "amplitude_wave",
     "check_binomial_identity",
     "classical_plane_wave_field",
     "convergence_study",
@@ -109,19 +103,15 @@ __all__ = [
     "new_nlse_phi_residual",
     "new_nlse_residual",
     "nrt_residual",
-    "product_solution",
     "product_solution_field",
     "propagate",
     "q_exp",
     "q_exp_real_cutoff",
-    "q_plane_wave",
     "q_plane_wave_field",
     "q_plane_wave_hypergeometric",
     "rk4_step",
     "sample_field",
     "scan_residual",
-    "separated_f",
-    "separated_g",
     "separated_space_curve",
     "separated_time_curve",
 ]

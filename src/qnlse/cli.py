@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError, QnlseError
 from .integrators import (
     GridSpec,
@@ -28,7 +26,6 @@ from .integrators import (
     OdeTimeCase,
     PdeCase,
     convergence_study,
-    fit_observed_order,
     manufactured_field,
     propagate,
     sample_field,
@@ -46,13 +43,13 @@ from .residuals import Analytic, FiniteDifference, scan_residual
 from .solutions import (
     FreeParticleSpec,
     SolutionKind,
-    classical_plane_wave_field,
+    marched_form,
     product_solution_field,
     q_plane_wave_field,
     separated_space_curve,
     separated_time_curve,
 )
-from .verify import LIMIT_DELTAS, run_verification, seed_from_env
+from .verify import LIMIT_DELTAS, classical_limit_table, run_verification, seed_from_env
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -139,14 +136,11 @@ _NEEDS_OUT = {
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    equation = SolutionKind.NEW if args.equation == "new" else SolutionKind.NRT
-    if equation is SolutionKind.NRT and args.q == 2.0:
-        raise UsageError(
-            "--q must differ from 2 when --equation nrt: the NRT power 2-q "
-            "vanishes at q = 2"
-        )
-    if equation is SolutionKind.NEW and args.q == 0.0:
-        raise UsageError("--q must differ from 0 when --equation new")
+    equation = SolutionKind(args.equation)
+    try:
+        marched_form(equation, args.q)
+    except DomainError as err:
+        raise UsageError(f"--equation {args.equation}: {err}") from err
     if args.tol <= 0:
         raise UsageError("--tol must be positive")
     target = _NEEDS_OUT.get((args.command, args.fmt))
@@ -176,12 +170,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit_report(report: dict, cfg: RunConfig) -> None:
-    text = report_json_text(report) if cfg.fmt == "json" else report_csv_text(report)
+def _emit_text(text: str, cfg: RunConfig) -> None:
     if cfg.out is not None:
         write_text(cfg.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_report(report: dict, cfg: RunConfig) -> None:
+    _emit_text(report_json_text(report) if cfg.fmt == "json" else report_csv_text(report), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +202,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _residual_tag(cfg: RunConfig) -> str:
-    eq = "new" if cfg.equation is SolutionKind.NEW else "nrt"
+    eq = cfg.equation.value
     if cfg.form == "phi":
         if eq != "new":
             raise UsageError("--form phi applies to --equation new only")
@@ -222,18 +219,13 @@ def _residual_sampler(cfg: RunConfig):
             raise UsageError(
                 "--solution plane has no separated factors; pick new or nrt"
             )
-        kind = SolutionKind.NEW if cfg.solution == "new" else SolutionKind.NRT
-        if cfg.form == "time":
-            return separated_time_curve(kind, spec)
-        return separated_space_curve(kind, spec)
+        curve = separated_time_curve if cfg.form == "time" else separated_space_curve
+        return curve(SolutionKind(cfg.solution), spec)
     if cfg.solution == "plane":
         psi = q_plane_wave_field(spec)
     else:
-        kind = SolutionKind.NEW if cfg.solution == "new" else SolutionKind.NRT
-        psi = product_solution_field(kind, spec)
-    if cfg.form == "phi":
-        return psi.pow(spec.q)
-    return psi
+        psi = product_solution_field(SolutionKind(cfg.solution), spec)
+    return psi.pow(spec.q) if cfg.form == "phi" else psi
 
 
 def cmd_residual(cfg: RunConfig) -> int:
@@ -268,7 +260,7 @@ def cmd_propagate(cfg: RunConfig) -> int:
                        frame_csv_text(xs, frame.t, frame.values))
     elif cfg.fmt == "json":
         payload = {
-            "equation": "new" if cfg.equation is SolutionKind.NEW else "nrt",
+            "equation": cfg.equation.value,
             "q": cfg.spec.q,
             "x": [float(x) for x in xs],
             "frames": [
@@ -280,11 +272,7 @@ def cmd_propagate(cfg: RunConfig) -> int:
                 for frame in frames
             ],
         }
-        text = report_json_text(payload)
-        if cfg.out is not None:
-            write_text(cfg.out, text)
-        else:
-            sys.stdout.write(text)
+        _emit_text(report_json_text(payload), cfg)
     else:
         write_text(cfg.out, field_svg_text(xs, frames[-1].t, frames[-1].values))
     return EXIT_OK
@@ -301,39 +289,19 @@ def cmd_converge(cfg: RunConfig) -> int:
     rep = convergence_study(case, cfg.levels)
     report = rep.as_dict()
     report["study"] = cfg.study
-    report["equation"] = "new" if cfg.equation is SolutionKind.NEW else "nrt"
+    report["equation"] = cfg.equation.value
     _emit_report(report, cfg)
     return EXIT_OK
 
 
 def cmd_limit(cfg: RunConfig) -> int:
-    xs = np.linspace(-2.0, 2.0, 21)
-    ts = np.linspace(0.0, 1.0, 5)
-    classical = classical_plane_wave_field(FreeParticleSpec(q=1.0, p=cfg.spec.p,
-                                                            m=cfg.spec.m,
-                                                            hbar=cfg.spec.hbar))
+    table = classical_limit_table(cfg.spec.p, cfg.spec.m, cfg.spec.hbar)
     report: dict = {}
-    orders = {}
-    for family in ("plane", "new", "nrt"):
-        sups = []
-        for d in LIMIT_DELTAS:
-            spec = FreeParticleSpec(q=1.0 + d, p=cfg.spec.p, m=cfg.spec.m,
-                                    hbar=cfg.spec.hbar)
-            if family == "plane":
-                sol = q_plane_wave_field(spec)
-            else:
-                kind = SolutionKind.NEW if family == "new" else SolutionKind.NRT
-                sol = product_solution_field(kind, spec)
-            sup = max(
-                abs(sol(float(x), float(t)) - classical(float(x), float(t)))
-                for x in xs for t in ts
-            )
-            sups.append(sup)
+    for family, (sups, order) in table.items():
         for d, s in zip(LIMIT_DELTAS, sups):
             report[f"sup_{family}_delta_{d:g}"] = s
-        orders[family] = fit_observed_order(LIMIT_DELTAS, sups)
-        report[f"order_{family}"] = orders[family]
-    min_order = min(orders.values())
+        report[f"order_{family}"] = order
+    min_order = min(order for _, order in table.values())
     passed = min_order >= 0.9
     report["min_order"] = min_order
     report["passed"] = int(passed)
@@ -374,10 +342,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             "mod_nrt": [r[3] for r in rows],
             "max_abs_diff": max_diff,
         })
-    if cfg.out is not None:
-        write_text(cfg.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit_text(text, cfg)
     return EXIT_OK
 
 

@@ -32,10 +32,13 @@ from .errors import DegenerateStudyError, DomainError, PropagationError
 from .solutions import (
     FreeParticleSpec,
     SolutionKind,
+    marched_form,
     product_solution_field,
     q_plane_wave_field,
     separated_space_curve,
     separated_time_curve,
+    space_root,
+    time_coefficient,
 )
 
 # Explicit diffusive-scaling heuristic for the time step; exceeding it
@@ -134,10 +137,13 @@ def fit_observed_order(resolutions: Sequence[float], errors: Sequence[float]) ->
 
 def rk4_step(state, rhs: Callable, t: float, dt: float):
     """One classical Runge-Kutta step of d(state)/dt = rhs(t, state)."""
-    k1 = rhs(t, state)
-    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = rhs(t + dt, state + dt * k3)
+    try:
+        k1 = rhs(t, state)
+        k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
+        k4 = rhs(t + dt, state + dt * k3)
+    except OverflowError as err:
+        raise PropagationError(f"RK4 step dt={dt} at t={t} overflowed: {err}") from err
     for i, k in enumerate((k1, k2, k3, k4), start=1):
         if not np.all(np.isfinite(np.asarray(k))):
             raise PropagationError(f"RK4 stage {i} produced a non-finite value at t={t}")
@@ -165,6 +171,9 @@ class _TrackedPower:
             raise DomainError("trajectory value reached zero (fractional power undefined)")
         if s == 1.0:
             return value
+        if not math.isfinite(r):
+            # an earlier stage overflowed; its phase is meaningless
+            raise OverflowError(f"trajectory value {value} is not finite")
         ang = s * (self.theta + self._phase_step(value))
         return r**s * complex(math.cos(ang), math.sin(ang))
 
@@ -184,14 +193,7 @@ def integrate_separated_time(kind: SolutionKind, q: float, lam: float,
                              hbar: float, t_end: float, dt: float
                              ) -> list[tuple[float, complex]]:
     """RK4 trajectory of the separated time factor from f(0) = 1."""
-    if kind is SolutionKind.NEW:
-        if abs(q) < 1e-300:
-            raise DomainError("the q-power time equation requires q != 0")
-        coef = q
-    else:
-        if abs(q - 2.0) < 1e-300:
-            raise DomainError("the NRT time equation requires q != 2")
-        coef = 2.0 - q
+    coef = time_coefficient(kind, q)
     n = _step_count(t_end, dt)
     trajectory = [(0.0, 1.0 + 0j)]
     if n == 0:
@@ -223,27 +225,18 @@ def integrate_separated_space(kind: SolutionKind, q: float, lam: float,
         raise DomainError("the separated space integration needs lam > 0")
     p = math.sqrt(2.0 * m * lam)
     curvature = -2.0 * m * lam / (hbar * hbar)
+    g_slope0 = 2j * p / (hbar * space_root(kind, q))
     if kind is SolutionKind.NEW:
-        if q <= -1.0:
-            raise DomainError("the q-power space factor requires q > -1")
-        slope0 = 2j * p / (hbar * math.sqrt(2.0 * (q + 1.0)))
-        s_power = q
-        state = np.array([1.0 + 0j, slope0])
+        slope0, s_power = g_slope0, q
     else:
-        if abs(q - 2.0) < 1e-300 or (2.0 - q) * (3.0 - q) <= 0.0:
-            raise DomainError("the NRT space factor requires q != 2 and (2-q)(3-q) > 0")
-        g_slope0 = 2j * p / (hbar * math.sqrt(2.0 * (2.0 - q) * (3.0 - q)))
-        slope0 = (2.0 - q) * g_slope0
-        s_power = 1.0 / (2.0 - q)
-        state = np.array([1.0 + 0j, slope0])
+        slope0, s_power = (2.0 - q) * g_slope0, 1.0 / (2.0 - q)
+    state = np.array([1.0 + 0j, slope0])
 
     n = _step_count(x_end, dx)
     tracker = _TrackedPower(state[0])
 
     def to_g(u: complex) -> complex:
-        if kind is SolutionKind.NEW:
-            return u
-        return tracker(u, s_power) if s_power != 1.0 else u
+        return u if kind is SolutionKind.NEW else tracker(u, s_power)
 
     trajectory = [(0.0, 1.0 + 0j)]
     if n == 0:
@@ -299,14 +292,7 @@ def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
     the initial frame included.
     """
     grid = initial.grid
-    if equation is SolutionKind.NEW:
-        if abs(q) < 1e-300:
-            raise DomainError("the q-power equation requires q != 0")
-        s, coef = 1.0 / q, 1.0
-    else:
-        if abs(q - 2.0) < 1e-300:
-            raise DomainError("the NRT equation requires q != 2")
-        s, coef = 2.0 - q, 2.0 - q
+    s, coef = marched_form(equation, q)
 
     values = np.asarray(initial.values, dtype=np.complex128)
     if np.any(values == 0):

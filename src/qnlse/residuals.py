@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .fields import value_power
 from .qmath import HypParams, hyp2f1, hyp2f1_deriv
-from .solutions import SolutionKind
+from .solutions import SolutionKind, marched_form, require_space, time_coefficient
 
 _EPS = np.finfo(float).eps
 
@@ -236,54 +237,45 @@ def _normalized_power(sampler, x: float, t: float, s: float) -> complex:
     return value_power(sampler, sampler(x, t) / v0, s)
 
 
+def _normalized_power_residual(sampler, s: float, coef: float, m: float,
+                               hbar: float, potential: Potential,
+                               point: tuple[float, float],
+                               method: DerivativeMethod) -> complex:
+    """i*hbar*coef d/dt[u_n] - H[(u_n)^s], u_n = u/u(0,0), scaled."""
+    x, t = point
+    value = sampler(x, t)
+    if value == 0:
+        raise DomainError(f"field vanished at (x={x}, t={t})")
+    v0 = sampler(0.0, 0.0)
+    if v0 == 0:
+        raise DomainError("field vanishes at the origin; cannot normalize")
+    u_t = _field_partial(sampler, x, t, "t", 1, method) / v0
+    chi = _normalized_power(sampler, x, t, s)
+    chi_xx = _powered_field_dxx(sampler, x, t, s, method) / value_power(
+        sampler, v0, s, 0.0, 0.0
+    )
+    v = potential(x) if potential is not None else 0.0
+    h_chi = -hbar * hbar / (2.0 * m) * chi_xx + v * chi
+    resid = 1j * hbar * coef * u_t - h_chi
+    return resid / max(1.0, abs(value))
+
+
 def new_nlse_phi_residual(sampler_phi, q: float, m: float, hbar: float,
                           potential: Potential, point: tuple[float, float],
                           method: DerivativeMethod) -> complex:
     """i*hbar d/dt[phi_n] - H[(phi_n)^(1/q)], phi_n = phi/phi(0,0), scaled."""
-    if abs(q) < 1e-300:
-        raise DomainError("the phi form requires q != 0")
-    x, t = point
-    value = sampler_phi(x, t)
-    if value == 0:
-        raise DomainError(f"field vanished at (x={x}, t={t})")
-    v0 = sampler_phi(0.0, 0.0)
-    if v0 == 0:
-        raise DomainError("field vanishes at the origin; cannot normalize")
-    s = 1.0 / q
-    phi_t = _field_partial(sampler_phi, x, t, "t", 1, method) / v0
-    chi = _normalized_power(sampler_phi, x, t, s)
-    chi_xx = _powered_field_dxx(sampler_phi, x, t, s, method) / value_power(
-        sampler_phi, v0, s, 0.0, 0.0
-    )
-    v = potential(x) if potential is not None else 0.0
-    h_chi = -hbar * hbar / (2.0 * m) * chi_xx + v * chi
-    resid = 1j * hbar * phi_t - h_chi
-    return resid / max(1.0, abs(value))
+    s, coef = marched_form(SolutionKind.NEW, q)
+    return _normalized_power_residual(sampler_phi, s, coef, m, hbar, potential,
+                                      point, method)
 
 
 def nrt_residual(sampler_psi, q: float, m: float, hbar: float,
                  potential: Potential, point: tuple[float, float],
                  method: DerivativeMethod) -> complex:
     """i*hbar(2-q) d/dt[psi_n] - H[(psi_n)^(2-q)], psi_n = psi/psi(0,0), scaled."""
-    if abs(q - 2.0) < 1e-300:
-        raise DomainError("the NRT equation requires q != 2")
-    x, t = point
-    value = sampler_psi(x, t)
-    if value == 0:
-        raise DomainError(f"field vanished at (x={x}, t={t})")
-    v0 = sampler_psi(0.0, 0.0)
-    if v0 == 0:
-        raise DomainError("field vanishes at the origin; cannot normalize")
-    s = 2.0 - q
-    psi_t = _field_partial(sampler_psi, x, t, "t", 1, method) / v0
-    chi = _normalized_power(sampler_psi, x, t, s)
-    chi_xx = _powered_field_dxx(sampler_psi, x, t, s, method) / value_power(
-        sampler_psi, v0, s, 0.0, 0.0
-    )
-    v = potential(x) if potential is not None else 0.0
-    h_chi = -hbar * hbar / (2.0 * m) * chi_xx + v * chi
-    resid = 1j * hbar * (2.0 - q) * psi_t - h_chi
-    return resid / max(1.0, abs(value))
+    s, coef = marched_form(SolutionKind.NRT, q)
+    return _normalized_power_residual(sampler_psi, s, coef, m, hbar, potential,
+                                      point, method)
 
 
 def separated_time_residual(kind: SolutionKind, f, q: float, lam: float,
@@ -294,6 +286,7 @@ def separated_time_residual(kind: SolutionKind, f, q: float, lam: float,
     q-power form: i*hbar d/dt[f^q] - lam*f.
     NRT form:     i*hbar(2-q) f' - lam*f^(2-q).
     """
+    coef = time_coefficient(kind, q)
     value = f(t)
     if value == 0:
         raise DomainError(f"time factor vanished at t={t}")
@@ -301,11 +294,9 @@ def separated_time_residual(kind: SolutionKind, f, q: float, lam: float,
         dfq = _powered_curve_deriv(f, t, q, 1, method)
         resid = 1j * hbar * dfq - lam * value
     else:
-        if abs(q - 2.0) < 1e-300:
-            raise DomainError("the NRT time equation requires q != 2")
         d1 = _curve_deriv(f, t, 1, method)
         powered = value_power(f, value, 2.0 - q, t)
-        resid = 1j * hbar * (2.0 - q) * d1 - lam * powered
+        resid = 1j * hbar * coef * d1 - lam * powered
     return resid / max(1.0, abs(value))
 
 
@@ -317,6 +308,7 @@ def separated_space_residual(kind: SolutionKind, g, q: float, lam: float,
     q-power form: -(hbar^2/2m) g'' - lam*g^q.
     NRT form:     -(hbar^2/2m) (g^(2-q))'' - lam*g.
     """
+    require_space(kind, q)
     value = g(x)
     if value == 0:
         raise DomainError(f"space factor vanished at x={x}")
@@ -326,8 +318,6 @@ def separated_space_residual(kind: SolutionKind, g, q: float, lam: float,
         powered = value_power(g, value, q, x)
         resid = kinetic * d2 - lam * powered
     else:
-        if abs(q - 2.0) < 1e-300:
-            raise DomainError("the NRT space equation requires q != 2")
         d2 = _powered_curve_deriv(g, x, 2.0 - q, 2, method)
         resid = kinetic * d2 - lam * value
     return resid / max(1.0, abs(value))
@@ -337,28 +327,26 @@ def separated_space_residual(kind: SolutionKind, g, q: float, lam: float,
 # grid scans
 # ---------------------------------------------------------------------------
 
-FIELD_EQUATIONS = ("new-field", "new-phi", "nrt-field")
-CURVE_EQUATIONS = ("new-time", "nrt-time", "new-space", "nrt-space")
-EQUATION_TAGS = FIELD_EQUATIONS + CURVE_EQUATIONS
-
-
-def _point_residual(equation: str, sampler, x: float, t: float, *, q, m, hbar,
-                    potential, lam, method) -> complex:
-    if equation == "new-field":
-        return new_nlse_residual(sampler, q, m, hbar, (x, t), method)
-    if equation == "new-phi":
-        return new_nlse_phi_residual(sampler, q, m, hbar, potential, (x, t), method)
-    if equation == "nrt-field":
-        return nrt_residual(sampler, q, m, hbar, potential, (x, t), method)
-    if equation == "new-time":
-        return separated_time_residual(SolutionKind.NEW, sampler, q, lam, hbar, t, method)
-    if equation == "nrt-time":
-        return separated_time_residual(SolutionKind.NRT, sampler, q, lam, hbar, t, method)
-    if equation == "new-space":
-        return separated_space_residual(SolutionKind.NEW, sampler, q, lam, m, hbar, x, method)
-    if equation == "nrt-space":
-        return separated_space_residual(SolutionKind.NRT, sampler, q, lam, m, hbar, x, method)
-    raise DomainError(f"unknown equation tag {equation!r}; expected one of {EQUATION_TAGS}")
+# Every equation tag: the grid axis its scan runs along ("xt", "t" or
+# "x") and its point residual.  The calls look up the module-level
+# residual names each time, so a wrapper installed on them sees every
+# point.
+_SCANS = {
+    "new-field": ("xt", lambda f, x, t, a: new_nlse_residual(
+        f, a.q, a.m, a.hbar, (x, t), a.method)),
+    "new-phi": ("xt", lambda f, x, t, a: new_nlse_phi_residual(
+        f, a.q, a.m, a.hbar, a.potential, (x, t), a.method)),
+    "nrt-field": ("xt", lambda f, x, t, a: nrt_residual(
+        f, a.q, a.m, a.hbar, a.potential, (x, t), a.method)),
+    "new-time": ("t", lambda f, x, t, a: separated_time_residual(
+        SolutionKind.NEW, f, a.q, a.lam, a.hbar, t, a.method)),
+    "nrt-time": ("t", lambda f, x, t, a: separated_time_residual(
+        SolutionKind.NRT, f, a.q, a.lam, a.hbar, t, a.method)),
+    "new-space": ("x", lambda f, x, t, a: separated_space_residual(
+        SolutionKind.NEW, f, a.q, a.lam, a.m, a.hbar, x, a.method)),
+    "nrt-space": ("x", lambda f, x, t, a: separated_space_residual(
+        SolutionKind.NRT, f, a.q, a.lam, a.m, a.hbar, x, a.method)),
+}
 
 
 def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
@@ -372,18 +360,21 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     required for the separated tags.  A domain error at any sample
     aborts the scan with the offending location attached.
     """
-    if equation not in EQUATION_TAGS:
+    if equation not in _SCANS:
         raise DomainError(
-            f"unknown equation tag {equation!r}; expected one of {EQUATION_TAGS}"
+            f"unknown equation tag {equation!r}; expected one of {tuple(_SCANS)}"
         )
-    if equation in CURVE_EQUATIONS and lam is None:
+    axis, point_residual = _SCANS[equation]
+    if axis != "xt" and lam is None:
         raise DomainError(f"equation {equation!r} needs the separation constant lam")
+    args = SimpleNamespace(q=q, m=m, hbar=hbar, potential=potential, lam=lam,
+                           method=method)
 
     xs = grid.x_values()
     ts = grid.t_values()
-    if equation in ("new-time", "nrt-time"):
+    if axis == "t":
         points = [(0.0, float(t)) for t in ts]
-    elif equation in ("new-space", "nrt-space"):
+    elif axis == "x":
         points = [(float(x), 0.0) for x in xs]
     else:
         points = [(float(x), float(t)) for t in ts for x in xs]
@@ -395,12 +386,7 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     sumsq = 0.0
     for x, t in points:
         try:
-            r = abs(
-                _point_residual(
-                    equation, sampler, x, t,
-                    q=q, m=m, hbar=hbar, potential=potential, lam=lam, method=method,
-                )
-            )
+            r = abs(point_residual(sampler, x, t, args))
         except DomainError as err:
             raise DomainError(f"{err} [while scanning {equation} at (x={x}, t={t})]") from err
         sumsq += r * r

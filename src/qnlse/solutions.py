@@ -1,17 +1,23 @@
-"""Closed-form free-particle solutions of the two deformed equations.
+"""The two deformed equations: their admissible q, their coefficients,
+and their closed-form free-particle solutions.
 
-The traveling q-plane wave ``[1 + i(1-q)(px - Et)/hbar]^(1/(1-q))``,
-its evaluation through the degenerate hypergeometric route, and the
-separated time/space factors for
+* the q-power equation ("new" on the CLI), marched as
+  i*hbar d(phi)/dt = H[phi^(1/q)] with phi = psi^q, separates into
+  i*hbar d/dt [f^q] = lam*f and -(hbar^2/2m) g'' = lam*g^q;
+* the NRT equation, i*hbar(2-q) d(psi)/dt = H[psi^(2-q)], separates
+  into i*hbar(2-q) f' = lam*f^(2-q) and -(hbar^2/2m) (g^(2-q))'' = lam*g.
 
-* the q-power equation ("new" on the CLI): i*hbar d/dt [f^q] = lam*f and
-  -(hbar^2/2m) g'' = lam*g^q, and
-* the NRT equation: i*hbar(2-q) f' = lam*f^(2-q) and
-  -(hbar^2/2m) (g^(2-q))'' = lam*g.
+This module is the one place that knows each equation's admissible q
+(``admits_time``, ``admits_space``, with the single pole threshold
+``EPS_Q_ONE``), its separated time coefficient, its space root and its
+normalized marched form (s, coef); every other layer asks it.
 
-All factors are normalized to 1 at the origin, E is always derived from
-p and m, and q = 1 (within ``EPS_Q_ONE``) dispatches to the exact plane
-wave limits.
+The closed forms are the traveling q-plane wave
+``[1 + i(1-q)(px - Et)/hbar]^(1/(1-q))``, its evaluation through the
+degenerate hypergeometric route, and the separated time/space factors.
+All are normalized to 1 at the origin, E is always derived from p and
+m, and q = 1 (within ``EPS_Q_ONE``) dispatches to the exact plane wave
+limits.
 """
 
 from __future__ import annotations
@@ -61,28 +67,54 @@ def is_classical(q: float) -> bool:
     return abs(q - 1.0) < EPS_Q_ONE
 
 
-def _require_new_time(q: float) -> None:
-    if abs(q) < EPS_Q_ONE:
-        raise DomainError("the q-power time factor requires q != 0")
+_NAMES = {SolutionKind.NEW: "q-power", SolutionKind.NRT: "NRT"}
 
 
-def _require_nrt(q: float) -> None:
-    if abs(q - 2.0) < EPS_Q_ONE:
-        raise DomainError("NRT factors require q != 2 (the power 2-q vanishes)")
+def admits_time(kind: SolutionKind, q: float) -> bool:
+    """Whether the time factor and the marched form of ``kind`` exist at q:
+    q != 0 for the q-power equation, q != 2 for NRT."""
+    pole = 0.0 if kind is SolutionKind.NEW else 2.0
+    return abs(q - pole) >= EPS_Q_ONE
 
 
-def _require_new_space(q: float) -> None:
-    if q <= -1.0:
-        raise DomainError("the q-power space factor requires q > -1")
+def admits_space(kind: SolutionKind, q: float) -> bool:
+    """Whether the space factor of ``kind`` exists at q: q > -1 for the
+    q-power equation, q != 2 and (2-q)(3-q) > 0 for NRT."""
+    if kind is SolutionKind.NEW:
+        return q > -1.0
+    return admits_time(kind, q) and (2.0 - q) * (3.0 - q) > 0.0
 
 
-def _require_nrt_space(q: float) -> None:
-    _require_nrt(q)
-    if (2.0 - q) * (3.0 - q) <= 0.0:
-        raise DomainError(
-            "the NRT space factor requires (2-q)(3-q) > 0, violated for "
-            f"q={q}"
-        )
+def time_coefficient(kind: SolutionKind, q: float) -> float:
+    """The c of the separated time factor (1 + i(1-q)E t/(c hbar))^(1/(q-1)):
+    q for the q-power equation, 2 - q for NRT."""
+    if not admits_time(kind, q):
+        pole = "0" if kind is SolutionKind.NEW else "2"
+        raise DomainError(f"the {_NAMES[kind]} time equation requires q != {pole}, got q={q}")
+    return q if kind is SolutionKind.NEW else 2.0 - q
+
+
+def require_space(kind: SolutionKind, q: float) -> None:
+    """Raise DomainError unless ``admits_space(kind, q)``."""
+    if not admits_space(kind, q):
+        rule = "q > -1" if kind is SolutionKind.NEW else "q != 2 and (2-q)(3-q) > 0"
+        raise DomainError(f"the {_NAMES[kind]} space equation requires {rule}, got q={q}")
+
+
+def space_root(kind: SolutionKind, q: float) -> float:
+    """The r of the separated space factor (1 + i(1-q)p x/(r hbar))^(2/(1-q)):
+    sqrt(2(q+1)) for the q-power equation, sqrt(2(2-q)(3-q)) for NRT."""
+    require_space(kind, q)
+    if kind is SolutionKind.NEW:
+        return math.sqrt(2.0 * (q + 1.0))
+    return math.sqrt(2.0 * (2.0 - q) * (3.0 - q))
+
+
+def marched_form(kind: SolutionKind, q: float) -> tuple[float, float]:
+    """(s, coef) of the normalized marched form i*hbar*coef dchi/dt = H[chi^s]:
+    (1/q, 1) for the q-power equation in phi, (2-q, 2-q) for NRT."""
+    c = time_coefficient(kind, q)
+    return (1.0 / c, 1.0) if kind is SolutionKind.NEW else (c, c)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +147,7 @@ def separated_time_curve(kind: SolutionKind, spec: FreeParticleSpec):
     q, E, hbar = spec.q, spec.energy, spec.hbar
     if is_classical(q):
         return ExpCurve(-1j * E / hbar)
-    if kind is SolutionKind.NEW:
-        _require_new_time(q)
-        denom = q
-    else:
-        _require_nrt(q)
-        denom = 2.0 - q
+    denom = time_coefficient(kind, q)
     return PowerCurve(c=1j * (1.0 - q) * E / (denom * hbar), s=1.0 / (q - 1.0))
 
 
@@ -129,12 +156,7 @@ def separated_space_curve(kind: SolutionKind, spec: FreeParticleSpec):
     q, p, hbar = spec.q, spec.p, spec.hbar
     if is_classical(q):
         return ExpCurve(1j * p / hbar)
-    if kind is SolutionKind.NEW:
-        _require_new_space(q)
-        root = math.sqrt(2.0 * (q + 1.0))
-    else:
-        _require_nrt_space(q)
-        root = math.sqrt(2.0 * (2.0 - q) * (3.0 - q))
+    root = space_root(kind, q)
     return PowerCurve(c=1j * (1.0 - q) * p / (root * hbar), s=2.0 / (1.0 - q))
 
 
@@ -152,16 +174,6 @@ def product_solution_field(kind: SolutionKind, spec: FreeParticleSpec):
     )
 
 
-# ---------------------------------------------------------------------------
-# point evaluations
-# ---------------------------------------------------------------------------
-
-
-def q_plane_wave(spec: FreeParticleSpec, x: float, t: float) -> complex:
-    """Evaluate the traveling q-plane wave at one point."""
-    return q_plane_wave_field(spec)(x, t)
-
-
 def q_plane_wave_hypergeometric(
     spec: FreeParticleSpec, gamma: float, x: float, t: float
 ) -> complex:
@@ -169,37 +181,10 @@ def q_plane_wave_hypergeometric(
 
     Evaluates 2F1(1/(q-1), gamma; gamma; i(q-1)(px - Et)/hbar); the free
     parameter gamma cancels and the value must agree with
-    ``q_plane_wave`` for any admissible gamma.
+    ``q_plane_wave_field`` for any admissible gamma.
     """
     if is_classical(spec.q):
         return classical_plane_wave_field(spec)(x, t)
     q = spec.q
     z = 1j / spec.hbar * (q - 1.0) * (spec.p * x - spec.energy * t)
     return hyp2f1(HypParams(alpha=1.0 / (q - 1.0), beta=gamma, gamma=gamma, z=z))
-
-
-def amplitude_wave(
-    spec: FreeParticleSpec, amplitude: complex, x: float, t: float
-) -> complex:
-    """A * q_plane_wave; exactly A at the origin.  A must be nonzero
-    (the normalized forms of the equations divide by the origin value)."""
-    if amplitude == 0:
-        raise DomainError("amplitude_wave requires a nonzero amplitude")
-    return q_plane_wave_field(spec, amplitude=complex(amplitude))(x, t)
-
-
-def separated_f(kind: SolutionKind, spec: FreeParticleSpec, t: float) -> complex:
-    """Evaluate the separated time factor at one time."""
-    return separated_time_curve(kind, spec)(t)
-
-
-def separated_g(kind: SolutionKind, spec: FreeParticleSpec, x: float) -> complex:
-    """Evaluate the separated space factor at one position."""
-    return separated_space_curve(kind, spec)(x)
-
-
-def product_solution(
-    kind: SolutionKind, spec: FreeParticleSpec, x: float, t: float
-) -> complex:
-    """Evaluate f(t) * g(x); both factors are 1 at the origin."""
-    return product_solution_field(kind, spec)(x, t)

@@ -1,0 +1,67 @@
+"""The benchmark's tracer wraps package functions by name; a rename that
+would silently zero its per-layer counts fails here instead."""
+
+import importlib.util
+import warnings
+from pathlib import Path
+
+from qnlse import _kernels, integrators, residuals
+from qnlse.integrators import GridSpec, manufactured_field
+from qnlse.residuals import Analytic
+from qnlse.solutions import (
+    FreeParticleSpec,
+    SolutionKind,
+    product_solution_field,
+    q_plane_wave_field,
+    separated_space_curve,
+    separated_time_curve,
+)
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_point_residuals_and_kernel_marches():
+    spec = FreeParticleSpec(q=1.5)
+    samplers = {
+        "new-field": q_plane_wave_field(spec),
+        "new-phi": q_plane_wave_field(spec).pow(spec.q),
+        "nrt-field": product_solution_field(SolutionKind.NRT, spec),
+        "new-time": separated_time_curve(SolutionKind.NEW, spec),
+        "nrt-time": separated_time_curve(SolutionKind.NRT, spec),
+        "new-space": separated_space_curve(SolutionKind.NEW, spec),
+        "nrt-space": separated_space_curve(SolutionKind.NRT, spec),
+    }
+    grid = GridSpec(-1.0, 1.0, 3, 0.1, 1)
+    exact = manufactured_field(SolutionKind.NEW, spec)
+    originals = (residuals.scan_residual, integrators.propagate, _kernels.propagate_frames)
+
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        samples = 0
+        for tag, sampler in samplers.items():
+            report = residuals.scan_residual(tag, sampler, grid, Analytic(), q=spec.q,
+                                             m=spec.m, hbar=spec.hbar, lam=spec.energy)
+            samples += report.n_samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            initial = integrators.sample_field(exact, GridSpec(-1.0, 1.0, 11, 1e-4, 2), 0.0)
+            integrators.propagate(SolutionKind.NEW, initial, spec.q, spec.m, spec.hbar,
+                                  boundary=exact)
+    finally:
+        tracer.uninstall()
+
+    assert (residuals.scan_residual, integrators.propagate, _kernels.propagate_frames) \
+        == originals
+    assert tracer.groups["residuals.scan_residual"][0] == len(samplers)
+    assert samples == 3 * (3 * 2) + 2 * 2 + 2 * 3  # (x, t) mesh, t axis, x axis
+    assert tracer.groups["residuals.point"][0] == samples
+    assert tracer.groups["kernels.propagate_frames"][0] == 1
+    assert tracer.counters["kernels.point_updates"] == 9 * 2

@@ -37,6 +37,21 @@ class TestExitCodes:
         assert code == 2
         assert "2" in err and "nrt" in err
 
+    def test_separated_ode_overflow_exits_1(self, capsys):
+        # at q = 0.01 the coarse RK4 step of the q-power time factor
+        # overflows; the run must end with an error line, not a traceback
+        code, out, err = run(capsys, "converge", "--study", "ode-time",
+                             "--equation", "new", "--q", "0.01", "--levels", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: RK4 step") and "overflowed" in err
+
+    def test_q_near_pole_exits_2(self, capsys):
+        code, out, err = run(capsys, "converge", "--study", "ode-time", "--q", "1e-13")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "q != 0" in err
+
     def test_bad_grid_exits_2(self, capsys):
         code, _, _ = run(capsys, "residual", "--nx", "2")
         assert code == 2
@@ -85,7 +100,7 @@ class TestExitCodes:
 # The functions through which the commands start real work.
 WORK_ENTRY_POINTS = (
     "run_verification", "propagate", "scan_residual", "convergence_study",
-    "manufactured_field", "sample_field", "classical_plane_wave_field",
+    "manufactured_field", "sample_field", "classical_limit_table",
     "q_plane_wave_field", "product_solution_field", "separated_space_curve",
     "separated_time_curve",
 )

@@ -1,0 +1,123 @@
+"""The q-domain contract: every entry point accepts or rejects (kind, q)
+exactly as the rule in ``solutions`` that it depends on."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from qnlse.cli import main
+from qnlse.errors import DomainError
+from qnlse.fields import ExpCurve, ExponentialField
+from qnlse.integrators import (
+    GridSpec,
+    WaveField,
+    integrate_separated_space,
+    integrate_separated_time,
+    propagate,
+)
+from qnlse.residuals import (
+    Analytic,
+    new_nlse_phi_residual,
+    nrt_residual,
+    separated_space_residual,
+    separated_time_residual,
+)
+from qnlse.solutions import (
+    FreeParticleSpec,
+    SolutionKind,
+    admits_space,
+    admits_time,
+    marched_form,
+    separated_space_curve,
+    separated_time_curve,
+)
+
+NEW, NRT = SolutionKind.NEW, SolutionKind.NRT
+Q_VALUES = (0.0, 1e-13, 2.0 - 1e-13, 2.0, -1.0, 2.5, 3.5)
+
+
+def admits_marched(kind, q):
+    try:
+        marched_form(kind, q)
+    except DomainError:
+        return False
+    return True
+
+
+def curve_time(kind, q):
+    separated_time_curve(kind, FreeParticleSpec(q=q))
+
+
+def curve_space(kind, q):
+    separated_space_curve(kind, FreeParticleSpec(q=q))
+
+
+def ode_time(kind, q):
+    integrate_separated_time(kind, q, 1.0, 1.0, 1e-3, 1e-3)
+
+
+def ode_space(kind, q):
+    integrate_separated_space(kind, q, 1.0, 0.5, 1.0, 1e-3, 1e-3)
+
+
+def march(kind, q):
+    grid = GridSpec(-1.0, 1.0, 5, 1e-4, 1)
+    propagate(kind, WaveField(grid, 0.0, np.ones(5, dtype=complex)), q, 0.5, 1.0,
+              boundary=lambda x, t: 1.0 + 0j)
+
+
+def field_residual(kind, q):
+    residual = new_nlse_phi_residual if kind is NEW else nrt_residual
+    residual(ExponentialField(1j, -1j), q, 0.5, 1.0, None, (0.3, 0.2), Analytic())
+
+
+def time_residual(kind, q):
+    separated_time_residual(kind, ExpCurve(-1j), q, 1.0, 1.0, 0.2, Analytic())
+
+
+def space_residual(kind, q):
+    separated_space_residual(kind, ExpCurve(1j), q, 1.0, 0.5, 1.0, 0.3, Analytic())
+
+
+def cli(kind, q):
+    code = main(["converge", "--study", "ode-time", "--equation", kind.value,
+                 "--q", repr(q), "--levels", "2"])
+    if code == 2:
+        raise DomainError("exit 2")
+
+
+ENTRY_POINTS = [
+    (curve_time, admits_time),
+    (curve_space, admits_space),
+    (ode_time, admits_time),
+    (ode_space, admits_space),
+    (march, admits_marched),
+    (field_residual, admits_marched),
+    (time_residual, admits_time),
+    (space_residual, admits_space),
+    (cli, admits_marched),
+]
+
+
+def test_rules_as_stated():
+    assert [admits_time(NEW, q) for q in Q_VALUES] == [False, False, True, True, True, True, True]
+    assert [admits_time(NRT, q) for q in Q_VALUES] == [True, True, False, False, True, True, True]
+    assert [admits_space(NEW, q) for q in Q_VALUES] == [True, True, True, True, False, True, True]
+    assert [admits_space(NRT, q) for q in Q_VALUES] == [True, True, False, False, True, False, True]
+    assert [admits_marched(kind, q) for kind in SolutionKind for q in Q_VALUES] \
+        == [admits_time(kind, q) for kind in SolutionKind for q in Q_VALUES]
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@pytest.mark.parametrize("kind", list(SolutionKind))
+@pytest.mark.parametrize("call, admits", ENTRY_POINTS,
+                         ids=[call.__name__ for call, _ in ENTRY_POINTS])
+def test_entry_point_follows_its_rule(capsys, call, admits, kind, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if admits(kind, q):
+            call(kind, q)
+        else:
+            with pytest.raises(DomainError):
+                call(kind, q)

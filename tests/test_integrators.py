@@ -150,6 +150,15 @@ class TestSeparatedIntegration:
         with pytest.raises(DomainError):
             integrate_separated_space(SolutionKind.NRT, 2.5, 1.0, 0.5, 1.0, 1.0, 1e-3)
 
+    @pytest.mark.parametrize("q", [0.01, np.float64(0.01)])
+    def test_overflow_raises_propagation_error(self, q):
+        # a float q overflows in the tracked power; a numpy scalar q runs
+        # on to inf and nan instead; both must end in a PropagationError
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(PropagationError, match="t="):
+                integrate_separated_time(SolutionKind.NEW, q, 1.0, 1.0, 1.0, 0.05)
+
     @pytest.mark.parametrize("case_cls", [OdeTimeCase, OdeSpaceCase])
     def test_observed_order_is_four(self, case_cls):
         spec = FreeParticleSpec(q=1.5)

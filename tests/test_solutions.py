@@ -11,15 +11,10 @@ from qnlse.integrators import fit_observed_order
 from qnlse.solutions import (
     FreeParticleSpec,
     SolutionKind,
-    amplitude_wave,
     classical_plane_wave_field,
-    product_solution,
     product_solution_field,
-    q_plane_wave,
     q_plane_wave_field,
     q_plane_wave_hypergeometric,
-    separated_f,
-    separated_g,
     separated_space_curve,
     separated_time_curve,
 )
@@ -45,26 +40,27 @@ class TestFreeParticleSpec:
 class TestPlaneWave:
     def test_origin_is_exactly_one(self):
         for q in (0.5, 1.0, 1.5, 2.0):
-            assert q_plane_wave(FreeParticleSpec(q=q), 0.0, 0.0) == 1.0
+            assert q_plane_wave_field(FreeParticleSpec(q=q))(0.0, 0.0) == 1.0
 
     def test_hand_value_q2(self):
         spec = FreeParticleSpec(q=2.0, **DEFAULT)
-        assert q_plane_wave(spec, 1.0, 0.0) == pytest.approx(0.5 + 0.5j)
+        assert q_plane_wave_field(spec)(1.0, 0.0) == pytest.approx(0.5 + 0.5j)
 
     def test_classical_dispatch(self):
         spec = FreeParticleSpec(q=1.0, **DEFAULT)
-        assert q_plane_wave(spec, math.pi, 0.0) == pytest.approx(-1.0 + 0j, abs=1e-14)
+        assert q_plane_wave_field(spec)(math.pi, 0.0) == pytest.approx(-1.0 + 0j, abs=1e-14)
 
-    def test_amplitude_wave(self):
+    def test_amplitude_scales_the_wave(self):
         spec = FreeParticleSpec(q=2.0, **DEFAULT)
-        assert amplitude_wave(spec, 2.0 + 0j, 0.0, 0.0) == pytest.approx(2.0 + 0j)
-        assert amplitude_wave(spec, 1j, 1.0, 0.0) == pytest.approx(-0.5 + 0.5j)
+        assert q_plane_wave_field(spec, 2.0 + 0j)(0.0, 0.0) == pytest.approx(2.0 + 0j)
+        assert q_plane_wave_field(spec, 1j)(1.0, 0.0) == pytest.approx(-0.5 + 0.5j)
         for x, t in ((0.3, 0.1), (-2.0, 0.7)):
-            assert amplitude_wave(spec, 1.0 + 0j, x, t) == q_plane_wave(spec, x, t)
+            assert q_plane_wave_field(spec, 1.0 + 0j)(x, t) == q_plane_wave_field(spec)(x, t)
 
-    def test_amplitude_must_be_nonzero(self):
+    @pytest.mark.parametrize("q", [1.0, 1.5])
+    def test_amplitude_must_be_nonzero(self, q):
         with pytest.raises(DomainError):
-            amplitude_wave(FreeParticleSpec(q=1.5), 0j, 0.0, 0.0)
+            q_plane_wave_field(FreeParticleSpec(q=q), 0j)
 
     def test_field_partials_match_finite_differences(self):
         field = q_plane_wave_field(FreeParticleSpec(q=1.5))
@@ -95,9 +91,10 @@ class TestHypergeometricRoute:
         spec = FreeParticleSpec(q=q)
         xs = np.linspace(-5, 5, 21)
         ts = np.linspace(0, 1, 5)
+        wave = q_plane_wave_field(spec)
         for x in xs:
             for t in ts:
-                direct = q_plane_wave(spec, float(x), float(t))
+                direct = wave(float(x), float(t))
                 for g in self.GAMMAS:
                     via_f = q_plane_wave_hypergeometric(spec, g, float(x), float(t))
                     assert abs(via_f - direct) <= 1e-10
@@ -113,7 +110,7 @@ class TestHypergeometricRoute:
 
     def test_pointwise_cross_route_precision(self):
         spec = FreeParticleSpec(q=1.5, p=1.0, m=0.5, hbar=1.0)
-        direct = q_plane_wave(spec, 0.4, 0.1)
+        direct = q_plane_wave_field(spec)(0.4, 0.1)
         via_f = q_plane_wave_hypergeometric(spec, 1.0, 0.4, 0.1)
         assert abs(via_f - direct) <= 1e-12
 
@@ -122,71 +119,74 @@ class TestHypergeometricRoute:
         # reproduce the serial values bit for bit
         from concurrent.futures import ThreadPoolExecutor
 
-        spec = FreeParticleSpec(q=1.5)
+        wave = q_plane_wave_field(FreeParticleSpec(q=1.5))
         points = [(0.1 * i, 0.05 * j) for i in range(-20, 21) for j in range(5)]
-        serial = [q_plane_wave(spec, x, t) for x, t in points]
+        serial = [wave(x, t) for x, t in points]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            threaded = list(pool.map(lambda p: q_plane_wave(spec, *p), points))
+            threaded = list(pool.map(lambda p: wave(*p), points))
         assert serial == threaded
 
     def test_classical_q(self):
         spec = FreeParticleSpec(q=1.0)
         assert q_plane_wave_hypergeometric(spec, 1.0, 0.7, 0.3) == pytest.approx(
-            q_plane_wave(spec, 0.7, 0.3)
+            q_plane_wave_field(spec)(0.7, 0.3)
         )
 
 
 class TestSeparatedFactors:
     def test_time_factor_hand_value(self):
         spec = FreeParticleSpec(q=2.0, **DEFAULT)
-        assert separated_f(SolutionKind.NEW, spec, 1.0) == pytest.approx(1.0 - 0.5j)
+        assert separated_time_curve(SolutionKind.NEW, spec)(1.0) == pytest.approx(1.0 - 0.5j)
 
     def test_space_factor_hand_value(self):
         spec = FreeParticleSpec(q=3.0, **DEFAULT)
-        got = separated_g(SolutionKind.NEW, spec, math.sqrt(2.0))
+        got = separated_space_curve(SolutionKind.NEW, spec)(math.sqrt(2.0))
         assert got == pytest.approx(0.5 + 0.5j)
 
     def test_factors_are_one_at_origin(self):
         for q in (0.5, 1.0, 1.5):
             spec = FreeParticleSpec(q=q)
             for kind in SolutionKind:
-                assert separated_f(kind, spec, 0.0) == 1.0
-                assert separated_g(kind, spec, 0.0) == 1.0
-                assert product_solution(kind, spec, 0.0, 0.0) == 1.0
+                assert separated_time_curve(kind, spec)(0.0) == 1.0
+                assert separated_space_curve(kind, spec)(0.0) == 1.0
+                assert product_solution_field(kind, spec)(0.0, 0.0) == 1.0
 
     def test_classical_limits_coincide(self):
         spec = FreeParticleSpec(q=1.0, **DEFAULT)
         for kind in SolutionKind:
-            assert separated_f(kind, spec, math.pi) == pytest.approx(-1.0 + 0j, abs=1e-14)
-            got = product_solution(kind, spec, 0.3, 0.2)
+            f = separated_time_curve(kind, spec)
+            assert f(math.pi) == pytest.approx(-1.0 + 0j, abs=1e-14)
+            got = product_solution_field(kind, spec)(0.3, 0.2)
             assert got == pytest.approx(cmath.exp(1j * (0.3 - 0.2)), abs=1e-14)
 
     def test_product_equals_factorwise_evaluation(self):
         spec = FreeParticleSpec(q=1.5, **DEFAULT)
         for kind in SolutionKind:
             x, t = 0.3, 0.2
-            expected = separated_f(kind, spec, t) * separated_g(kind, spec, x)
-            assert product_solution(kind, spec, x, t) == pytest.approx(expected, rel=1e-14)
+            f = separated_time_curve(kind, spec)
+            g = separated_space_curve(kind, spec)
+            expected = f(t) * g(x)
+            assert product_solution_field(kind, spec)(x, t) == pytest.approx(expected, rel=1e-14)
 
     def test_kinds_differ_at_q_not_one(self):
         spec = FreeParticleSpec(q=1.5, **DEFAULT)
         gap = abs(
-            separated_g(SolutionKind.NEW, spec, 1.0)
-            - separated_g(SolutionKind.NRT, spec, 1.0)
+            separated_space_curve(SolutionKind.NEW, spec)(1.0)
+            - separated_space_curve(SolutionKind.NRT, spec)(1.0)
         )
         assert gap > 1e-3
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            separated_f(SolutionKind.NEW, FreeParticleSpec(q=0.0), 1.0)
+            separated_time_curve(SolutionKind.NEW, FreeParticleSpec(q=0.0))
         with pytest.raises(DomainError):
-            separated_f(SolutionKind.NRT, FreeParticleSpec(q=2.0), 1.0)
+            separated_time_curve(SolutionKind.NRT, FreeParticleSpec(q=2.0))
         with pytest.raises(DomainError):
-            separated_g(SolutionKind.NEW, FreeParticleSpec(q=-1.0), 1.0)
+            separated_space_curve(SolutionKind.NEW, FreeParticleSpec(q=-1.0))
         with pytest.raises(DomainError):
-            separated_g(SolutionKind.NRT, FreeParticleSpec(q=2.5), 1.0)
+            separated_space_curve(SolutionKind.NRT, FreeParticleSpec(q=2.5))
         # q = 3 is fine for the q-power branch, excluded for NRT
-        separated_g(SolutionKind.NEW, FreeParticleSpec(q=3.0), 1.0)
+        separated_space_curve(SolutionKind.NEW, FreeParticleSpec(q=3.0))(1.0)
 
 
 class TestClassicalLimit:
