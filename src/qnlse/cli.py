@@ -314,11 +314,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     g_new = separated_space_curve(SolutionKind.NEW, spec)
     g_nrt = separated_space_curve(SolutionKind.NRT, spec)
     xs = cfg.grid.x_values()
-    rows = []
-    for x in xs:
-        vn = g_new(float(x))
-        vr = g_nrt(float(x))
-        rows.append((float(x), abs(vn - vr), abs(vn), abs(vr)))
+    rows = [(x, abs(vn - vr), abs(vn), abs(vr))
+            for x, vn, vr in zip(xs.tolist(), g_new(xs).tolist(), g_nrt(xs).tolist())]
     max_diff = max(r[1] for r in rows)
     if cfg.fmt == "svg":
         series = [

@@ -15,18 +15,27 @@ the affine bases used here the real part is pinned at 1, so the
 principal log of each *base* is itself continuous and their weighted
 sum is the continuation anchored at log 1 = 0.
 
+Every method (``__call__``, ``log_value``, ``d_t``, ``d_x``, ``d_xx``,
+``deriv``) broadcasts: coordinates may be floats or ndarrays, and a
+scalar call returns a Python ``complex``.  A vanished base or a
+non-finite value raises ``DomainError`` naming the first offending
+point in C order.
+
 A "sampler" in the rest of the package is any callable (x, t) -> complex.
-Objects of this module additionally expose ``log_value``, ``d_t``,
-``d_x``, ``d_xx`` and ``pow``; residual checkers use those when present
-and fall back to principal-branch arithmetic otherwise.
+Bare scalar callables are still accepted: ``lift_sampler`` applies them
+point by point over arrays, so every layer has one array path.  Objects
+of this module additionally expose ``log_value``, ``d_t``, ``d_x``,
+``d_xx`` and ``pow``; residual checkers use those when present and fall
+back to principal-branch arithmetic otherwise.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
+
+import numpy as np
 
 from .errors import DomainError
 from .qmath import cpow_principal
@@ -61,10 +70,31 @@ class AnalyticCurve(Protocol):
     def deriv(self, u: float, order: int) -> complex: ...
 
 
-def _finite(value: complex, what: str) -> complex:
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DomainError(f"{what} produced a non-finite value")
-    return value
+def as_sample(z):
+    """A Python complex for a 0-d result, the ndarray otherwise."""
+    return complex(z) if np.ndim(z) == 0 else z
+
+
+def require_everywhere(ok, what: str, **coords) -> None:
+    """Raise ``DomainError("<what> at (name=value, ...)")`` at the first
+    point, in C order, where ``ok`` is False."""
+    if np.all(ok):
+        return
+    ok = np.asarray(ok)
+    i = int(np.flatnonzero(~ok)[0])
+    where = ", ".join(
+        f"{name}={float(np.broadcast_to(value, ok.shape).flat[i])}"
+        for name, value in coords.items()
+    )
+    raise DomainError(f"{what} at ({where})" if where else what)
+
+
+def finite_exp(log, what: str, **coords):
+    """exp(log), or DomainError at the first point where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(log)
+    require_everywhere(np.isfinite(value), f"{what} is not finite", **coords)
+    return as_sample(value)
 
 
 @dataclass(frozen=True)
@@ -75,7 +105,7 @@ class AffineFactor:
     ct: complex
     s: float
 
-    def base(self, x: float, t: float) -> complex:
+    def base(self, x, t):
         return 1.0 + self.cx * x + self.ct * t
 
 
@@ -95,43 +125,43 @@ class PowerProductField:
             raise DomainError("field amplitude must be nonzero")
         self._log_amp = cmath.log(self.amplitude)
 
-    def log_value(self, x: float, t: float) -> complex:
-        total = self._log_amp
-        for f in self.factors:
-            b = f.base(x, t)
-            if b == 0:
-                raise DomainError(f"field base vanished at (x={x}, t={t})")
-            total += f.s * cmath.log(b)
-        return total
+    def _bases(self, x, t):
+        bases = [f.base(x, t) for f in self.factors]
+        for b in bases:
+            require_everywhere(b != 0, "field base vanished", x=x, t=t)
+        return bases
 
-    def __call__(self, x: float, t: float) -> complex:
-        return _finite(cmath.exp(self.log_value(x, t)), "field value")
+    def log_value(self, x, t):
+        total = np.full(np.broadcast(x, t).shape, self._log_amp)
+        for f, b in zip(self.factors, self._bases(x, t)):
+            total += f.s * np.log(b)
+        return as_sample(total)
 
-    def _log_grads(self, x: float, t: float):
+    def __call__(self, x, t):
+        return finite_exp(self.log_value(x, t), "field value", x=x, t=t)
+
+    def _log_grads(self, x, t):
         # d/dx log, d/dt log, d2/dx2 log
         lx = 0j
         lt = 0j
         lxx = 0j
-        for f in self.factors:
-            b = f.base(x, t)
-            if b == 0:
-                raise DomainError(f"field base vanished at (x={x}, t={t})")
+        for f, b in zip(self.factors, self._bases(x, t)):
             lx += f.s * f.cx / b
             lt += f.s * f.ct / b
             lxx -= f.s * (f.cx / b) ** 2
         return lx, lt, lxx
 
-    def d_t(self, x: float, t: float) -> complex:
+    def d_t(self, x, t):
         _, lt, _ = self._log_grads(x, t)
-        return self(x, t) * lt
+        return as_sample(self(x, t) * lt)
 
-    def d_x(self, x: float, t: float) -> complex:
+    def d_x(self, x, t):
         lx, _, _ = self._log_grads(x, t)
-        return self(x, t) * lx
+        return as_sample(self(x, t) * lx)
 
-    def d_xx(self, x: float, t: float) -> complex:
+    def d_xx(self, x, t):
         lx, _, lxx = self._log_grads(x, t)
-        return self(x, t) * (lx * lx + lxx)
+        return as_sample(self(x, t) * (lx * lx + lxx))
 
     def pow(self, s: float) -> "PowerProductField":
         """The field raised to a real power, on its own continuous branch."""
@@ -152,20 +182,20 @@ class ExponentialField:
             raise DomainError("field amplitude must be nonzero")
         self._log_amp = cmath.log(self.amplitude)
 
-    def log_value(self, x: float, t: float) -> complex:
+    def log_value(self, x, t):
         return self._log_amp + self.kx * x + self.kt * t
 
-    def __call__(self, x: float, t: float) -> complex:
-        return _finite(cmath.exp(self.log_value(x, t)), "field value")
+    def __call__(self, x, t):
+        return finite_exp(self.log_value(x, t), "field value", x=x, t=t)
 
-    def d_t(self, x: float, t: float) -> complex:
-        return self.kt * self(x, t)
+    def d_t(self, x, t):
+        return as_sample(self.kt * self(x, t))
 
-    def d_x(self, x: float, t: float) -> complex:
-        return self.kx * self(x, t)
+    def d_x(self, x, t):
+        return as_sample(self.kx * self(x, t))
 
-    def d_xx(self, x: float, t: float) -> complex:
-        return self.kx * self.kx * self(x, t)
+    def d_xx(self, x, t):
+        return as_sample(self.kx * self.kx * self(x, t))
 
     def pow(self, s: float) -> "ExponentialField":
         return ExponentialField(
@@ -184,25 +214,25 @@ class PowerCurve:
             raise DomainError("curve amplitude must be nonzero")
         self._log_amp = cmath.log(self.amplitude)
 
-    def log_value(self, u: float) -> complex:
+    def _base(self, u):
         b = 1.0 + self.c * u
-        if b == 0:
-            raise DomainError(f"curve base vanished at u={u}")
-        return self._log_amp + self.s * cmath.log(b)
+        require_everywhere(b != 0, "curve base vanished", u=u)
+        return b
 
-    def __call__(self, u: float) -> complex:
-        return _finite(cmath.exp(self.log_value(u)), "curve value")
+    def log_value(self, u):
+        return as_sample(self._log_amp + self.s * np.log(self._base(u)))
 
-    def deriv(self, u: float, order: int) -> complex:
-        b = 1.0 + self.c * u
-        if b == 0:
-            raise DomainError(f"curve base vanished at u={u}")
+    def __call__(self, u):
+        return finite_exp(self.log_value(u), "curve value", u=u)
+
+    def deriv(self, u, order: int):
+        if order not in (1, 2):
+            raise DomainError(f"derivative order must be 1 or 2, got {order}")
+        b = self._base(u)
         v = self(u)
         if order == 1:
-            return v * self.s * self.c / b
-        if order == 2:
-            return v * self.s * (self.s - 1.0) * (self.c / b) ** 2
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
+            return as_sample(v * self.s * self.c / b)
+        return as_sample(v * self.s * (self.s - 1.0) * (self.c / b) ** 2)
 
     def pow(self, s: float) -> "PowerCurve":
         return PowerCurve(
@@ -220,24 +250,51 @@ class ExpCurve:
             raise DomainError("curve amplitude must be nonzero")
         self._log_amp = cmath.log(self.amplitude)
 
-    def log_value(self, u: float) -> complex:
+    def log_value(self, u):
         return self._log_amp + self.k * u
 
-    def __call__(self, u: float) -> complex:
-        return _finite(cmath.exp(self.log_value(u)), "curve value")
+    def __call__(self, u):
+        return finite_exp(self.log_value(u), "curve value", u=u)
 
-    def deriv(self, u: float, order: int) -> complex:
+    def deriv(self, u, order: int):
         if order == 1:
-            return self.k * self(u)
+            return as_sample(self.k * self(u))
         if order == 2:
-            return self.k * self.k * self(u)
+            return as_sample(self.k * self.k * self(u))
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
 
     def pow(self, s: float) -> "ExpCurve":
         return ExpCurve(self.k * s, amplitude=cpow_principal(self.amplitude, s))
 
 
-def value_power(sampler, value: complex, s: float, *point) -> complex:
+_CLOSED_FORMS = (PowerProductField, ExponentialField, PowerCurve, ExpCurve)
+_CALCULUS = ("log_value", "d_t", "d_x", "d_xx", "deriv")
+
+
+class _Pointwise:
+    """A scalar callable and its calculus methods, applied point by point
+    over broadcast arrays (in C order, so the first error raised is the
+    first offending point)."""
+
+    def __init__(self, func):
+        self._func = func
+        for name in _CALCULUS:
+            method = getattr(func, name, None)
+            if method is not None:
+                setattr(self, name, _Pointwise(method))
+
+    def __call__(self, *args):
+        values = np.frompyfunc(self._func, len(args), 1)(*args)
+        return as_sample(np.asarray(values, dtype=complex))
+
+
+def lift_sampler(sampler):
+    """``sampler`` itself if it is one of this module's closed forms (they
+    broadcast), else a wrapper that applies it point by point."""
+    return sampler if isinstance(sampler, _CLOSED_FORMS) else _Pointwise(sampler)
+
+
+def value_power(sampler, value, s: float, *point):
     """Raise a sampled field/curve value to a real power.
 
     Uses the sampler's continuous logarithm when it has one (the branch
@@ -249,7 +306,10 @@ def value_power(sampler, value: complex, s: float, *point) -> complex:
         return value
     log = getattr(sampler, "log_value", None)
     if log is not None:
-        return cmath.exp(s * log(*point))
-    if value == 0:
+        return finite_exp(s * log(*point), "powered value")
+    value = np.asarray(value, dtype=complex)
+    if np.any(value == 0):
         raise DomainError("cannot raise a vanishing field value to a fractional power")
-    return cpow_principal(value, s)
+    # a negative real base sits on the upper side of the cut, as in cpow_principal
+    value = np.where(value.imag == 0.0, value.real + 0j, value)
+    return finite_exp(s * np.log(value), "powered value")

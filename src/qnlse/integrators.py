@@ -10,6 +10,9 @@ The separated equations are recast as explicit first-order systems:
 * NRT space factor substitutes u = g^(2-q), integrates
   u'' = -(2m*lam/hbar^2) u^(1/(2-q)) and recovers g = u^(1/(2-q)).
 
+Their RK4 steps complex scalars: one for a time factor, the pair
+(u, u') for a space factor.
+
 The propagator applies a second-order central Laplacian on the
 interior, the pointwise fractional power of the field on its tracked
 branch, and classical RK4 in time, with Dirichlet values injected from
@@ -29,10 +32,12 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateStudyError, DomainError, PropagationError
+from .fields import lift_sampler
 from .solutions import (
     FreeParticleSpec,
     SolutionKind,
     marched_form,
+    positive_scale,
     product_solution_field,
     q_plane_wave_field,
     separated_space_curve,
@@ -135,19 +140,39 @@ def fit_observed_order(resolutions: Sequence[float], errors: Sequence[float]) ->
 # ---------------------------------------------------------------------------
 
 
+def _axpy(y, a: float, k):
+    """y + a*k for a number, an ndarray, or componentwise for a tuple."""
+    if type(y) is tuple:
+        return tuple(yi + a * ki for yi, ki in zip(y, k))
+    return y + a * k
+
+
+def _finite(y) -> bool:
+    if isinstance(y, np.ndarray):
+        return bool(np.isfinite(y).all())
+    return all(map(cmath.isfinite, y if type(y) is tuple else (y,)))
+
+
 def rk4_step(state, rhs: Callable, t: float, dt: float):
-    """One classical Runge-Kutta step of d(state)/dt = rhs(t, state)."""
+    """One classical Runge-Kutta step of d(state)/dt = rhs(t, state).
+
+    ``state`` is a complex number, an ndarray, or a tuple of complex
+    numbers (a first-order system, such as (g, g')), and ``rhs`` returns
+    the same kind.  An overflow in a stage or a non-finite new state
+    raises ``PropagationError``.
+    """
     try:
         k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
-        k4 = rhs(t + dt, state + dt * k3)
+        k2 = rhs(t + 0.5 * dt, _axpy(state, 0.5 * dt, k1))
+        k3 = rhs(t + 0.5 * dt, _axpy(state, 0.5 * dt, k2))
+        k4 = rhs(t + dt, _axpy(state, dt, k3))
     except OverflowError as err:
         raise PropagationError(f"RK4 step dt={dt} at t={t} overflowed: {err}") from err
-    for i, k in enumerate((k1, k2, k3, k4), start=1):
-        if not np.all(np.isfinite(np.asarray(k))):
-            raise PropagationError(f"RK4 stage {i} produced a non-finite value at t={t}")
-    return state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    slope = _axpy(_axpy(_axpy(k1, 2.0, k2), 2.0, k3), 1.0, k4)  # k1 + 2 k2 + 2 k3 + k4
+    new = _axpy(state, dt / 6.0, slope)
+    if not _finite(new):
+        raise PropagationError(f"RK4 step dt={dt} at t={t} produced a non-finite value")
+    return new
 
 
 class _TrackedPower:
@@ -193,6 +218,8 @@ def integrate_separated_time(kind: SolutionKind, q: float, lam: float,
                              hbar: float, t_end: float, dt: float
                              ) -> list[tuple[float, complex]]:
     """RK4 trajectory of the separated time factor from f(0) = 1."""
+    q, lam = float(q), float(lam)
+    hbar = positive_scale("hbar", hbar)
     coef = time_coefficient(kind, q)
     n = _step_count(t_end, dt)
     trajectory = [(0.0, 1.0 + 0j)]
@@ -202,8 +229,8 @@ def integrate_separated_time(kind: SolutionKind, q: float, lam: float,
     scale = lam / (1j * hbar * coef)
     f = 1.0 + 0j
     tracker = _TrackedPower(f)
+    rhs = lambda _t, y: scale * tracker(y, 2.0 - q)
     for k in range(n):
-        rhs = lambda _t, y: scale * tracker(y, 2.0 - q)
         f = rk4_step(f, rhs, k * h, h)
         if f == 0:
             raise DomainError(f"time factor reached zero at t={(k + 1) * h}")
@@ -217,10 +244,13 @@ def integrate_separated_space(kind: SolutionKind, q: float, lam: float,
                               ) -> list[tuple[float, complex]]:
     """RK4 trajectory of the separated space factor from g(0) = 1.
 
-    Initial slope comes from the closed form's exact derivative at the
-    origin; the NRT branch integrates u = g^(2-q) (the variable whose
-    second derivative the equation constrains) and maps back.
+    The state is the pair (u, u') of complex numbers.  Initial slope
+    comes from the closed form's exact derivative at the origin; the
+    NRT branch integrates u = g^(2-q) (the variable whose second
+    derivative the equation constrains) and maps back.
     """
+    q, lam = float(q), float(lam)
+    m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
     if lam <= 0:
         raise DomainError("the separated space integration needs lam > 0")
     p = math.sqrt(2.0 * m * lam)
@@ -230,7 +260,7 @@ def integrate_separated_space(kind: SolutionKind, q: float, lam: float,
         slope0, s_power = g_slope0, q
     else:
         slope0, s_power = (2.0 - q) * g_slope0, 1.0 / (2.0 - q)
-    state = np.array([1.0 + 0j, slope0])
+    state = (1.0 + 0j, slope0)
 
     n = _step_count(x_end, dx)
     tracker = _TrackedPower(state[0])
@@ -244,14 +274,14 @@ def integrate_separated_space(kind: SolutionKind, q: float, lam: float,
     h = x_end / n
 
     def rhs(_x, y):
-        return np.array([y[1], curvature * tracker(y[0], s_power)])
+        return (y[1], curvature * tracker(y[0], s_power))
 
     for k in range(n):
         state = rk4_step(state, rhs, k * h, h)
         if state[0] == 0:
             raise DomainError(f"space factor reached zero at x={(k + 1) * h}")
         tracker.advance(state[0])
-        trajectory.append(((k + 1) * h, to_g(complex(state[0]))))
+        trajectory.append(((k + 1) * h, to_g(state[0])))
     return trajectory
 
 
@@ -314,14 +344,11 @@ def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
         [float(potential(float(x))) for x in xs]
     )
     n_steps = grid.n_steps
-    bl = np.empty((n_steps, 3), dtype=np.complex128)
-    br = np.empty((n_steps, 3), dtype=np.complex128)
-    x_left, x_right = float(xs[0]), float(xs[-1])
-    for k in range(n_steps):
-        t_k = initial.t + k * grid.dt
-        for j, tau in enumerate((t_k, t_k + 0.5 * grid.dt, t_k + grid.dt)):
-            bl[k, j] = boundary(x_left, tau)
-            br[k, j] = boundary(x_right, tau)
+    # boundary values at every stage time (t_k, t_k + dt/2, t_k + dt)
+    t_k = initial.t + np.arange(n_steps) * grid.dt
+    tau = np.stack([t_k, t_k + 0.5 * grid.dt, t_k + grid.dt], axis=1)
+    source = lift_sampler(boundary)
+    bl, br = source(float(xs[0]), tau), source(float(xs[-1]), tau)
 
     theta0 = _initial_theta(values, xs, initial.t, boundary)
     frames, _, status = _kernels.propagate_frames(
@@ -352,20 +379,14 @@ def manufactured_field(equation: SolutionKind, spec: FreeParticleSpec):
 
 
 def sample_field(field, grid: GridSpec, t: float) -> WaveField:
-    """Evaluate a closed-form field on a grid at one time."""
-    xs = grid.x_values()
-    vals = np.array([field(float(x), t) for x in xs], dtype=np.complex128)
-    return WaveField(grid=grid, t=t, values=vals)
+    """Evaluate a field on a grid at one time, in one array call."""
+    return WaveField(grid=grid, t=t, values=lift_sampler(field)(grid.x_values(), t))
 
 
 def interior_linf_error(frame: WaveField, exact_field) -> float:
     """Max interior-point distance between a frame and a closed form."""
-    xs = frame.grid.x_values()
-    errs = [
-        abs(frame.values[j] - exact_field(float(xs[j]), frame.t))
-        for j in range(1, frame.grid.n_points - 1)
-    ]
-    return float(max(errs))
+    xs = frame.grid.x_values()[1:-1]
+    return float(np.max(np.abs(frame.values[1:-1] - lift_sampler(exact_field)(xs, frame.t))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
 """Scaled residual checkers for every equation handled by the package.
 
-Each checker evaluates |LHS - RHS| / max(1, |field|) of one equation at
-one point, given any sampler.  Derivatives come either from the sampler
-itself (``Analytic``: exact closed-form partials) or from central
-finite differences with Richardson extrapolation.
+Each checker evaluates |LHS - RHS| / max(1, |field|) of one equation,
+given any sampler, at one point or, with ndarray coordinates, at every
+point of a broadcast mesh in one call.  Derivatives come either from
+the sampler itself (``Analytic``: exact closed-form partials) or from
+central finite differences with Richardson extrapolation, taken on
+shifted meshes with a step per point.
 
 Fractional powers of field values use the sampler's continuous
 logarithm when it carries one (see ``fields``); a bare callable falls
 back to the principal branch, which limits its validity to the region
-where the accumulated phase stays inside (-pi, pi].
+where the accumulated phase stays inside (-pi, pi].  The checkers take
+array coordinates only from samplers that broadcast; ``scan_residual``
+lifts a bare scalar callable onto arrays itself.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -22,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .fields import value_power
+from .fields import as_sample, finite_exp, lift_sampler, require_everywhere, value_power
 from .qmath import HypParams, hyp2f1, hyp2f1_deriv
 from .solutions import SolutionKind, marched_form, require_space, time_coefficient
 
@@ -42,7 +45,8 @@ class FiniteDifference:
 
     ``h_base=None`` picks the classic optimal steps eps^(1/3) (first
     derivative) and eps^(1/4) (second derivative), scaled by
-    max(1, |coordinate|).  ``richardson_levels=1`` is the plain stencil.
+    max(1, |coordinate|) at each point.  ``richardson_levels=1`` is the
+    plain stencil.
     """
 
     h_base: Optional[float] = None
@@ -54,11 +58,11 @@ class FiniteDifference:
         if self.richardson_levels < 1:
             raise DomainError("richardson_levels must be >= 1")
 
-    def step(self, order: int, coordinate: float) -> float:
+    def step(self, order: int, coordinate):
         if self.h_base is not None:
             return self.h_base
         exponent = 1.0 / 3.0 if order == 1 else 0.25
-        return _EPS**exponent * max(1.0, abs(coordinate))
+        return _EPS**exponent * np.maximum(1.0, np.abs(coordinate))
 
 
 DerivativeMethod = Union[Analytic, FiniteDifference]
@@ -100,34 +104,33 @@ def _richardson(samples: Sequence[complex]) -> complex:
     return table[-1]
 
 
-def _fd_1d(func: Callable[[float], complex], u: float, order: int,
-           method: FiniteDifference) -> complex:
+def _fd(func, point: tuple, axis: int, order: int, method: FiniteDifference):
+    """Central difference of func(*point) along coordinate ``axis``."""
+    u = point[axis]
     h = method.step(order, u)
+    center = func(*point) if order == 2 else None
     rows = []
     for level in range(method.richardson_levels):
         hh = h / 2.0**level
+        plus = func(*point[:axis], u + hh, *point[axis + 1:])
+        minus = func(*point[:axis], u - hh, *point[axis + 1:])
         if order == 1:
-            rows.append((func(u + hh) - func(u - hh)) / (2.0 * hh))
+            rows.append((plus - minus) / (2.0 * hh))
         else:
-            rows.append((func(u + hh) - 2.0 * func(u) + func(u - hh)) / (hh * hh))
-    return _richardson(rows)
+            rows.append((plus - 2.0 * center + minus) / (hh * hh))
+    return as_sample(_richardson(rows))
 
 
 def fd_partial(sampler, point: tuple[float, float], axis: str, order: int,
                method: Optional[FiniteDifference] = None) -> complex:
     """Central-difference partial of a field along x or t."""
-    if method is None:
-        method = FiniteDifference()
-    x, t = point
-    if axis == "x":
-        return _fd_1d(lambda u: sampler(u, t), x, order, method)
-    if axis == "t":
-        return _fd_1d(lambda u: sampler(x, u), t, order, method)
-    raise DomainError(f"axis must be 'x' or 't', got {axis!r}")
+    if axis not in ("x", "t"):
+        raise DomainError(f"axis must be 'x' or 't', got {axis!r}")
+    return _fd(sampler, tuple(point), "xt".index(axis), order,
+               method if method is not None else FiniteDifference())
 
 
-def _field_partial(sampler, x: float, t: float, axis: str, order: int,
-                   method: DerivativeMethod) -> complex:
+def _field_partial(sampler, x, t, axis: str, order: int, method: DerivativeMethod):
     if isinstance(method, Analytic):
         try:
             if axis == "t":
@@ -143,7 +146,7 @@ def _field_partial(sampler, x: float, t: float, axis: str, order: int,
     return fd_partial(sampler, (x, t), axis, order, method)
 
 
-def _curve_deriv(curve, u: float, order: int, method: DerivativeMethod) -> complex:
+def _curve_deriv(curve, u, order: int, method: DerivativeMethod):
     if isinstance(method, Analytic):
         try:
             return curve.deriv(u, order)
@@ -151,34 +154,30 @@ def _curve_deriv(curve, u: float, order: int, method: DerivativeMethod) -> compl
             raise DomainError(
                 "Analytic derivatives need a curve with an exact deriv()"
             ) from err
-    return _fd_1d(curve, u, order, method)
+    return _fd(curve, (u,), 0, order, method)
 
 
-def _powered_field_dxx(sampler, x: float, t: float, s: float,
-                       method: DerivativeMethod) -> complex:
+def _powered_field_dxx(sampler, x, t, s: float, method: DerivativeMethod):
     """d2/dx2 of sampler(x,t)**s, on the sampler's branch."""
     if isinstance(method, Analytic):
         v = sampler(x, t)
-        if v == 0:
-            raise DomainError(f"field vanished at (x={x}, t={t})")
+        require_everywhere(v != 0, "field vanished", x=x, t=t)
         w = value_power(sampler, v, s, x, t)
         vx = _field_partial(sampler, x, t, "x", 1, method)
         vxx = _field_partial(sampler, x, t, "x", 2, method)
         return s * w * (vxx / v) + s * (s - 1.0) * w * (vx / v) ** 2
 
-    def powered(xx: float, tt: float) -> complex:
+    def powered(xx, tt):
         return value_power(sampler, sampler(xx, tt), s, xx, tt)
 
     return fd_partial(powered, (x, t), "x", 2, method)
 
 
-def _powered_curve_deriv(curve, u: float, s: float, order: int,
-                         method: DerivativeMethod) -> complex:
+def _powered_curve_deriv(curve, u, s: float, order: int, method: DerivativeMethod):
     """d/du or d2/du2 of curve(u)**s, on the curve's branch."""
     if isinstance(method, Analytic):
         v = curve(u)
-        if v == 0:
-            raise DomainError(f"curve vanished at {u}")
+        require_everywhere(v != 0, "curve vanished", u=u)
         w = value_power(curve, v, s, u)
         d1 = _curve_deriv(curve, u, 1, method)
         if order == 1:
@@ -186,10 +185,14 @@ def _powered_curve_deriv(curve, u: float, s: float, order: int,
         d2 = _curve_deriv(curve, u, 2, method)
         return s * w * (d2 / v) + s * (s - 1.0) * w * (d1 / v) ** 2
 
-    def powered(uu: float) -> complex:
+    def powered(uu):
         return value_power(curve, curve(uu), s, uu)
 
-    return _fd_1d(powered, u, order, method)
+    return _fd(powered, (u,), 0, order, method)
+
+
+def _scaled(resid, value):
+    return as_sample(resid / np.maximum(1.0, np.abs(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +220,19 @@ def new_nlse_residual(sampler, q: float, m: float, hbar: float,
     """i*hbar*q dF/dt - F^(1-q) * (-hbar^2/2m) d2F/dx2, scaled."""
     x, t = point
     value = sampler(x, t)
-    if value == 0:
-        raise DomainError(f"field vanished at (x={x}, t={t})")
+    require_everywhere(value != 0, "field vanished", x=x, t=t)
     ft = _field_partial(sampler, x, t, "t", 1, method)
     fxx = _field_partial(sampler, x, t, "x", 2, method)
     powered = value_power(sampler, value, 1.0 - q, x, t)
     resid = 1j * hbar * q * ft - powered * (-hbar * hbar / (2.0 * m)) * fxx
-    return resid / max(1.0, abs(value))
+    return _scaled(resid, value)
 
 
-def _normalized_power(sampler, x: float, t: float, s: float) -> complex:
+def _normalized_power(sampler, x, t, s: float):
     """(sampler(x,t)/sampler(0,0))**s on the sampler's branch."""
     log = getattr(sampler, "log_value", None)
     if log is not None:
-        return cmath.exp(s * (log(x, t) - log(0.0, 0.0)))
+        return finite_exp(s * (log(x, t) - log(0.0, 0.0)), "normalized power", x=x, t=t)
     v0 = sampler(0.0, 0.0)
     if v0 == 0:
         raise DomainError("field vanishes at the origin; cannot normalize")
@@ -244,8 +246,7 @@ def _normalized_power_residual(sampler, s: float, coef: float, m: float,
     """i*hbar*coef d/dt[u_n] - H[(u_n)^s], u_n = u/u(0,0), scaled."""
     x, t = point
     value = sampler(x, t)
-    if value == 0:
-        raise DomainError(f"field vanished at (x={x}, t={t})")
+    require_everywhere(value != 0, "field vanished", x=x, t=t)
     v0 = sampler(0.0, 0.0)
     if v0 == 0:
         raise DomainError("field vanishes at the origin; cannot normalize")
@@ -257,7 +258,7 @@ def _normalized_power_residual(sampler, s: float, coef: float, m: float,
     v = potential(x) if potential is not None else 0.0
     h_chi = -hbar * hbar / (2.0 * m) * chi_xx + v * chi
     resid = 1j * hbar * coef * u_t - h_chi
-    return resid / max(1.0, abs(value))
+    return _scaled(resid, value)
 
 
 def new_nlse_phi_residual(sampler_phi, q: float, m: float, hbar: float,
@@ -279,17 +280,15 @@ def nrt_residual(sampler_psi, q: float, m: float, hbar: float,
 
 
 def separated_time_residual(kind: SolutionKind, f, q: float, lam: float,
-                            hbar: float, t: float,
-                            method: DerivativeMethod) -> complex:
-    """Residual of the separated time equation at one time.
+                            hbar: float, t, method: DerivativeMethod) -> complex:
+    """Residual of the separated time equation at one time (or an array of them).
 
     q-power form: i*hbar d/dt[f^q] - lam*f.
     NRT form:     i*hbar(2-q) f' - lam*f^(2-q).
     """
     coef = time_coefficient(kind, q)
     value = f(t)
-    if value == 0:
-        raise DomainError(f"time factor vanished at t={t}")
+    require_everywhere(value != 0, "time factor vanished", t=t)
     if kind is SolutionKind.NEW:
         dfq = _powered_curve_deriv(f, t, q, 1, method)
         resid = 1j * hbar * dfq - lam * value
@@ -297,21 +296,20 @@ def separated_time_residual(kind: SolutionKind, f, q: float, lam: float,
         d1 = _curve_deriv(f, t, 1, method)
         powered = value_power(f, value, 2.0 - q, t)
         resid = 1j * hbar * coef * d1 - lam * powered
-    return resid / max(1.0, abs(value))
+    return _scaled(resid, value)
 
 
 def separated_space_residual(kind: SolutionKind, g, q: float, lam: float,
-                             m: float, hbar: float, x: float,
+                             m: float, hbar: float, x,
                              method: DerivativeMethod) -> complex:
-    """Residual of the separated space equation at one position.
+    """Residual of the separated space equation at one position (or an array).
 
     q-power form: -(hbar^2/2m) g'' - lam*g^q.
     NRT form:     -(hbar^2/2m) (g^(2-q))'' - lam*g.
     """
     require_space(kind, q)
     value = g(x)
-    if value == 0:
-        raise DomainError(f"space factor vanished at x={x}")
+    require_everywhere(value != 0, "space factor vanished", x=x)
     kinetic = -hbar * hbar / (2.0 * m)
     if kind is SolutionKind.NEW:
         d2 = _curve_deriv(g, x, 2, method)
@@ -320,7 +318,7 @@ def separated_space_residual(kind: SolutionKind, g, q: float, lam: float,
     else:
         d2 = _powered_curve_deriv(g, x, 2.0 - q, 2, method)
         resid = kinetic * d2 - lam * value
-    return resid / max(1.0, abs(value))
+    return _scaled(resid, value)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +328,7 @@ def separated_space_residual(kind: SolutionKind, g, q: float, lam: float,
 # Every equation tag: the grid axis its scan runs along ("xt", "t" or
 # "x") and its point residual.  The calls look up the module-level
 # residual names each time, so a wrapper installed on them sees every
-# point.
+# scan's one call.
 _SCANS = {
     "new-field": ("xt", lambda f, x, t, a: new_nlse_residual(
         f, a.q, a.m, a.hbar, (x, t), a.method)),
@@ -355,10 +353,13 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
                   lam: Optional[float] = None) -> ResidualReport:
     """Evaluate one equation's residual over a grid and aggregate.
 
-    Field equations scan the full (x, t) grid; separated time equations
-    scan the time axis and separated space ones the x axis.  ``lam`` is
-    required for the separated tags.  A domain error at any sample
-    aborts the scan with the offending location attached.
+    Field equations scan the full (x, t) mesh; separated time equations
+    scan the time axis and separated space ones the x axis.  Either way
+    the point residual is called once, on the whole mesh; a bare scalar
+    sampler (or potential) is first lifted onto arrays.  Scan order is
+    t-major, then x: ``worst_point`` is the first maximum in that order,
+    ``l2`` is summed in it, and a domain error names the first offending
+    point.  ``lam`` is required for the separated tags.
     """
     if equation not in _SCANS:
         raise DomainError(
@@ -367,36 +368,32 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     axis, point_residual = _SCANS[equation]
     if axis != "xt" and lam is None:
         raise DomainError(f"equation {equation!r} needs the separation constant lam")
+    if potential is not None:
+        potential = lift_sampler(potential)
     args = SimpleNamespace(q=q, m=m, hbar=hbar, potential=potential, lam=lam,
                            method=method)
 
     xs = grid.x_values()
     ts = grid.t_values()
     if axis == "t":
-        points = [(0.0, float(t)) for t in ts]
+        x, t = np.zeros_like(ts), ts
     elif axis == "x":
-        points = [(float(x), 0.0) for x in xs]
+        x, t = xs, np.zeros_like(xs)
     else:
-        points = [(float(x), float(t)) for t in ts for x in xs]
-    if not points:
+        x, t = np.meshgrid(xs, ts)
+    if x.size == 0:
         raise DomainError("empty scan grid")
 
-    max_abs = -1.0
-    worst = points[0]
-    sumsq = 0.0
-    for x, t in points:
-        try:
-            r = abs(point_residual(sampler, x, t, args))
-        except DomainError as err:
-            raise DomainError(f"{err} [while scanning {equation} at (x={x}, t={t})]") from err
-        sumsq += r * r
-        if r > max_abs:
-            max_abs = r
-            worst = (x, t)
+    try:
+        r = np.abs(point_residual(lift_sampler(sampler), x, t, args))
+    except DomainError as err:
+        raise DomainError(f"{err} [while scanning {equation}]") from err
+    r = np.broadcast_to(r, x.shape).ravel()
+    worst = int(np.argmax(r))
     return ResidualReport(
         equation=equation,
-        max_abs=max_abs,
-        l2=math.sqrt(sumsq),
-        worst_point=worst,
-        n_samples=len(points),
+        max_abs=float(r[worst]),
+        l2=math.sqrt(np.cumsum(r * r)[-1]),
+        worst_point=(float(x.flat[worst]), float(t.flat[worst])),
+        n_samples=r.size,
     )

@@ -31,6 +31,16 @@ from .fields import AffineFactor, ExpCurve, ExponentialField, PowerCurve, PowerP
 from .qmath import EPS_Q_ONE, HypParams, hyp2f1
 
 
+def positive_scale(name: str, value: float) -> float:
+    """``value`` as a float, or DomainError unless it is finite and
+    positive: the rule for the mass ``m`` and the action scale ``hbar``."""
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite particle parameter {name}")
+    if value <= 0:
+        raise DomainError(f"{'mass' if name == 'm' else name} must be positive, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FreeParticleSpec:
     """Physical parameters of a free particle: deformation q, momentum p,
@@ -42,13 +52,11 @@ class FreeParticleSpec:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("q", "p", "m", "hbar"):
+        for name in ("q", "p"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"non-finite particle parameter {name}")
-        if self.m <= 0:
-            raise DomainError(f"mass must be positive, got {self.m}")
-        if self.hbar <= 0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
+        positive_scale("m", self.m)
+        positive_scale("hbar", self.hbar)
 
     @property
     def energy(self) -> float:

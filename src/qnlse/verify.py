@@ -255,10 +255,9 @@ def suite_plane_wave_representations() -> SuiteResult:
     worst = 0.0
     for q in (0.5, 0.9, 1.1, 1.5, 2.0):
         spec = FreeParticleSpec(q=q)
-        wave = q_plane_wave_field(spec)
-        for x in xs:
-            for t in ts:
-                direct = wave(float(x), float(t))
+        wave = q_plane_wave_field(spec)(*np.meshgrid(xs, ts, indexing="ij")).tolist()
+        for x, wave_x in zip(xs, wave):
+            for t, direct in zip(ts, wave_x):
                 values = [
                     q_plane_wave_hypergeometric(spec, g, float(x), float(t))
                     for g in (0.5, 1.0, 2.7)
@@ -275,8 +274,8 @@ def classical_limit_table(p: float = 1.0, m: float = 0.5,
     """Per solution family ("plane", "new", "nrt"): the sup distances to
     exp(i(px - Et)/hbar) on the limit grid at q = 1 + each of
     ``LIMIT_DELTAS``, and the order in q - 1 fitted to them."""
-    xs, ts = _limit_grid()
-    classical = classical_plane_wave_field(FreeParticleSpec(q=1.0, p=p, m=m, hbar=hbar))
+    x, t = np.meshgrid(*_limit_grid())
+    classical = classical_plane_wave_field(FreeParticleSpec(q=1.0, p=p, m=m, hbar=hbar))(x, t)
     table = {}
     for family in ("plane", "new", "nrt"):
         sups = []
@@ -286,11 +285,7 @@ def classical_limit_table(p: float = 1.0, m: float = 0.5,
                 sol = q_plane_wave_field(spec)
             else:
                 sol = product_solution_field(SolutionKind(family), spec)
-            sups.append(max(
-                abs(sol(float(x), float(t)) - classical(float(x), float(t)))
-                for x in xs
-                for t in ts
-            ))
+            sups.append(float(np.max(np.abs(sol(x, t) - classical))))
         table[family] = (sups, fit_observed_order(LIMIT_DELTAS, sups))
     return table
 
@@ -312,7 +307,7 @@ def suite_non_coincidence() -> SuiteResult:
         spec = FreeParticleSpec(q=q, p=1.0, m=0.5, hbar=1.0)
         g_new = separated_space_curve(SolutionKind.NEW, spec)
         g_nrt = separated_space_curve(SolutionKind.NRT, spec)
-        return max(abs(g_new(float(x)) - g_nrt(float(x))) for x in xs)
+        return float(np.max(np.abs(g_new(xs) - g_nrt(xs))))
 
     split = sup_diff(1.5, np.linspace(-5.0, 5.0, 101))
     fit_xs = _limit_grid()[0]
@@ -422,7 +417,7 @@ def suite_method_agreement() -> SuiteResult:
     """Analytic and finite-difference residuals agree pointwise to 1e-4."""
     tol = 1e-4
     worst = 0.0
-    points = [(x, t) for x in np.linspace(-5.0, 5.0, 11) for t in (0.0, 0.5, 1.0)]
+    x, t = np.meshgrid(np.linspace(-5.0, 5.0, 11), (0.0, 0.5, 1.0))
     an, fd = Analytic(), FiniteDifference()
     for q in (0.9, 1.5):
         spec = FreeParticleSpec(q=q)
@@ -431,22 +426,19 @@ def suite_method_agreement() -> SuiteResult:
         nrt_prod = product_solution_field(SolutionKind.NRT, spec)
         f_new = separated_time_curve(SolutionKind.NEW, spec)
         g_nrt = separated_space_curve(SolutionKind.NRT, spec)
-        for x, t in points:
-            pairs = [
-                new_nlse_residual(plane, q, spec.m, spec.hbar, (x, t), an)
-                - new_nlse_residual(plane, q, spec.m, spec.hbar, (x, t), fd),
-                nrt_residual(nrt_prod, q, spec.m, spec.hbar, None, (x, t), an)
-                - nrt_residual(nrt_prod, q, spec.m, spec.hbar, None, (x, t), fd),
-                separated_time_residual(SolutionKind.NEW, f_new, q, lam,
-                                        spec.hbar, t, an)
-                - separated_time_residual(SolutionKind.NEW, f_new, q, lam,
-                                          spec.hbar, t, fd),
-                separated_space_residual(SolutionKind.NRT, g_nrt, q, lam,
-                                         spec.m, spec.hbar, x, an)
-                - separated_space_residual(SolutionKind.NRT, g_nrt, q, lam,
-                                           spec.m, spec.hbar, x, fd),
-            ]
-            worst = max(worst, max(abs(d) for d in pairs))
+        pairs = [
+            new_nlse_residual(plane, q, spec.m, spec.hbar, (x, t), an)
+            - new_nlse_residual(plane, q, spec.m, spec.hbar, (x, t), fd),
+            nrt_residual(nrt_prod, q, spec.m, spec.hbar, None, (x, t), an)
+            - nrt_residual(nrt_prod, q, spec.m, spec.hbar, None, (x, t), fd),
+            separated_time_residual(SolutionKind.NEW, f_new, q, lam, spec.hbar, t, an)
+            - separated_time_residual(SolutionKind.NEW, f_new, q, lam, spec.hbar, t, fd),
+            separated_space_residual(SolutionKind.NRT, g_nrt, q, lam, spec.m,
+                                     spec.hbar, x, an)
+            - separated_space_residual(SolutionKind.NRT, g_nrt, q, lam, spec.m,
+                                       spec.hbar, x, fd),
+        ]
+        worst = max(worst, max(float(np.max(np.abs(d))) for d in pairs))
     return SuiteResult("derivative-method-agreement", worst <= tol, worst, tol)
 
 

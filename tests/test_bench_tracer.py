@@ -62,6 +62,7 @@ def test_tracer_counts_point_residuals_and_kernel_marches():
         == originals
     assert tracer.groups["residuals.scan_residual"][0] == len(samplers)
     assert samples == 3 * (3 * 2) + 2 * 2 + 2 * 3  # (x, t) mesh, t axis, x axis
-    assert tracer.groups["residuals.point"][0] == samples
+    # one point-residual call per scan, over its whole mesh
+    assert tracer.groups["residuals.point"][0] == len(samplers)
     assert tracer.groups["kernels.propagate_frames"][0] == 1
     assert tracer.counters["kernels.point_updates"] == 9 * 2

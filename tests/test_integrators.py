@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qnlse import integrators
 from qnlse.errors import DegenerateStudyError, DomainError, PropagationError
 from qnlse.integrators import (
     GridSpec,
@@ -152,12 +153,39 @@ class TestSeparatedIntegration:
 
     @pytest.mark.parametrize("q", [0.01, np.float64(0.01)])
     def test_overflow_raises_propagation_error(self, q):
-        # a float q overflows in the tracked power; a numpy scalar q runs
-        # on to inf and nan instead; both must end in a PropagationError
+        # q (a float or a numpy scalar) is coerced to float, so the tracked
+        # power overflows loudly, without numpy RuntimeWarnings on the way
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             with pytest.raises(PropagationError, match="t="):
                 integrate_separated_time(SolutionKind.NEW, q, 1.0, 1.0, 1.0, 0.05)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    def test_time_integration_validates_hbar(self, hbar):
+        with pytest.raises(DomainError, match="hbar"):
+            integrate_separated_time(SolutionKind.NEW, 1.5, 1.0, hbar, 1.0, 0.1)
+
+    @pytest.mark.parametrize("m", [-0.5, 0.0, math.nan])
+    def test_space_integration_validates_mass(self, m):
+        with pytest.raises(DomainError, match=r"mass|parameter m\b"):
+            integrate_separated_space(SolutionKind.NEW, 1.5, 1.0, m, 1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan])
+    def test_space_integration_validates_hbar(self, hbar):
+        with pytest.raises(DomainError, match="hbar"):
+            integrate_separated_space(SolutionKind.NRT, 1.5, 1.0, 0.5, hbar, 1.0, 0.1)
+
+    def test_space_state_is_a_pair_of_complex_scalars(self, monkeypatch):
+        seen = []
+
+        def spy(state, rhs, t, dt):
+            seen.append(state)
+            return rk4_step(state, rhs, t, dt)
+
+        monkeypatch.setattr(integrators, "rk4_step", spy)
+        integrate_separated_space(SolutionKind.NEW, 1.5, 1.0, 0.5, 1.0, 0.2, 0.1)
+        assert len(seen) == 2
+        assert all(type(s) is tuple and all(type(v) is complex for v in s) for s in seen)
 
     @pytest.mark.parametrize("case_cls", [OdeTimeCase, OdeSpaceCase])
     def test_observed_order_is_four(self, case_cls):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qnlse.errors import DomainError
+from qnlse.fields import AffineFactor, ExponentialField, PowerProductField
 from qnlse.integrators import GridSpec
 from qnlse.qmath import HypParams
 from qnlse.residuals import (
@@ -269,8 +270,6 @@ class TestScan:
     def test_constant_field_scan_is_exactly_zero(self):
         # a constant field solves the free q-power equation with zero
         # residual identically (every derivative vanishes)
-        from qnlse.fields import PowerProductField
-
         const = PowerProductField([])
         rep = scan_residual("new-field", const, GRID, AN, q=1.5, m=0.5, hbar=1.0)
         assert rep.max_abs == 0.0
@@ -294,6 +293,29 @@ class TestScan:
         with pytest.raises(DomainError):
             scan_residual("new-space", separated_space_curve(SolutionKind.NEW, spec),
                           GRID, AN, q=spec.q)
+
+    def test_worst_point_is_the_first_maximum_in_scan_order(self):
+        # exp(-i t) solves nothing here; its residual |F| is the same,
+        # bit for bit, at every x of one t row
+        rep = scan_residual("new-field", ExponentialField(0j, -1j), GRID, AN, q=1.0)
+        assert rep.worst_point[0] == -5.0
+
+    def test_domain_error_names_first_offending_point_in_scan_order(self):
+        # zeros at (0.0, 0.1) and (-0.5, 0.2): t-major order meets (0.0, 0.1) first
+        holes = {(0.0, 0.1), (-0.5, 0.2)}
+        field = lambda x, t: 0j if (round(x, 9), round(t, 9)) in holes else 1.0 + 0j
+        grid = GridSpec(-1.0, 1.0, 5, 0.1, 3)
+        with pytest.raises(DomainError, match=r"\(x=0\.0, t=0\.1\).*new-field"):
+            scan_residual("new-field", field, grid, FD, q=1.5)
+
+    def test_vanished_base_and_non_finite_value_raise_on_the_array_path(self):
+        grid = GridSpec(-2.0, 2.0, 5, 0.1, 2)
+        real_base = PowerProductField([AffineFactor(1.0, 0.0, 0.5)])  # 1 + x
+        with pytest.raises(DomainError, match=r"base vanished at \(x=-1\.0, t=0\.0\)"):
+            scan_residual("new-field", real_base, grid, AN, q=1.5)
+        huge = ExponentialField(800.0, 0j)
+        with pytest.raises(DomainError, match=r"not finite at \(x=1\.0, t=0\.0\)"):
+            scan_residual("new-field", huge, grid, AN, q=1.5)
 
     def test_domain_error_carries_location(self):
         # a field with a zero at an interior grid point aborts with coordinates
