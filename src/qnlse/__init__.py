@@ -19,6 +19,7 @@ from .integrators import (
     OdeSpaceCase,
     OdeTimeCase,
     PdeCase,
+    Trajectory,
     WaveField,
     convergence_study,
     fit_observed_order,
@@ -85,6 +86,7 @@ __all__ = [
     "QnlseError",
     "ResidualReport",
     "SolutionKind",
+    "Trajectory",
     "WaveField",
     "check_binomial_identity",
     "classical_plane_wave_field",

@@ -32,8 +32,10 @@ from .integrators import (
 )
 from .reports import (
     field_svg_text,
+    float_reprs,
     frame_csv_text,
     frame_filename,
+    frames_json_text,
     report_csv_text,
     report_json_text,
     svg_line_plot,
@@ -250,31 +252,20 @@ def cmd_residual(cfg: RunConfig) -> int:
 def cmd_propagate(cfg: RunConfig) -> int:
     exact = manufactured_field(cfg.equation, cfg.spec)
     initial = sample_field(exact, cfg.grid, 0.0)
-    frames = propagate(cfg.equation, initial, cfg.spec.q, cfg.spec.m,
-                       cfg.spec.hbar, boundary=exact)
+    traj = propagate(cfg.equation, initial, cfg.spec.q, cfg.spec.m,
+                     cfg.spec.hbar, boundary=exact)
     xs = cfg.grid.x_values()
     if cfg.fmt == "csv":
         cfg.out.mkdir(parents=True, exist_ok=True)
-        for k, frame in enumerate(frames):
-            write_text(cfg.out / frame_filename(k),
-                       frame_csv_text(xs, frame.t, frame.values))
+        x_col = float_reprs(xs)
+        for k, (t, row) in enumerate(zip(traj.times(), traj.values)):
+            write_text(cfg.out / frame_filename(k), frame_csv_text(x_col, t, row))
     elif cfg.fmt == "json":
-        payload = {
-            "equation": cfg.equation.value,
-            "q": cfg.spec.q,
-            "x": [float(x) for x in xs],
-            "frames": [
-                {
-                    "t": frame.t,
-                    "re": [float(v.real) for v in frame.values],
-                    "im": [float(v.imag) for v in frame.values],
-                }
-                for frame in frames
-            ],
-        }
-        _emit_text(report_json_text(payload), cfg)
+        _emit_text(frames_json_text(cfg.equation.value, cfg.spec.q, xs,
+                                    traj.times(), traj.values), cfg)
     else:
-        write_text(cfg.out, field_svg_text(xs, frames[-1].t, frames[-1].values))
+        last = traj[-1]
+        write_text(cfg.out, field_svg_text(xs, last.t, last.values))
     return EXIT_OK
 
 

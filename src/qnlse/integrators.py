@@ -23,10 +23,11 @@ from the closed forms turn it into a verifiable scheme.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -102,6 +103,44 @@ class WaveField:
             )
         if not np.all(np.isfinite(self.values.real) & np.isfinite(self.values.imag)):
             raise DomainError("field values must be finite")
+
+
+class Frame(NamedTuple):
+    """One row of a ``Trajectory``: ``values`` is a view, not a copy."""
+
+    grid: GridSpec
+    t: float
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Every frame of one march: ``values[k]`` is the field at ``t0 + k*dt``.
+
+    A sequence of ``Frame``s: ``len``, ``traj[k]`` (negative k too) and
+    iteration.  ``times()`` gives each frame's t as a Python float.
+    """
+
+    grid: GridSpec
+    t0: float
+    values: np.ndarray
+
+    @property
+    def dt(self) -> float:
+        return self.grid.dt
+
+    def times(self) -> list[float]:
+        return self.grid.t_values(self.t0).tolist()
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, k: int) -> Frame:
+        k = range(len(self))[k]
+        return Frame(self.grid, float(self.t0 + k * self.dt), self.values[k])
+
+    def __iter__(self) -> Iterator[Frame]:
+        return map(Frame, itertools.repeat(self.grid), self.times(), self.values)
 
 
 @dataclass(frozen=True)
@@ -311,7 +350,7 @@ def _initial_theta(values: np.ndarray, xs: np.ndarray, t0: float, boundary) -> n
 
 def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
               hbar: float, boundary,
-              potential: Optional[Callable[[float], float]] = None) -> list[WaveField]:
+              potential: Optional[Callable[[float], float]] = None) -> Trajectory:
     """March the chosen deformed equation from an initial frame.
 
     q-power form:  i*hbar  d(phi)/dt = H[phi^(1/q)]  (phi normalized at origin);
@@ -319,7 +358,7 @@ def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
 
     The boundary source supplies exact Dirichlet values at both grid
     ends for every RK4 stage time.  Returns the field after every step,
-    the initial frame included.
+    the initial frame included, as one ``Trajectory``.
     """
     grid = initial.grid
     s, coef = marched_form(equation, q)
@@ -361,10 +400,7 @@ def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
             f"field value became {reason} at step {int(status[1])}, "
             f"index {int(status[2])}"
         )
-    return [
-        WaveField(grid=grid, t=initial.t + k * grid.dt, values=frames[k])
-        for k in range(n_steps + 1)
-    ]
+    return Trajectory(grid, initial.t, frames)
 
 
 def manufactured_field(equation: SolutionKind, spec: FreeParticleSpec):
@@ -383,7 +419,7 @@ def sample_field(field, grid: GridSpec, t: float) -> WaveField:
     return WaveField(grid=grid, t=t, values=lift_sampler(field)(grid.x_values(), t))
 
 
-def interior_linf_error(frame: WaveField, exact_field) -> float:
+def interior_linf_error(frame: WaveField | Frame, exact_field) -> float:
     """Max interior-point distance between a frame and a closed form."""
     xs = frame.grid.x_values()[1:-1]
     return float(np.max(np.abs(frame.values[1:-1] - lift_sampler(exact_field)(xs, frame.t))))
@@ -452,9 +488,9 @@ def _pde_error(case: PdeCase, dx: float) -> float:
     grid = GridSpec(case.x_min, case.x_max, n_points, case.dt, n_steps)
     exact = manufactured_field(case.equation, case.spec)
     initial = sample_field(exact, grid, 0.0)
-    frames = propagate(case.equation, initial, case.spec.q, case.spec.m,
-                       case.spec.hbar, boundary=exact)
-    return interior_linf_error(frames[-1], exact)
+    traj = propagate(case.equation, initial, case.spec.q, case.spec.m,
+                     case.spec.hbar, boundary=exact)
+    return interior_linf_error(traj[-1], exact)
 
 
 def convergence_study(case, refinement_levels: int = 3) -> ConvergenceReport:

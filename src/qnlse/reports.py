@@ -1,20 +1,27 @@
 """Deterministic CSV / JSON / SVG emission for reports and fields.
 
 Reports are flat key -> value mappings, written either as a single JSON
-object or as ``key,value`` CSV rows carrying the same values; floats go
-through ``repr`` (shortest round-trip, 17 significant digits), so the
-two formats parse back to identical doubles.  Field frames use the
-``x,t,re,im`` row schema, one file per frame.  Nothing here embeds
-timestamps: byte-identical reruns are part of the contract.
+object or as ``key,value`` CSV rows carrying the same values.  Floats
+are written by ``repr``: the shortest string that round-trips, at most
+17 significant digits, so the two formats parse back to identical
+doubles.  Field frames use the ``x,t,re,im`` row schema, one file per
+frame; a whole march goes to JSON as ``x`` plus a list of
+``{"im", "re", "t"}`` frames, written directly from the frame arrays
+with the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.
+Nothing here embeds timestamps: byte-identical reruns are part of the
+contract.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 
 def format_number(value) -> str:
@@ -52,14 +59,49 @@ def parse_report_csv(text: str) -> dict:
     return out
 
 
-def frame_csv_text(xs, t: float, values) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "t", "re", "im"])
-    for x, v in zip(xs, values):
-        writer.writerow([repr(float(x)), repr(float(t)),
-                         repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
+def float_reprs(values) -> list[str]:
+    """``repr`` of each double of a real array."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def frame_csv_text(x_col: list[str], t: float, values) -> str:
+    """One frame as ``x,t,re,im`` rows.
+
+    ``x_col`` is ``float_reprs`` of the grid, made once for all the frames
+    of a run.
+    """
+    values = np.asarray(values)
+    rows = map(",".join, zip(x_col, itertools.repeat(repr(float(t))),
+                             float_reprs(values.real), float_reprs(values.imag)))
+    return "x,t,re,im\n" + "\n".join(rows) + "\n"
+
+
+def frames_json_text(equation: str, q: float, xs, times, values) -> str:
+    """A march as JSON: byte for byte ``json.dumps(payload, sort_keys=True,
+    indent=2) + "\n"`` of ``{"equation", "q", "x", "frames": [{"t", "re",
+    "im"}, ...]}``, with frame k from ``times[k]`` and the row ``values[k]``.
+
+    Each float array becomes one string straight from its ``repr``s; the
+    parts are gathered in one list and joined once.
+    """
+    parts = ['{\n  "equation": ', json.dumps(equation), ',\n  "frames": [']
+    sep = "\n"
+    for t, row in zip(times, values):
+        parts += [sep, '    {\n      "im": ', _json_floats(row.imag, "        "),
+                  ',\n      "re": ', _json_floats(row.real, "        "),
+                  ',\n      "t": ', json.dumps(t), "\n    }"]
+        sep = ",\n"
+    parts += ["\n  ]" if sep == ",\n" else "]", ',\n  "q": ', json.dumps(q),
+              ',\n  "x": ', _json_floats(xs, "    "), "\n}\n"]
+    return "".join(parts)
+
+
+def _json_floats(values, indent: str) -> str:
+    """A real array as an ``indent=2`` JSON list whose items sit at ``indent``."""
+    items = float_reprs(values)
+    if not items:
+        return "[]"
+    return f"[\n{indent}" + f",\n{indent}".join(items) + f"\n{indent[:-2]}]"
 
 
 def frame_filename(step: int) -> str:

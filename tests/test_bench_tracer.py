@@ -5,7 +5,9 @@ import importlib.util
 import warnings
 from pathlib import Path
 
-from qnlse import _kernels, integrators, residuals
+import pytest
+
+from qnlse import _kernels, cli, integrators, residuals
 from qnlse.integrators import GridSpec, manufactured_field
 from qnlse.residuals import Analytic
 from qnlse.solutions import (
@@ -66,3 +68,23 @@ def test_tracer_counts_point_residuals_and_kernel_marches():
     assert tracer.groups["residuals.point"][0] == len(samplers)
     assert tracer.groups["kernels.propagate_frames"][0] == 1
     assert tracer.counters["kernels.point_updates"] == 9 * 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tracer_counts_every_emitted_byte_and_file(fmt, tmp_path):
+    out = tmp_path / f"frames.{fmt}"
+    argv = ["propagate", "--equation", "nrt", "--q", "1.03", "--nx", "41",
+            "--dt", "1e-4", "--steps", "4", "--format", fmt, "--out", str(out)]
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+
+    files = sorted(out.iterdir()) if fmt == "csv" else [out]
+    assert len(files) == (5 if fmt == "csv" else 1)
+    assert tracer.counters["reports.emit.files"] == len(files)
+    assert tracer.counters["reports.emit.bytes"] == sum(f.stat().st_size for f in files)
+    assert tracer.groups["cli.cmd_propagate"][0] == 1
+    assert tracer.groups["kernels.propagate_frames"][0] == 1

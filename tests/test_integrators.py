@@ -14,6 +14,7 @@ from qnlse.integrators import (
     OdeSpaceCase,
     OdeTimeCase,
     PdeCase,
+    Trajectory,
     WaveField,
     convergence_study,
     fit_observed_order,
@@ -309,6 +310,66 @@ class TestPropagate:
         with pytest.raises(DomainError):
             quiet_propagate(SolutionKind.NRT, field, 2.0, 0.5, 1.0,
                             boundary=lambda x, t: 1.0 + 0j)
+
+
+class TestTrajectory:
+    T0, DT, STEPS = 0.3, 1e-4, 7
+
+    def march(self, n_steps=STEPS, t0=T0):
+        spec = FreeParticleSpec(q=1.5)
+        exact = manufactured_field(SolutionKind.NEW, spec)
+        grid = GridSpec(-1.0, 1.0, 21, self.DT, n_steps)
+        return quiet_propagate(SolutionKind.NEW, sample_field(exact, grid, t0),
+                               spec.q, spec.m, spec.hbar, boundary=exact)
+
+    def test_one_array_of_every_frame(self):
+        traj = self.march()
+        assert isinstance(traj, Trajectory)
+        assert traj.values.shape == (self.STEPS + 1, 21)
+        assert len(traj) == self.STEPS + 1
+        assert (traj.t0, traj.dt) == (self.T0, self.DT)
+
+    def test_frame_times_are_t0_plus_k_dt_exactly(self):
+        traj = self.march()
+        expected = [self.T0 + k * self.DT for k in range(self.STEPS + 1)]
+        assert [traj[k].t for k in range(len(traj))] == expected
+        assert traj.times() == expected
+        assert all(type(t) is float for t in traj.times())
+
+    def test_numpy_scalar_t0_gives_float_times_on_every_path(self):
+        traj = self.march(t0=np.float64(self.T0))
+        expected = [self.T0 + k * self.DT for k in range(self.STEPS + 1)]
+        for times in ([traj[k].t for k in range(len(traj))], traj.times(),
+                      [frame.t for frame in traj], [traj[-1].t]):
+            assert all(type(t) is float for t in times)
+            assert times == expected[-len(times):]
+
+    def test_negative_indices_and_iteration(self):
+        traj = self.march()
+        assert traj[-1].t == traj[self.STEPS].t
+        assert np.array_equal(traj[-len(traj)].values, traj[0].values)
+        for k in (len(traj), -len(traj) - 1):
+            with pytest.raises(IndexError):
+                traj[k]
+        frames = list(traj)
+        assert len(frames) == len(traj)
+        for k, frame in enumerate(frames):
+            assert frame.grid is traj.grid
+            assert frame.t == traj[k].t
+            assert np.array_equal(frame.values, traj.values[k])
+
+    def test_frame_values_are_views_into_the_array(self):
+        traj = self.march()
+        for frame in (traj[0], traj[-1], *traj):
+            assert frame.values.base is traj.values
+            assert np.shares_memory(frame.values, traj.values)
+
+    def test_zero_steps_gives_exactly_one_frame(self):
+        traj = self.march(n_steps=0)
+        assert len(traj) == 1
+        assert len(list(traj)) == 1
+        assert traj.times() == [self.T0]
+        assert traj[0].t == traj[-1].t == self.T0
 
 
 class TestConvergenceStudies:

@@ -1,6 +1,12 @@
 """Verification-suite plumbing: seeding, determinism, result shape."""
 
-from qnlse.verify import DEFAULT_SEED, run_verification, seed_from_env
+from qnlse.verify import (
+    DEFAULT_SEED,
+    run_verification,
+    seed_from_env,
+    suite_pde_classical_agreement,
+    suite_propagation_determinism,
+)
 
 
 def test_env_seed_parsing(monkeypatch):
@@ -39,3 +45,14 @@ def test_all_suites_pass_with_default_seed():
     failed = [r.name for r in results if not r.passed]
     assert failed == []
     assert len(results) == 22
+
+
+def test_march_pair_suites_keep_their_worsts():
+    # the parent's worsts, bit for bit
+    agreement = suite_pde_classical_agreement()
+    assert agreement.passed
+    assert agreement.worst == 6.333169254111433e-06
+    assert "propagator gap 0 " in agreement.detail
+    determinism = suite_propagation_determinism()
+    assert determinism.passed
+    assert determinism.worst == 0.0
