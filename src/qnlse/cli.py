@@ -249,6 +249,15 @@ def cmd_residual(cfg: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+def _remove_stale_frames(directory: Path, last: int) -> None:
+    """Delete the frames an earlier, longer run left in ``directory``:
+    the files named by ``frame_filename`` with a step above ``last``."""
+    for path in directory.glob("frame_*.csv"):
+        step = path.name[len("frame_"):-len(".csv")]
+        if step.isdecimal() and int(step) > last and path.name == frame_filename(int(step)):
+            path.unlink()
+
+
 def cmd_propagate(cfg: RunConfig) -> int:
     exact = manufactured_field(cfg.equation, cfg.spec)
     initial = sample_field(exact, cfg.grid, 0.0)
@@ -260,6 +269,7 @@ def cmd_propagate(cfg: RunConfig) -> int:
         x_col = float_reprs(xs)
         for k, (t, row) in enumerate(zip(traj.times(), traj.values)):
             write_text(cfg.out / frame_filename(k), frame_csv_text(x_col, t, row))
+        _remove_stale_frames(cfg.out, len(traj) - 1)
     elif cfg.fmt == "json":
         _emit_text(frames_json_text(cfg.equation.value, cfg.spec.q, xs,
                                     traj.times(), traj.values), cfg)

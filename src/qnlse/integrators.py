@@ -390,7 +390,7 @@ def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
     bl, br = source(float(xs[0]), tau), source(float(xs[-1]), tau)
 
     theta0 = _initial_theta(values, xs, initial.t, boundary)
-    frames, _, status = _kernels.propagate_frames(
+    frames, status = _kernels.propagate_frames(
         values, theta0, s, -1j / (hbar * coef), -hbar * hbar / (2.0 * m),
         1.0 / (dx * dx), pot, grid.dt, n_steps, bl, br,
     )

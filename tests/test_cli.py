@@ -210,6 +210,22 @@ class TestPropagateCommand:
         x, t, re, im = (float(v) for v in first.split(","))
         assert (x, t) == (-5.0, 0.0)
 
+    def test_shorter_run_removes_stale_frames(self, capsys, tmp_path):
+        out = tmp_path / "frames"
+        out.mkdir()
+        keep = ("frame_7.csv", "frame_0000009.csv", "frame_000009.txt", "notes.csv")
+        for name in keep:
+            (out / name).write_text("not a frame\n")
+        for steps in ("5", "2"):
+            code, _, _ = run(capsys, "propagate", "--steps", steps, "--dt", "1e-5",
+                             "--nx", "21", "--xmin", "-1", "--xmax", "1",
+                             "--format", "csv", "--out", str(out))
+            assert code == 0
+        frames = [f"frame_{k:06d}.csv" for k in range(3)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(frames + list(keep))
+        last_t = float((out / frames[-1]).read_text().splitlines()[1].split(",")[1])
+        assert last_t == pytest.approx(2e-5)
+
     def test_json_frames(self, capsys):
         code, out, _ = run(capsys, "propagate", "--steps", "2", "--dt", "1e-5",
                            "--nx", "21", "--xmin", "-1", "--xmax", "1")
