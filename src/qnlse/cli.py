@@ -4,7 +4,9 @@ Subcommands: ``verify`` (run every verification suite), ``residual``
 (scan one equation against one closed form), ``propagate`` (march a
 manufactured field and emit frames), ``converge`` (order-of-accuracy
 study), ``limit`` (classical-limit order table), ``compare`` (the two
-space factors side by side).
+space factors side by side).  Each subcommand takes only the flags it
+reads (``_SUBCOMMANDS``); any other flag is a usage error.  Only
+``propagate`` and ``compare`` offer ``--format svg``.
 
 Exit codes: 0 all checks passed, 1 a tolerance or verification check
 failed, 2 usage or configuration error.  ``QNLSE_SEED`` seeds the
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -62,74 +63,72 @@ class UsageError(Exception):
     """Configuration rejected before any computation ran."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    spec: FreeParticleSpec
-    equation: SolutionKind
-    grid: GridSpec
-    method: object
-    tol: float
-    fmt: str
-    out: Optional[Path]
-    solution: str
-    form: str
-    study: str
-    levels: int
+# Every flag but --format, defined once: name -> add_argument keywords.
+_FLAGS = {
+    "--q": dict(type=float, default=1.5, help="deformation parameter"),
+    "--p": dict(type=float, default=1.0, help="momentum"),
+    "--mass": dict(type=float, default=0.5, help="particle mass"),
+    "--hbar": dict(type=float, default=1.0, help="action scale"),
+    "--equation": dict(choices=("new", "nrt"), default="new",
+                       help="which deformed equation"),
+    "--xmin": dict(type=float, default=-5.0),
+    "--xmax": dict(type=float, default=5.0),
+    "--nx": dict(type=int, default=101, help="spatial points"),
+    "--dt": dict(type=float, default=0.1, help="time step"),
+    "--steps": dict(type=int, default=10, help="time steps"),
+    "--method": dict(choices=("analytic", "fd"), default="analytic",
+                     help="derivative evaluation for residuals"),
+    "--tol": dict(type=float, default=1e-6,
+                  help="pass/fail tolerance for residual scans"),
+    "--solution": dict(choices=("plane", "new", "nrt"), default=None,
+                       help="closed form to test (default: the equation's own)"),
+    "--form": dict(choices=("field", "phi", "time", "space"), default="field",
+                   help="which form of the equation"),
+    "--study": dict(choices=("pde", "ode-time", "ode-space"), default="pde"),
+    "--levels": dict(type=int, default=3),
+    "--out": dict(type=Path, default=None,
+                  help="output file (directory for propagate csv frames)"),
+}
+
+_PARTICLE = ("--q", "--p", "--mass", "--hbar", "--equation")
+_MARCH = _PARTICLE + ("--xmin", "--xmax", "--nx", "--dt", "--steps")
+_REPORT = ("json", "csv")
+
+# command -> (help, the flags it reads before --format and --out, which
+# every command takes, and its --format choices)
+_SUBCOMMANDS = {
+    "verify": ("run every verification suite", (), _REPORT),
+    "residual": ("scan one equation's residual over the grid",
+                 _MARCH + ("--method", "--tol", "--solution", "--form"), _REPORT),
+    "propagate": ("march a manufactured field and emit frames", _MARCH, _REPORT + ("svg",)),
+    "converge": ("order-of-accuracy study",
+                 _PARTICLE + ("--xmin", "--xmax", "--study", "--levels"), _REPORT),
+    "limit": ("classical-limit distances and fitted orders",
+              ("--p", "--mass", "--hbar"), _REPORT),
+    "compare": ("compare the two separated space factors",
+                ("--q", "--p", "--hbar", "--xmin", "--xmax", "--nx"), _REPORT + ("svg",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=float, default=1.5, help="deformation parameter")
-    common.add_argument("--p", type=float, default=1.0, help="momentum")
-    common.add_argument("--mass", type=float, default=0.5, help="particle mass")
-    common.add_argument("--hbar", type=float, default=1.0, help="action scale")
-    common.add_argument("--equation", choices=("new", "nrt"), default="new",
-                        help="which deformed equation")
-    common.add_argument("--xmin", type=float, default=-5.0)
-    common.add_argument("--xmax", type=float, default=5.0)
-    common.add_argument("--nx", type=int, default=101, help="spatial points")
-    common.add_argument("--dt", type=float, default=0.1, help="time step")
-    common.add_argument("--steps", type=int, default=10, help="time steps")
-    common.add_argument("--method", choices=("analytic", "fd"), default="analytic",
-                        help="derivative evaluation for residuals")
-    common.add_argument("--tol", type=float, default=1e-6,
-                        help="pass/fail tolerance for residual scans")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"),
-                        default="json", help="output format")
-    common.add_argument("--out", type=Path, default=None,
-                        help="output file (directory for propagate csv frames)")
-
     parser = argparse.ArgumentParser(
         prog="qnlse",
         description="Deformed nonlinear Schrodinger equations: closed forms, "
                     "residual verification, integrators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[common],
-                   help="run every verification suite")
-    residual = sub.add_parser("residual", parents=[common],
-                              help="scan one equation's residual over the grid")
-    residual.add_argument("--solution", choices=("plane", "new", "nrt"), default=None,
-                          help="closed form to test (default: the equation's own)")
-    residual.add_argument("--form", choices=("field", "phi", "time", "space"),
-                          default="field", help="which form of the equation")
-    sub.add_parser("propagate", parents=[common],
-                   help="march a manufactured field and emit frames")
-    converge = sub.add_parser("converge", parents=[common],
-                              help="order-of-accuracy study")
-    converge.add_argument("--study", choices=("pde", "ode-time", "ode-space"),
-                          default="pde")
-    converge.add_argument("--levels", type=int, default=3)
-    sub.add_parser("limit", parents=[common],
-                   help="classical-limit distances and fitted orders")
-    sub.add_parser("compare", parents=[common],
-                   help="compare the two separated space factors")
+    for command, (help_text, flags, formats) in _SUBCOMMANDS.items():
+        # no abbreviations: "--form" must not reach --format where there is no --form
+        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
+        cmd.add_argument("--format", dest="fmt", choices=formats, default="json",
+                         help="output format")
+        cmd.add_argument("--out", **_FLAGS["--out"])
     return parser
 
 
-# (command, format) pairs that cannot go to stdout, with what --out must
-# name; svg exists only for the pairs listed here.
+# (command, format) pairs that cannot go to stdout, with what --out must name.
 _NEEDS_OUT = {
     ("propagate", "csv"): "DIRECTORY",
     ("propagate", "svg"): "FILE",
@@ -137,50 +136,37 @@ _NEEDS_OUT = {
 }
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    equation = SolutionKind(args.equation)
-    try:
-        marched_form(equation, args.q)
-    except DomainError as err:
-        raise UsageError(f"--equation {args.equation}: {err}") from err
-    if args.tol <= 0:
+def _check_usage(args: argparse.Namespace) -> None:
+    """The checks that reject a configuration before any command runs."""
+    if "equation" in args:
+        try:
+            marched_form(SolutionKind(args.equation), args.q)
+        except DomainError as err:
+            raise UsageError(f"--equation {args.equation}: {err}") from err
+    if "tol" in args and args.tol <= 0:
         raise UsageError("--tol must be positive")
     target = _NEEDS_OUT.get((args.command, args.fmt))
-    if args.fmt == "svg" and target is None:
-        raise UsageError(f"the {args.command} command has no svg representation")
     if target is not None and args.out is None:
         raise UsageError(f"{args.command} --format {args.fmt} needs --out {target}")
-    try:
-        spec = FreeParticleSpec(q=args.q, p=args.p, m=args.mass, hbar=args.hbar)
-        grid = GridSpec(args.xmin, args.xmax, args.nx, args.dt, args.steps)
-    except DomainError as err:
-        raise UsageError(str(err)) from err
-    method = Analytic() if args.method == "analytic" else FiniteDifference()
-    return RunConfig(
-        command=args.command,
-        spec=spec,
-        equation=equation,
-        grid=grid,
-        method=method,
-        tol=args.tol,
-        fmt=args.fmt,
-        out=args.out,
-        solution=getattr(args, "solution", None) or args.equation,
-        form=getattr(args, "form", "field"),
-        study=getattr(args, "study", "pde"),
-        levels=getattr(args, "levels", 3),
-    )
 
 
-def _emit_text(text: str, cfg: RunConfig) -> None:
-    if cfg.out is not None:
-        write_text(cfg.out, text)
+def _particle(args: argparse.Namespace) -> FreeParticleSpec:
+    return FreeParticleSpec(q=args.q, p=args.p, m=args.mass, hbar=args.hbar)
+
+
+def _grid(args: argparse.Namespace) -> GridSpec:
+    return GridSpec(args.xmin, args.xmax, args.nx, args.dt, args.steps)
+
+
+def _emit_text(text: str, args: argparse.Namespace) -> None:
+    if args.out is not None:
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_report(report: dict, cfg: RunConfig) -> None:
-    _emit_text(report_json_text(report) if cfg.fmt == "json" else report_csv_text(report), cfg)
+def _emit_report(report: dict, args: argparse.Namespace) -> None:
+    _emit_text(report_json_text(report) if args.fmt == "json" else report_csv_text(report), args)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +174,7 @@ def _emit_report(report: dict, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     results = run_verification(seed=seed_from_env())
     report: dict = {}
     for r in results:
@@ -199,53 +185,55 @@ def cmd_verify(cfg: RunConfig) -> int:
             report[f"{r.name}.detail"] = r.detail
     all_passed = all(r.passed for r in results)
     report["all_passed"] = int(all_passed)
-    _emit_report(report, cfg)
+    _emit_report(report, args)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def _residual_tag(cfg: RunConfig) -> str:
-    eq = cfg.equation.value
-    if cfg.form == "phi":
+def _residual_tag(args: argparse.Namespace) -> str:
+    eq = args.equation
+    if args.form == "phi":
         if eq != "new":
             raise UsageError("--form phi applies to --equation new only")
         return "new-phi"
-    if cfg.form == "field":
+    if args.form == "field":
         return f"{eq}-field"
-    return f"{eq}-{cfg.form}"
+    return f"{eq}-{args.form}"
 
 
-def _residual_sampler(cfg: RunConfig):
-    spec = cfg.spec
-    if cfg.form in ("time", "space"):
-        if cfg.solution == "plane":
+def _residual_sampler(solution: str, form: str, spec: FreeParticleSpec):
+    if form in ("time", "space"):
+        if solution == "plane":
             raise UsageError(
                 "--solution plane has no separated factors; pick new or nrt"
             )
-        curve = separated_time_curve if cfg.form == "time" else separated_space_curve
-        return curve(SolutionKind(cfg.solution), spec)
-    if cfg.solution == "plane":
+        curve = separated_time_curve if form == "time" else separated_space_curve
+        return curve(SolutionKind(solution), spec)
+    if solution == "plane":
         psi = q_plane_wave_field(spec)
     else:
-        psi = product_solution_field(SolutionKind(cfg.solution), spec)
-    return psi.pow(spec.q) if cfg.form == "phi" else psi
+        psi = product_solution_field(SolutionKind(solution), spec)
+    return psi.pow(spec.q) if form == "phi" else psi
 
 
-def cmd_residual(cfg: RunConfig) -> int:
-    tag = _residual_tag(cfg)
-    sampler = _residual_sampler(cfg)
+def cmd_residual(args: argparse.Namespace) -> int:
+    spec, grid = _particle(args), _grid(args)
+    solution = args.solution or args.equation
+    tag = _residual_tag(args)
+    sampler = _residual_sampler(solution, args.form, spec)
+    method = Analytic() if args.method == "analytic" else FiniteDifference()
     rep = scan_residual(
-        tag, sampler, cfg.grid, cfg.method,
-        q=cfg.spec.q, m=cfg.spec.m, hbar=cfg.spec.hbar, lam=cfg.spec.energy,
+        tag, sampler, grid, method,
+        q=spec.q, m=spec.m, hbar=spec.hbar, lam=spec.energy,
     )
-    passed = rep.max_abs <= cfg.tol
+    passed = rep.max_abs <= args.tol
     report = rep.as_dict()
     report.update({
-        "q": cfg.spec.q,
-        "solution": cfg.solution,
-        "tol": cfg.tol,
+        "q": spec.q,
+        "solution": solution,
+        "tol": args.tol,
         "passed": int(passed),
     })
-    _emit_report(report, cfg)
+    _emit_report(report, args)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -258,45 +246,47 @@ def _remove_stale_frames(directory: Path, last: int) -> None:
             path.unlink()
 
 
-def cmd_propagate(cfg: RunConfig) -> int:
-    exact = manufactured_field(cfg.equation, cfg.spec)
-    initial = sample_field(exact, cfg.grid, 0.0)
-    traj = propagate(cfg.equation, initial, cfg.spec.q, cfg.spec.m,
-                     cfg.spec.hbar, boundary=exact)
-    xs = cfg.grid.x_values()
-    if cfg.fmt == "csv":
-        cfg.out.mkdir(parents=True, exist_ok=True)
+def cmd_propagate(args: argparse.Namespace) -> int:
+    spec, grid = _particle(args), _grid(args)
+    equation = SolutionKind(args.equation)
+    exact = manufactured_field(equation, spec)
+    initial = sample_field(exact, grid, 0.0)
+    traj = propagate(equation, initial, spec.q, spec.m, spec.hbar, boundary=exact)
+    xs = grid.x_values()
+    if args.fmt == "csv":
+        args.out.mkdir(parents=True, exist_ok=True)
         x_col = float_reprs(xs)
         for k, (t, row) in enumerate(zip(traj.times(), traj.values)):
-            write_text(cfg.out / frame_filename(k), frame_csv_text(x_col, t, row))
-        _remove_stale_frames(cfg.out, len(traj) - 1)
-    elif cfg.fmt == "json":
-        _emit_text(frames_json_text(cfg.equation.value, cfg.spec.q, xs,
-                                    traj.times(), traj.values), cfg)
+            write_text(args.out / frame_filename(k), frame_csv_text(x_col, t, row))
+        _remove_stale_frames(args.out, len(traj) - 1)
+    elif args.fmt == "json":
+        _emit_text(frames_json_text(equation.value, spec.q, xs,
+                                    traj.times(), traj.values), args)
     else:
         last = traj[-1]
-        write_text(cfg.out, field_svg_text(xs, last.t, last.values))
+        write_text(args.out, field_svg_text(xs, last.t, last.values))
     return EXIT_OK
 
 
-def cmd_converge(cfg: RunConfig) -> int:
-    if cfg.study == "ode-time":
-        case = OdeTimeCase(cfg.equation, cfg.spec)
-    elif cfg.study == "ode-space":
-        case = OdeSpaceCase(cfg.equation, cfg.spec)
+def cmd_converge(args: argparse.Namespace) -> int:
+    spec = _particle(args)
+    equation = SolutionKind(args.equation)
+    if args.study == "ode-time":
+        case = OdeTimeCase(equation, spec)
+    elif args.study == "ode-space":
+        case = OdeSpaceCase(equation, spec)
     else:
-        case = PdeCase(cfg.equation, cfg.spec, x_min=cfg.grid.x_min,
-                       x_max=cfg.grid.x_max, dx0=0.2, dt=1e-4, t_final=0.002)
-    rep = convergence_study(case, cfg.levels)
+        case = PdeCase(equation, spec, x_min=args.xmin, x_max=args.xmax)
+    rep = convergence_study(case, args.levels)
     report = rep.as_dict()
-    report["study"] = cfg.study
-    report["equation"] = cfg.equation.value
-    _emit_report(report, cfg)
+    report["study"] = args.study
+    report["equation"] = args.equation
+    _emit_report(report, args)
     return EXIT_OK
 
 
-def cmd_limit(cfg: RunConfig) -> int:
-    table = classical_limit_table(cfg.spec.p, cfg.spec.m, cfg.spec.hbar)
+def cmd_limit(args: argparse.Namespace) -> int:
+    table = classical_limit_table(args.p, args.mass, args.hbar)
     report: dict = {}
     for family, (sups, order) in table.items():
         for d, s in zip(LIMIT_DELTAS, sups):
@@ -306,28 +296,30 @@ def cmd_limit(cfg: RunConfig) -> int:
     passed = min_order >= 0.9
     report["min_order"] = min_order
     report["passed"] = int(passed)
-    _emit_report(report, cfg)
+    _emit_report(report, args)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    spec = cfg.spec
+def cmd_compare(args: argparse.Namespace) -> int:
+    # the space factors do not depend on the mass
+    spec = FreeParticleSpec(q=args.q, p=args.p, hbar=args.hbar)
+    # compare samples x only: the grid's time axis is one frame
+    xs = GridSpec(args.xmin, args.xmax, args.nx, dt=1.0, n_steps=0).x_values()
     g_new = separated_space_curve(SolutionKind.NEW, spec)
     g_nrt = separated_space_curve(SolutionKind.NRT, spec)
-    xs = cfg.grid.x_values()
     rows = [(x, abs(vn - vr), abs(vn), abs(vr))
             for x, vn, vr in zip(xs.tolist(), g_new(xs).tolist(), g_nrt(xs).tolist())]
     max_diff = max(r[1] for r in rows)
-    if cfg.fmt == "svg":
+    if args.fmt == "svg":
         series = [
             ("|g_new|", [r[2] for r in rows]),
             ("|g_nrt|", [r[3] for r in rows]),
             ("|g_new-g_nrt|", [r[1] for r in rows]),
         ]
-        write_text(cfg.out, svg_line_plot(xs, series,
-                                          title=f"space factors, q={spec.q:g}"))
+        write_text(args.out, svg_line_plot(xs, series,
+                                           title=f"space factors, q={spec.q:g}"))
         return EXIT_OK
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["x,abs_diff,mod_new,mod_nrt"]
         lines += [",".join(repr(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
@@ -340,7 +332,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             "mod_nrt": [r[3] for r in rows],
             "max_abs_diff": max_diff,
         })
-    _emit_text(text, cfg)
+    _emit_text(text, args)
     return EXIT_OK
 
 
@@ -369,8 +361,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
-        cfg = _build_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        _check_usage(args)
+        return _COMMANDS[args.command](args)
     except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
         return next(_EXIT_CODES[kind] for kind in type(err).__mro__ if kind in _EXIT_CODES)

@@ -33,41 +33,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import DomainError
 from .qmath import cpow_principal
-
-FieldSampler = Callable[[float, float], complex]
-CurveSampler = Callable[[float], complex]
-
-
-@runtime_checkable
-class AnalyticField(Protocol):
-    """Field with exact partials and a continuous logarithm."""
-
-    def __call__(self, x: float, t: float) -> complex: ...
-
-    def log_value(self, x: float, t: float) -> complex: ...
-
-    def d_t(self, x: float, t: float) -> complex: ...
-
-    def d_x(self, x: float, t: float) -> complex: ...
-
-    def d_xx(self, x: float, t: float) -> complex: ...
-
-
-@runtime_checkable
-class AnalyticCurve(Protocol):
-    """One-variable curve with exact derivatives and a continuous logarithm."""
-
-    def __call__(self, u: float) -> complex: ...
-
-    def log_value(self, u: float) -> complex: ...
-
-    def deriv(self, u: float, order: int) -> complex: ...
 
 
 def as_sample(z):

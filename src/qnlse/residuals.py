@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -41,26 +41,14 @@ class Analytic:
 
 @dataclass(frozen=True)
 class FiniteDifference:
-    """Central differences with Richardson extrapolation.
+    """Central differences with one Richardson extrapolation.
 
-    ``h_base=None`` picks the classic optimal steps eps^(1/3) (first
-    derivative) and eps^(1/4) (second derivative), scaled by
-    max(1, |coordinate|) at each point.  ``richardson_levels=1`` is the
-    plain stencil.
+    The steps are the classic optimal eps^(1/3) (first derivative) and
+    eps^(1/4) (second derivative), scaled by max(1, |coordinate|) at each
+    point; the stencils at h and h/2 combine as (4*fine - coarse)/3.
     """
 
-    h_base: Optional[float] = None
-    richardson_levels: int = 2
-
-    def __post_init__(self) -> None:
-        if self.h_base is not None and self.h_base <= 0:
-            raise DomainError("h_base must be positive")
-        if self.richardson_levels < 1:
-            raise DomainError("richardson_levels must be >= 1")
-
     def step(self, order: int, coordinate):
-        if self.h_base is not None:
-            return self.h_base
         exponent = 1.0 / 3.0 if order == 1 else 0.25
         return _EPS**exponent * np.maximum(1.0, np.abs(coordinate))
 
@@ -94,31 +82,21 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _richardson(samples: Sequence[complex]) -> complex:
-    # samples[i] = stencil at h / 2^i; error expansion in h^2
-    table = list(samples)
-    for k in range(1, len(table)):
-        factor = 4.0**k
-        for i in range(len(table) - 1, k - 1, -1):
-            table[i] = (factor * table[i] - table[i - 1]) / (factor - 1.0)
-    return table[-1]
-
-
 def _fd(func, point: tuple, axis: int, order: int, method: FiniteDifference):
     """Central difference of func(*point) along coordinate ``axis``."""
     u = point[axis]
     h = method.step(order, u)
     center = func(*point) if order == 2 else None
     rows = []
-    for level in range(method.richardson_levels):
-        hh = h / 2.0**level
+    for hh in (h, h / 2.0):
         plus = func(*point[:axis], u + hh, *point[axis + 1:])
         minus = func(*point[:axis], u - hh, *point[axis + 1:])
         if order == 1:
             rows.append((plus - minus) / (2.0 * hh))
         else:
             rows.append((plus - 2.0 * center + minus) / (hh * hh))
-    return as_sample(_richardson(rows))
+    coarse, fine = rows
+    return as_sample((4.0 * fine - coarse) / 3.0)
 
 
 def fd_partial(sampler, point: tuple[float, float], axis: str, order: int,

@@ -392,7 +392,7 @@ def suite_residual_exactness_analytic() -> SuiteResult:
 
 def suite_residual_exactness_fd() -> SuiteResult:
     tol = 1e-5
-    worst, where = _exactness_worst(FiniteDifference(richardson_levels=2))
+    worst, where = _exactness_worst(FiniteDifference())
     return SuiteResult("residual-exactness-fd", worst <= tol, worst, tol,
                        detail=f"worst at {where}")
 
@@ -544,9 +544,7 @@ def suite_pde_spatial_order() -> SuiteResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for kind in (SolutionKind.NEW, SolutionKind.NRT):
-            rep = convergence_study(
-                PdeCase(kind, spec, dx0=0.2, dt=1e-4, t_final=0.002), 3
-            )
+            rep = convergence_study(PdeCase(kind, spec), 3)
             worst_dev = max(worst_dev, abs(rep.observed_order - 2.0))
             detail.append(f"{kind.value}:{rep.observed_order:.3f}")
     return SuiteResult("pde-spatial-order", worst_dev <= 0.3, worst_dev, 0.3,

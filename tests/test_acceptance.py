@@ -89,7 +89,7 @@ def test_criterion_03_plane_wave_solves_field_equation():
             "new-field", psi, SCAN_GRID, Analytic(), q=q, m=spec.m, hbar=spec.hbar
         ).max_abs)
         worst_fd = max(worst_fd, scan_residual(
-            "new-field", psi, SCAN_GRID, FiniteDifference(richardson_levels=2),
+            "new-field", psi, SCAN_GRID, FiniteDifference(),
             q=q, m=spec.m, hbar=spec.hbar
         ).max_abs)
     elapsed = time.perf_counter() - start

@@ -1,7 +1,10 @@
 """Command-line contract: exit codes, formats, round-trips, determinism."""
 
+import argparse
 import json
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +109,43 @@ WORK_ENTRY_POINTS = (
 )
 
 
+# The flags each command reads; every other flag is a usage error.
+_MARCH_FLAGS = ("--q", "--p", "--mass", "--hbar", "--equation",
+                "--xmin", "--xmax", "--nx", "--dt", "--steps")
+COMMAND_FLAGS = {
+    "verify": ("--format", "--out"),
+    "residual": _MARCH_FLAGS + ("--method", "--tol", "--solution", "--form",
+                                "--format", "--out"),
+    "propagate": _MARCH_FLAGS + ("--format", "--out"),
+    "converge": ("--q", "--p", "--mass", "--hbar", "--equation", "--xmin", "--xmax",
+                 "--study", "--levels", "--format", "--out"),
+    "limit": ("--p", "--mass", "--hbar", "--format", "--out"),
+    "compare": ("--q", "--p", "--hbar", "--xmin", "--xmax", "--nx", "--format", "--out"),
+}
+
+# flag -> (argument, namespace attribute, parsed value)
+FLAG_VALUES = {
+    "--q": ("1.25", "q", 1.25),
+    "--p": ("0.75", "p", 0.75),
+    "--mass": ("2", "mass", 2.0),
+    "--hbar": ("0.5", "hbar", 0.5),
+    "--equation": ("nrt", "equation", "nrt"),
+    "--xmin": ("-2", "xmin", -2.0),
+    "--xmax": ("3", "xmax", 3.0),
+    "--nx": ("41", "nx", 41),
+    "--dt": ("0.01", "dt", 0.01),
+    "--steps": ("7", "steps", 7),
+    "--method": ("fd", "method", "fd"),
+    "--tol": ("0.001", "tol", 0.001),
+    "--solution": ("plane", "solution", "plane"),
+    "--form": ("time", "form", "time"),
+    "--study": ("ode-space", "study", "ode-space"),
+    "--levels": ("4", "levels", 4),
+    "--format": ("csv", "fmt", "csv"),
+    "--out": ("report.txt", "out", Path("report.txt")),
+}
+
+
 class TestFormatOutPairsFailFast:
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -124,6 +164,19 @@ class TestFormatOutPairsFailFast:
             assert "svg" in err
         assert not (tmp_path / "report.svg").exists()
 
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_command_takes_only_its_flags(self, capsys, command, flag):
+        text, dest, value = FLAG_VALUES[flag]
+        if flag in COMMAND_FLAGS[command]:
+            args = cli.build_parser().parse_args([command, flag, text])
+            assert getattr(args, dest) == value
+        else:
+            code, out, err = run(capsys, command, flag, text)
+            assert code == 2
+            assert out == ""
+            assert f"unrecognized arguments: {flag}" in err
+
     @pytest.mark.parametrize("command, fmt, target", [
         ("propagate", "csv", "DIRECTORY"),
         ("propagate", "svg", "FILE"),
@@ -134,6 +187,38 @@ class TestFormatOutPairsFailFast:
         assert code == 2
         assert out == ""
         assert f"needs --out {target}" in err
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_readme_flag_table_matches_parser():
+    """README's per-command flag table lists each subparser's options and
+    --format choices, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for row in re.findall(r"^\| *([a-z]+) *\|(.*)\|$", section, re.MULTILINE):
+        command, cell = row
+        if command == "command":
+            continue
+        documented[command] = [tuple(token.split(" ", 1))
+                               for token in re.findall(r"`([^`]+)`", cell)]
+    parsed = {}
+    for command, sub in _subparsers(cli.build_parser()).items():
+        entries = []
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            (flag,) = action.option_strings
+            if flag == "--format":
+                entries.append((flag, "{" + ",".join(action.choices) + "}"))
+            else:
+                entries.append((flag,))
+        parsed[command] = entries
+    assert documented == parsed
 
 
 class TestSeparatedForms:

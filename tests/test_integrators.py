@@ -381,6 +381,13 @@ class TestConvergenceStudies:
         assert rep.observed_order == pytest.approx(2.0, abs=0.3)
         assert rep.monotone
 
+    def test_pde_defaults_converge_at_order_two(self):
+        # the default horizon stays where refinement converges; a longer
+        # one blew up (errors 0.2, 1.5e11, 8.5e18 at t_final = 0.1)
+        rep = convergence_study(PdeCase(SolutionKind.NEW, FreeParticleSpec(q=1.1)), 3)
+        assert rep.observed_order == pytest.approx(2.0, abs=0.3)
+        assert rep.monotone
+
     def test_fit_guards(self):
         with pytest.raises(DegenerateStudyError):
             fit_observed_order([0.1, 0.1], [1e-3, 1e-4])

@@ -63,12 +63,6 @@ class TestFdPartial:
         with pytest.raises(DomainError):
             fd_partial(lambda x, t: 0j, (0, 0), "y", 1, FD)
 
-    def test_method_validation(self):
-        with pytest.raises(DomainError):
-            FiniteDifference(h_base=-1.0)
-        with pytest.raises(DomainError):
-            FiniteDifference(richardson_levels=0)
-
 
 class TestHypergeomOde:
     def test_at_zero_argument(self):
