@@ -15,12 +15,12 @@ from .errors import (
 )
 from .integrators import (
     ConvergenceReport,
+    Frame,
     GridSpec,
     OdeSpaceCase,
     OdeTimeCase,
     PdeCase,
     Trajectory,
-    WaveField,
     convergence_study,
     fit_observed_order,
     integrate_separated_space,
@@ -76,6 +76,7 @@ __all__ = [
     "DerivativeMethod",
     "DomainError",
     "FiniteDifference",
+    "Frame",
     "FreeParticleSpec",
     "GridSpec",
     "HypParams",
@@ -87,7 +88,6 @@ __all__ = [
     "ResidualReport",
     "SolutionKind",
     "Trajectory",
-    "WaveField",
     "check_binomial_identity",
     "classical_plane_wave_field",
     "convergence_study",

@@ -29,6 +29,7 @@ from .integrators import (
     convergence_study,
     manufactured_field,
     propagate,
+    require_interval,
     sample_field,
 )
 from .reports import (
@@ -52,7 +53,7 @@ from .solutions import (
     separated_space_curve,
     separated_time_curve,
 )
-from .verify import LIMIT_DELTAS, classical_limit_table, run_verification, seed_from_env
+from .verify import LIMIT_DELTAS, classical_limit_table, run_verification
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -148,6 +149,8 @@ def _check_usage(args: argparse.Namespace) -> None:
     target = _NEEDS_OUT.get((args.command, args.fmt))
     if target is not None and args.out is None:
         raise UsageError(f"{args.command} --format {args.fmt} needs --out {target}")
+    if "xmin" in args:
+        require_interval(args.xmin, args.xmax)
 
 
 def _particle(args: argparse.Namespace) -> FreeParticleSpec:
@@ -175,7 +178,7 @@ def _emit_report(report: dict, args: argparse.Namespace) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verification(seed=seed_from_env())
+    results = run_verification()
     report: dict = {}
     for r in results:
         report[f"{r.name}.passed"] = int(r.passed)

@@ -18,6 +18,10 @@ interior, the pointwise fractional power of the field on its tracked
 branch, and classical RK4 in time, with Dirichlet values injected from
 a boundary source at every stage.  Manufactured boundary/initial data
 from the closed forms turn it into a verifiable scheme.
+
+Each study case (``OdeTimeCase``, ``OdeSpaceCase``, ``PdeCase``) owns
+its error: ``case.error(level)`` gives (step, error) at one refinement
+level, and ``convergence_study`` fits the observed order over levels.
 """
 
 from __future__ import annotations
@@ -52,6 +56,14 @@ from .solutions import (
 STABILITY_SAFETY = 0.2
 
 
+def require_interval(x_min: float, x_max: float) -> None:
+    """Reject bounds that are not finite or not increasing."""
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise DomainError("grid bounds must be finite")
+    if x_max <= x_min:
+        raise DomainError("x_max must exceed x_min")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform space-time grid: n_points across [x_min, x_max], n_steps
@@ -64,10 +76,7 @@ class GridSpec:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise DomainError("grid bounds must be finite")
-        if self.x_max <= self.x_min:
-            raise DomainError("x_max must exceed x_min")
+        require_interval(self.x_min, self.x_max)
         if self.n_points < 3:
             raise DomainError("n_points must be at least 3")
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -86,27 +95,10 @@ class GridSpec:
         return t0 + self.dt * np.arange(self.n_steps + 1)
 
 
-@dataclass
-class WaveField:
-    """Complex samples on the spatial grid at one instant."""
-
-    grid: GridSpec
-    t: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.grid.n_points,):
-            raise DomainError(
-                f"field length {self.values.shape} does not match grid "
-                f"({self.grid.n_points} points)"
-            )
-        if not np.all(np.isfinite(self.values.real) & np.isfinite(self.values.imag)):
-            raise DomainError("field values must be finite")
-
-
 class Frame(NamedTuple):
-    """One row of a ``Trajectory``: ``values`` is a view, not a copy."""
+    """The field on the spatial grid at one instant: ``sample_field``'s
+    result, ``propagate``'s initial frame, or one row of a
+    ``Trajectory`` (``values`` is then a view, not a copy)."""
 
     grid: GridSpec
     t: float
@@ -246,11 +238,14 @@ class _TrackedPower:
 
 
 def _step_count(span: float, step: float) -> int:
+    """Steps of size about ``step`` across ``span`` (either sign)."""
+    if not math.isfinite(span):
+        raise DomainError(f"integration span must be finite, got {span}")
     if span == 0.0:
         return 0
-    if step <= 0:
+    if not step > 0:
         raise DomainError("step size must be positive")
-    return max(1, round(span / step))
+    return max(1, round(abs(span) / step))
 
 
 def integrate_separated_time(kind: SolutionKind, q: float, lam: float,
@@ -348,7 +343,7 @@ def _initial_theta(values: np.ndarray, xs: np.ndarray, t0: float, boundary) -> n
     return theta + 2.0 * math.pi * shift
 
 
-def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
+def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
               hbar: float, boundary,
               potential: Optional[Callable[[float], float]] = None) -> Trajectory:
     """March the chosen deformed equation from an initial frame.
@@ -358,18 +353,25 @@ def propagate(equation: SolutionKind, initial: WaveField, q: float, m: float,
 
     The boundary source supplies exact Dirichlet values at both grid
     ends for every RK4 stage time.  Returns the field after every step,
-    the initial frame included, as one ``Trajectory``.
+    the initial frame included, as one ``Trajectory``.  The initial
+    frame must match the grid and be finite and nonzero everywhere.
     """
     grid = initial.grid
     s, coef = marched_form(equation, q)
 
     values = np.asarray(initial.values, dtype=np.complex128)
+    if values.shape != (grid.n_points,):
+        raise DomainError(
+            f"field length {values.shape} does not match grid ({grid.n_points} points)"
+        )
+    if not np.isfinite(values).all():
+        raise DomainError("field values must be finite")
     if np.any(values == 0):
         raise DomainError("initial field must be nonzero everywhere")
 
     dx = grid.dx
     limit = STABILITY_SAFETY * dx * dx * m / hbar
-    if grid.dt > limit:
+    if grid.n_steps > 0 and grid.dt > limit:
         warnings.warn(
             f"dt={grid.dt:g} exceeds the diffusive-scaling heuristic "
             f"{limit:g} = {STABILITY_SAFETY}*dx^2*m/hbar; the explicit scheme "
@@ -414,12 +416,12 @@ def manufactured_field(equation: SolutionKind, spec: FreeParticleSpec):
     return product_solution_field(SolutionKind.NRT, spec)
 
 
-def sample_field(field, grid: GridSpec, t: float) -> WaveField:
+def sample_field(field, grid: GridSpec, t: float) -> Frame:
     """Evaluate a field on a grid at one time, in one array call."""
-    return WaveField(grid=grid, t=t, values=lift_sampler(field)(grid.x_values(), t))
+    return Frame(grid, t, lift_sampler(field)(grid.x_values(), t))
 
 
-def interior_linf_error(frame: WaveField | Frame, exact_field) -> float:
+def interior_linf_error(frame: Frame, exact_field) -> float:
     """Max interior-point distance between a frame and a closed form."""
     xs = frame.grid.x_values()[1:-1]
     return float(np.max(np.abs(frame.values[1:-1] - lift_sampler(exact_field)(xs, frame.t))))
@@ -439,6 +441,13 @@ class OdeTimeCase:
     t_end: float = 1.0
     dt0: float = 0.05
 
+    def error(self, level: int) -> tuple[float, float]:
+        """(dt, |RK4 - closed form| at t_end) at refinement ``level``."""
+        dt, spec = self.dt0 / 2.0**level, self.spec
+        traj = integrate_separated_time(self.kind, spec.q, spec.energy, spec.hbar,
+                                        self.t_end, dt)
+        return dt, abs(traj[-1][1] - separated_time_curve(self.kind, spec)(self.t_end))
+
 
 @dataclass(frozen=True)
 class OdeSpaceCase:
@@ -448,6 +457,13 @@ class OdeSpaceCase:
     spec: FreeParticleSpec
     x_end: float = 1.0
     dx0: float = 0.05
+
+    def error(self, level: int) -> tuple[float, float]:
+        """(dx, |RK4 - closed form| at x_end) at refinement ``level``."""
+        dx, spec = self.dx0 / 2.0**level, self.spec
+        traj = integrate_separated_space(self.kind, spec.q, spec.energy, spec.m,
+                                         spec.hbar, self.x_end, dx)
+        return dx, abs(traj[-1][1] - separated_space_curve(self.kind, spec)(self.x_end))
 
 
 @dataclass(frozen=True)
@@ -469,58 +485,28 @@ class PdeCase:
     dt: float = 1e-4
     t_final: float = 0.002
 
-
-def _ode_error(case, dt_or_dx: float) -> float:
-    spec = case.spec
-    lam = spec.energy
-    if isinstance(case, OdeTimeCase):
-        traj = integrate_separated_time(case.kind, spec.q, lam, spec.hbar,
-                                        case.t_end, dt_or_dx)
-        exact = separated_time_curve(case.kind, spec)(case.t_end)
-    else:
-        traj = integrate_separated_space(case.kind, spec.q, lam, spec.m,
-                                         spec.hbar, case.x_end, dt_or_dx)
-        exact = separated_space_curve(case.kind, spec)(case.x_end)
-    return abs(traj[-1][1] - exact)
-
-
-def _pde_error(case: PdeCase, dx: float) -> float:
-    span = case.x_max - case.x_min
-    n_points = max(3, round(span / dx) + 1)
-    n_steps = max(1, round(case.t_final / case.dt))
-    grid = GridSpec(case.x_min, case.x_max, n_points, case.dt, n_steps)
-    exact = manufactured_field(case.equation, case.spec)
-    initial = sample_field(exact, grid, 0.0)
-    traj = propagate(case.equation, initial, case.spec.q, case.spec.m,
-                     case.spec.hbar, boundary=exact)
-    return interior_linf_error(traj[-1], exact)
+    def error(self, level: int) -> tuple[float, float]:
+        """(dx, interior max error of the last frame) at refinement ``level``."""
+        dx = self.dx0 / 2.0**level
+        n_points = max(3, round((self.x_max - self.x_min) / dx) + 1)
+        n_steps = max(1, round(self.t_final / self.dt))
+        grid = GridSpec(self.x_min, self.x_max, n_points, self.dt, n_steps)
+        exact = manufactured_field(self.equation, self.spec)
+        traj = propagate(self.equation, sample_field(exact, grid, 0.0), self.spec.q,
+                         self.spec.m, self.spec.hbar, boundary=exact)
+        return dx, interior_linf_error(traj[-1], exact)
 
 
 def convergence_study(case, refinement_levels: int = 3) -> ConvergenceReport:
-    """Halve the discretization per level and fit the observed order."""
+    """Halve the case's discretization per level and fit the observed order."""
     if refinement_levels < 2:
         raise DegenerateStudyError("a convergence study needs at least two levels")
-    resolutions: list[float] = []
-    errors: list[float] = []
-    for level in range(refinement_levels):
-        if isinstance(case, OdeTimeCase):
-            h = case.dt0 / 2.0**level
-            err = _ode_error(case, h)
-        elif isinstance(case, OdeSpaceCase):
-            h = case.dx0 / 2.0**level
-            err = _ode_error(case, h)
-        elif isinstance(case, PdeCase):
-            h = case.dx0 / 2.0**level
-            err = _pde_error(case, h)
-        else:
-            raise DomainError(f"unknown study case {type(case).__name__}")
-        resolutions.append(h)
-        errors.append(err)
+    resolutions, errors = zip(*map(case.error, range(refinement_levels)))
     order = fit_observed_order(resolutions, errors)
     monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     return ConvergenceReport(
-        resolutions=tuple(resolutions),
-        errors=tuple(errors),
+        resolutions=resolutions,
+        errors=errors,
         observed_order=order,
         monotone=monotone,
     )

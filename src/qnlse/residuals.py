@@ -2,10 +2,12 @@
 
 Each checker evaluates |LHS - RHS| / max(1, |field|) of one equation,
 given any sampler, at one point or, with ndarray coordinates, at every
-point of a broadcast mesh in one call.  Derivatives come either from
-the sampler itself (``Analytic``: exact closed-form partials) or from
-central finite differences with Richardson extrapolation, taken on
-shifted meshes with a step per point.
+point of a broadcast mesh in one call.  Each derivative method owns its
+partials: ``partial`` differentiates a field at (x, t) or a curve at
+(u,), and ``powered`` the same sampler raised to a real power.
+``Analytic`` reads them off the sampler's exact closed-form partials;
+``FiniteDifference`` takes central differences with Richardson
+extrapolation on shifted meshes, with a step per point.
 
 Fractional powers of field values use the sampler's continuous
 logarithm when it carries one (see ``fields``); a bare callable falls
@@ -32,28 +34,6 @@ from .solutions import SolutionKind, marched_form, require_space, time_coefficie
 _EPS = np.finfo(float).eps
 
 Potential = Optional[Callable[[float], float]]
-
-
-@dataclass(frozen=True)
-class Analytic:
-    """Derivatives read straight off the sampler's exact partials."""
-
-
-@dataclass(frozen=True)
-class FiniteDifference:
-    """Central differences with one Richardson extrapolation.
-
-    The steps are the classic optimal eps^(1/3) (first derivative) and
-    eps^(1/4) (second derivative), scaled by max(1, |coordinate|) at each
-    point; the stencils at h and h/2 combine as (4*fine - coarse)/3.
-    """
-
-    def step(self, order: int, coordinate):
-        exponent = 1.0 / 3.0 if order == 1 else 0.25
-        return _EPS**exponent * np.maximum(1.0, np.abs(coordinate))
-
-
-DerivativeMethod = Union[Analytic, FiniteDifference]
 
 
 @dataclass(frozen=True)
@@ -108,65 +88,71 @@ def fd_partial(sampler, point: tuple[float, float], axis: str, order: int,
                method if method is not None else FiniteDifference())
 
 
-def _field_partial(sampler, x, t, axis: str, order: int, method: DerivativeMethod):
-    if isinstance(method, Analytic):
+@dataclass(frozen=True)
+class Analytic:
+    """Derivatives read straight off the sampler's exact partials: a
+    field's ``d_t``/``d_x``/``d_xx`` at (x, t), a curve's ``deriv`` at (u,)."""
+
+    def partial(self, sampler, point: tuple, axis: str, order: int):
+        """d^order/d(axis)^order at a field point (x, t) or a curve point
+        (u,); a curve has one coordinate and ignores ``axis``."""
+        field = len(point) == 2
         try:
+            if not field:
+                return sampler.deriv(point[0], order)
             if axis == "t":
-                return sampler.d_t(x, t)
-            if order == 1:
-                return sampler.d_x(x, t)
-            return sampler.d_xx(x, t)
+                return sampler.d_t(*point)
+            return sampler.d_x(*point) if order == 1 else sampler.d_xx(*point)
         except AttributeError as err:
-            raise DomainError(
-                "Analytic derivatives need a sampler with exact partials "
-                "(d_t / d_x / d_xx)"
-            ) from err
-    return fd_partial(sampler, (x, t), axis, order, method)
+            need = ("a sampler with exact partials (d_t / d_x / d_xx)" if field
+                    else "a curve with an exact deriv()")
+            raise DomainError(f"Analytic derivatives need {need}") from err
 
-
-def _curve_deriv(curve, u, order: int, method: DerivativeMethod):
-    if isinstance(method, Analytic):
-        try:
-            return curve.deriv(u, order)
-        except AttributeError as err:
-            raise DomainError(
-                "Analytic derivatives need a curve with an exact deriv()"
-            ) from err
-    return _fd(curve, (u,), 0, order, method)
-
-
-def _powered_field_dxx(sampler, x, t, s: float, method: DerivativeMethod):
-    """d2/dx2 of sampler(x,t)**s, on the sampler's branch."""
-    if isinstance(method, Analytic):
-        v = sampler(x, t)
-        require_everywhere(v != 0, "field vanished", x=x, t=t)
-        w = value_power(sampler, v, s, x, t)
-        vx = _field_partial(sampler, x, t, "x", 1, method)
-        vxx = _field_partial(sampler, x, t, "x", 2, method)
-        return s * w * (vxx / v) + s * (s - 1.0) * w * (vx / v) ** 2
-
-    def powered(xx, tt):
-        return value_power(sampler, sampler(xx, tt), s, xx, tt)
-
-    return fd_partial(powered, (x, t), "x", 2, method)
-
-
-def _powered_curve_deriv(curve, u, s: float, order: int, method: DerivativeMethod):
-    """d/du or d2/du2 of curve(u)**s, on the curve's branch."""
-    if isinstance(method, Analytic):
-        v = curve(u)
-        require_everywhere(v != 0, "curve vanished", u=u)
-        w = value_power(curve, v, s, u)
-        d1 = _curve_deriv(curve, u, 1, method)
+    def powered(self, sampler, point: tuple, axis: str, s: float, order: int):
+        """The same partial of sampler**s on the sampler's branch, by the chain rule."""
+        v = sampler(*point)
+        if len(point) == 2:
+            require_everywhere(v != 0, "field vanished", x=point[0], t=point[1])
+        else:
+            require_everywhere(v != 0, "curve vanished", u=point[0])
+        w = value_power(sampler, v, s, *point)
+        d1 = self.partial(sampler, point, axis, 1)
         if order == 1:
             return s * w * (d1 / v)
-        d2 = _curve_deriv(curve, u, 2, method)
+        d2 = self.partial(sampler, point, axis, 2)
         return s * w * (d2 / v) + s * (s - 1.0) * w * (d1 / v) ** 2
 
-    def powered(uu):
-        return value_power(curve, curve(uu), s, uu)
 
-    return _fd(powered, (u,), 0, order, method)
+@dataclass(frozen=True)
+class FiniteDifference:
+    """Central differences with one Richardson extrapolation.
+
+    The steps are the classic optimal eps^(1/3) (first derivative) and
+    eps^(1/4) (second derivative), scaled by max(1, |coordinate|) at each
+    point; the stencils at h and h/2 combine as (4*fine - coarse)/3.
+    A field's partials go through ``fd_partial``.
+    """
+
+    def step(self, order: int, coordinate):
+        exponent = 1.0 / 3.0 if order == 1 else 0.25
+        return _EPS**exponent * np.maximum(1.0, np.abs(coordinate))
+
+    def partial(self, sampler, point: tuple, axis: str, order: int):
+        """d^order/d(axis)^order at a field point (x, t) or a curve point (u,)."""
+        if len(point) == 1:
+            return _fd(sampler, point, 0, order, self)
+        return fd_partial(sampler, point, axis, order, self)
+
+    def powered(self, sampler, point: tuple, axis: str, s: float, order: int):
+        """The same partial of sampler**s on the sampler's branch, differenced directly."""
+
+        def power(*p):
+            return value_power(sampler, sampler(*p), s, *p)
+
+        return self.partial(power, point, axis, order)
+
+
+DerivativeMethod = Union[Analytic, FiniteDifference]
 
 
 def _scaled(resid, value):
@@ -199,22 +185,11 @@ def new_nlse_residual(sampler, q: float, m: float, hbar: float,
     x, t = point
     value = sampler(x, t)
     require_everywhere(value != 0, "field vanished", x=x, t=t)
-    ft = _field_partial(sampler, x, t, "t", 1, method)
-    fxx = _field_partial(sampler, x, t, "x", 2, method)
+    ft = method.partial(sampler, point, "t", 1)
+    fxx = method.partial(sampler, point, "x", 2)
     powered = value_power(sampler, value, 1.0 - q, x, t)
     resid = 1j * hbar * q * ft - powered * (-hbar * hbar / (2.0 * m)) * fxx
     return _scaled(resid, value)
-
-
-def _normalized_power(sampler, x, t, s: float):
-    """(sampler(x,t)/sampler(0,0))**s on the sampler's branch."""
-    log = getattr(sampler, "log_value", None)
-    if log is not None:
-        return finite_exp(s * (log(x, t) - log(0.0, 0.0)), "normalized power", x=x, t=t)
-    v0 = sampler(0.0, 0.0)
-    if v0 == 0:
-        raise DomainError("field vanishes at the origin; cannot normalize")
-    return value_power(sampler, sampler(x, t) / v0, s)
 
 
 def _normalized_power_residual(sampler, s: float, coef: float, m: float,
@@ -228,9 +203,14 @@ def _normalized_power_residual(sampler, s: float, coef: float, m: float,
     v0 = sampler(0.0, 0.0)
     if v0 == 0:
         raise DomainError("field vanishes at the origin; cannot normalize")
-    u_t = _field_partial(sampler, x, t, "t", 1, method) / v0
-    chi = _normalized_power(sampler, x, t, s)
-    chi_xx = _powered_field_dxx(sampler, x, t, s, method) / value_power(
+    u_t = method.partial(sampler, point, "t", 1) / v0
+    # (u/u(0,0))**s on the sampler's branch
+    log = getattr(sampler, "log_value", None)
+    if log is not None:
+        chi = finite_exp(s * (log(x, t) - log(0.0, 0.0)), "normalized power", x=x, t=t)
+    else:
+        chi = value_power(sampler, value / v0, s)
+    chi_xx = method.powered(sampler, point, "x", s, 2) / value_power(
         sampler, v0, s, 0.0, 0.0
     )
     v = potential(x) if potential is not None else 0.0
@@ -268,10 +248,10 @@ def separated_time_residual(kind: SolutionKind, f, q: float, lam: float,
     value = f(t)
     require_everywhere(value != 0, "time factor vanished", t=t)
     if kind is SolutionKind.NEW:
-        dfq = _powered_curve_deriv(f, t, q, 1, method)
+        dfq = method.powered(f, (t,), "t", q, 1)
         resid = 1j * hbar * dfq - lam * value
     else:
-        d1 = _curve_deriv(f, t, 1, method)
+        d1 = method.partial(f, (t,), "t", 1)
         powered = value_power(f, value, 2.0 - q, t)
         resid = 1j * hbar * coef * d1 - lam * powered
     return _scaled(resid, value)
@@ -290,11 +270,11 @@ def separated_space_residual(kind: SolutionKind, g, q: float, lam: float,
     require_everywhere(value != 0, "space factor vanished", x=x)
     kinetic = -hbar * hbar / (2.0 * m)
     if kind is SolutionKind.NEW:
-        d2 = _curve_deriv(g, x, 2, method)
+        d2 = method.partial(g, (x,), "x", 2)
         powered = value_power(g, value, q, x)
         resid = kinetic * d2 - lam * powered
     else:
-        d2 = _powered_curve_deriv(g, x, 2.0 - q, 2, method)
+        d2 = method.powered(g, (x,), "x", 2.0 - q, 2)
         resid = kinetic * d2 - lam * value
     return _scaled(resid, value)
 

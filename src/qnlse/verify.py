@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .integrators import (
     GridSpec,
     OdeSpaceCase,
@@ -621,6 +622,11 @@ _SUITE_FUNCS = {
 def run_verification(seed: int | None = None,
                      names: list[str] | None = None) -> list[SuiteResult]:
     """Run the requested suites (all by default) and collect results."""
+    unknown = sorted(set(names or ()) - set(_SUITE_FUNCS))
+    if unknown:
+        raise DomainError(
+            f"unknown suite names {unknown}; expected any of {tuple(_SUITE_FUNCS)}"
+        )
     if seed is None:
         seed = seed_from_env()
     rng = np.random.default_rng(seed)

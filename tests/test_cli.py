@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -177,6 +178,14 @@ class TestFormatOutPairsFailFast:
             assert out == ""
             assert f"unrecognized arguments: {flag}" in err
 
+    @pytest.mark.parametrize("study", ["pde", "ode-time", "ode-space"])
+    @pytest.mark.parametrize("xmin,xmax", [("1", "0"), ("0", "0"), ("nan", "1"), ("0", "inf")])
+    def test_converge_rejects_bad_domain(self, capsys, study, xmin, xmax):
+        code, out, err = run(capsys, "converge", "--study", study,
+                             "--xmin", xmin, "--xmax", xmax)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and ("finite" in err or "exceed" in err)
+
     @pytest.mark.parametrize("command, fmt, target", [
         ("propagate", "csv", "DIRECTORY"),
         ("propagate", "svg", "FILE"),
@@ -318,6 +327,15 @@ class TestPropagateCommand:
         payload = json.loads(out)
         assert len(payload["frames"]) == 3
         assert payload["frames"][2]["t"] == pytest.approx(2e-5)
+
+    def test_readme_initial_svg_example_is_silent(self, capsys, tmp_path):
+        # README: qnlse propagate --steps 0 --format svg --out initial.svg;
+        # no step runs, so the step-size heuristic has nothing to warn about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "propagate", "--steps", "0", "--format", "svg",
+                                 "--out", str(tmp_path / "initial.svg"))
+        assert (code, out, err) == (0, "", "")
 
     def test_svg_output(self, capsys, tmp_path):
         path = tmp_path / "frame.svg"

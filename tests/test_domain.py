@@ -10,8 +10,8 @@ from qnlse.cli import main
 from qnlse.errors import DomainError
 from qnlse.fields import ExpCurve, ExponentialField
 from qnlse.integrators import (
+    Frame,
     GridSpec,
-    WaveField,
     integrate_separated_space,
     integrate_separated_time,
     propagate,
@@ -63,7 +63,7 @@ def ode_space(kind, q):
 
 def march(kind, q):
     grid = GridSpec(-1.0, 1.0, 5, 1e-4, 1)
-    propagate(kind, WaveField(grid, 0.0, np.ones(5, dtype=complex)), q, 0.5, 1.0,
+    propagate(kind, Frame(grid, 0.0, np.ones(5, dtype=complex)), q, 0.5, 1.0,
               boundary=lambda x, t: 1.0 + 0j)
 
 

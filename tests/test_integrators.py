@@ -10,12 +10,12 @@ import pytest
 from qnlse import integrators
 from qnlse.errors import DegenerateStudyError, DomainError, PropagationError
 from qnlse.integrators import (
+    Frame,
     GridSpec,
     OdeSpaceCase,
     OdeTimeCase,
     PdeCase,
     Trajectory,
-    WaveField,
     convergence_study,
     fit_observed_order,
     integrate_separated_space,
@@ -61,18 +61,6 @@ class TestGridSpec:
             GridSpec(**{**base, **kwargs})
 
 
-class TestWaveField:
-    def test_length_checked(self):
-        grid = GridSpec(0.0, 1.0, 5, 0.1, 1)
-        with pytest.raises(DomainError):
-            WaveField(grid, 0.0, np.ones(4, dtype=complex))
-
-    def test_finiteness_checked(self):
-        grid = GridSpec(0.0, 1.0, 3, 0.1, 1)
-        with pytest.raises(DomainError):
-            WaveField(grid, 0.0, np.array([1.0, float("inf"), 1.0], dtype=complex))
-
-
 class TestRk4:
     def test_zero_rhs_keeps_state(self):
         state = np.array([1 + 2j, -0.5j])
@@ -109,6 +97,24 @@ class TestSeparatedIntegration:
             == [(0.0, 1.0 + 0j)]
         assert integrate_separated_space(SolutionKind.NEW, 1.5, 1.0, 0.5, 1.0, 0.0, 1e-3) \
             == [(0.0, 1.0 + 0j)]
+
+    @pytest.mark.parametrize("q", [0.5, 1.5])
+    @pytest.mark.parametrize("kind", list(SolutionKind))
+    def test_negative_span_matches_closed_form(self, kind, q):
+        # |span|/step steps of size span/n, not one step of size span
+        spec = FreeParticleSpec(q=q)
+        time = integrate_separated_time(kind, q, spec.energy, spec.hbar, -1.0, 1e-3)
+        space = integrate_separated_space(kind, q, spec.energy, spec.m, spec.hbar, -1.0, 1e-3)
+        assert len(time) == len(space) == 1001
+        assert abs(time[-1][1] - separated_time_curve(kind, spec)(-1.0)) <= 1e-8
+        assert abs(space[-1][1] - separated_space_curve(kind, spec)(-1.0)) <= 1e-8
+
+    @pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf])
+    def test_non_finite_span_rejected(self, span):
+        with pytest.raises(DomainError, match="span must be finite"):
+            integrate_separated_time(SolutionKind.NRT, 1.5, 1.0, 1.0, span, 1e-3)
+        with pytest.raises(DomainError, match="span must be finite"):
+            integrate_separated_space(SolutionKind.NEW, 1.5, 1.0, 0.5, 1.0, span, 1e-3)
 
     @pytest.mark.parametrize("q", [0.5, 1.1, 1.5])
     @pytest.mark.parametrize("kind", list(SolutionKind))
@@ -280,8 +286,21 @@ class TestPropagate:
         values = np.ones(11, dtype=complex)
         values[5] = 0
         with pytest.raises(DomainError):
-            quiet_propagate(SolutionKind.NEW, WaveField(grid, 0.0, values), 1.5,
+            quiet_propagate(SolutionKind.NEW, Frame(grid, 0.0, values), 1.5,
                             0.5, 1.0, boundary=lambda x, t: 1.0 + 0j)
+
+    def test_initial_frame_length_checked(self):
+        grid = GridSpec(0.0, 1.0, 5, 0.1, 1)
+        with pytest.raises(DomainError, match="does not match grid"):
+            quiet_propagate(SolutionKind.NEW, Frame(grid, 0.0, np.ones(4, dtype=complex)),
+                            1.5, 0.5, 1.0, boundary=lambda x, t: 1.0 + 0j)
+
+    def test_initial_frame_finiteness_checked(self):
+        grid = GridSpec(0.0, 1.0, 3, 0.1, 1)
+        values = np.array([1.0, float("inf"), 1.0], dtype=complex)
+        with pytest.raises(DomainError, match="finite"):
+            quiet_propagate(SolutionKind.NEW, Frame(grid, 0.0, values), 1.5, 0.5, 1.0,
+                            boundary=lambda x, t: 1.0 + 0j)
 
     def test_stability_warning(self):
         spec = FreeParticleSpec(q=1.5)
@@ -303,7 +322,7 @@ class TestPropagate:
 
     def test_q_guards(self):
         grid = GridSpec(-1.0, 1.0, 11, 1e-4, 1)
-        field = WaveField(grid, 0.0, np.ones(11, dtype=complex))
+        field = Frame(grid, 0.0, np.ones(11, dtype=complex))
         with pytest.raises(DomainError):
             quiet_propagate(SolutionKind.NEW, field, 0.0, 0.5, 1.0,
                             boundary=lambda x, t: 1.0 + 0j)

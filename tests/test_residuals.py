@@ -251,6 +251,14 @@ class TestMethodsAgree:
         with pytest.raises(DomainError):
             new_nlse_residual(bare, 1.5, 0.5, 1.0, (0.1, 0.1), AN)
 
+    @pytest.mark.parametrize("kind", list(SolutionKind))
+    def test_analytic_requires_curve_deriv(self, kind):
+        bare = lambda u: 1.0 + 0.5j
+        with pytest.raises(DomainError, match="curve with an exact deriv"):
+            separated_time_residual(kind, bare, 1.5, 1.0, 1.0, 0.3, AN)
+        with pytest.raises(DomainError, match="curve with an exact deriv"):
+            separated_space_residual(kind, bare, 1.5, 1.0, 0.5, 1.0, 0.3, AN)
+
 
 class TestScan:
     def test_report_norm_inequality(self):

@@ -1,5 +1,8 @@
 """Verification-suite plumbing: seeding, determinism, result shape."""
 
+import pytest
+
+from qnlse.errors import DomainError
 from qnlse.verify import (
     DEFAULT_SEED,
     run_verification,
@@ -31,6 +34,11 @@ def test_different_seed_changes_draws():
     b = run_verification(seed=2, names=names)[0]
     assert a.worst != b.worst
     assert a.passed and b.passed
+
+
+def test_unknown_suite_names_rejected():
+    with pytest.raises(DomainError, match=r"\['no-such-suite', 'zz'\]"):
+        run_verification(seed=1, names=["origin-normalization", "zz", "no-such-suite"])
 
 
 def test_result_dict_shape():
