@@ -10,13 +10,26 @@ wide grids, where a principal power would jump and inject O(1) errors
 into the stencil.  At s = 1 the power is the field itself: the RHS reads
 each stage in place, and ``theta`` is neither read nor updated.
 
-Each call allocates its work arrays once (the four slopes, the stage,
-the RK4 accumulator, the state, and the float and complex scratch of
-the tracked power and the Laplacian); every stage, RHS and end-of-step
-operation writes into them with ``out=``.  The operations and their
-order are those of the expression form
+Each call does once what every step would otherwise repeat: it
+allocates the work arrays (the four slopes, the stage, the RK4
+accumulator, the state, and the float and complex scratch of the
+tracked power and the Laplacian), makes the slice views the stencil
+reads and the slopes' interior views, and reads the boundary tables
+into lists of rows.  Every stage, RHS and end-of-step operation writes
+into those arrays, with ``out`` passed by position.  The operations
+and their order are those of the expression form
 ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)`` with
 ``k = (kappa*lap(w) + pot*w) * cinv``, so the frames are the same bits.
+
+The float multipliers of complex arrays (2, ``dxinv2``, ``kappa``,
+``dt/2``, ``dt``, ``dt/6``) are passed as Python ``complex``: numpy
+casts a float to complex128 for these loops anyway, so ``complex(a)``
+multiplies by the same (a, 0.0), bit for bit (±0, inf and nan
+included), and only the cast's dispatch is saved.  A zero |w| or state
+value is found with ``not a.all()``, which, like ``a == 0``, counts nan
+as nonzero.  numpy's floating-point warnings are silenced for the
+march: a failing march is reported by its status.
+
 An all-zero ``pot`` is detected once per call and its ``pot*w`` term is
 skipped: that term is a signed zero, which can only change the sign of
 an exactly zero slope component, and the expression-form oracle in
@@ -42,28 +55,28 @@ STATUS_NONFINITE = 2
 
 def _phase_step(y, theta, out, tmp):
     """Argument of ``y`` relative to ``theta``, wrapped into [-pi, pi], into ``out``."""
-    np.arctan2(y.imag, y.real, out=out)
-    np.subtract(out, theta, out=out)
-    np.divide(out, TWO_PI, out=tmp)
-    np.rint(tmp, out=tmp)
-    np.multiply(TWO_PI, tmp, out=tmp)
-    np.subtract(out, tmp, out=out)
+    np.arctan2(y.imag, y.real, out)
+    np.subtract(out, theta, out)
+    np.divide(out, TWO_PI, tmp)
+    np.rint(tmp, tmp)
+    np.multiply(TWO_PI, tmp, tmp)
+    np.subtract(out, tmp, out)
     return out
 
 
-def _tracked_power(y, theta, s, out, r, ang, tmp, mask):
+def _tracked_power(y, theta, s, out, r, ang, tmp):
     """``y**s`` on the branch tracked by ``theta``, into ``out``; None if
-    some |y| is zero.  ``r``, ``ang``, ``tmp`` and ``mask`` are scratch."""
-    np.abs(y, out=r)
-    if np.equal(r, 0.0, out=mask).any():
+    some |y| is zero.  ``r``, ``ang`` and ``tmp`` are scratch."""
+    np.abs(y, r)
+    if not r.all():
         return None
     _phase_step(y, theta, ang, tmp)
-    np.add(theta, ang, out=ang)
-    np.multiply(s, ang, out=ang)
+    np.add(theta, ang, ang)
+    np.multiply(s, ang, ang)
     r **= s  # in place, with the scalar-exponent shortcuts of r**s
-    np.cos(ang, out=out.real)
-    np.sin(ang, out=out.imag)
-    np.multiply(r, out, out=out)
+    np.cos(ang, out.real)
+    np.sin(ang, out.imag)
+    np.multiply(r, out, out)
     return out
 
 
@@ -86,70 +99,80 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
     theta = None if unit_power else np.array(th0, dtype=np.float64)
     # pot is cast to complex once, as the product pot*w would cast it
     pot_inner = pot[1:-1].astype(np.complex128) if np.any(pot) else None
-    half, sixth = 0.5 * dt, dt / 6.0
+    # numpy multiplies a complex array by a float as by complex(float, 0.0)
+    two, kappa, dxinv2 = complex(2.0), complex(kappa), complex(dxinv2)
+    half, full, sixth = complex(0.5 * dt), complex(dt), complex(dt / 6.0)
+    left_rows, right_rows = bl[:n_steps].tolist(), br[:n_steps].tolist()
 
     y = v0.copy()
     stage = np.empty(n, dtype=np.complex128)
     acc = np.empty(n, dtype=np.complex128)
     k1, k2, k3, k4 = (np.zeros(n, dtype=np.complex128) for _ in range(4))  # ends stay 0
+    inner1, inner2, inner3, inner4 = k1[1:-1], k2[1:-1], k3[1:-1], k4[1:-1]
     lap = np.empty(n - 2, dtype=np.complex128)
     mask = np.empty(n, dtype=bool)
-    if not unit_power:
+    if unit_power:
+        y_src, stage_src = (y[2:], y[1:-1], y[:-2]), (stage[2:], stage[1:-1], stage[:-2])
+    else:
         w = np.empty(n, dtype=np.complex128)
         r, ang, tmp = (np.empty(n, dtype=np.float64) for _ in range(3))
+        y_src = stage_src = (w[2:], w[1:-1], w[:-2])
 
-    def rhs(v, k):
-        """k[1:-1] = (kappa*lap(w) + pot*w) * cinv with w = v**s on the
-        tracked branch; False if some |v| is zero."""
-        u = v if unit_power else _tracked_power(v, theta, s, w, r, ang, tmp, mask)
-        if u is None:
+    def rhs(v, src, inner):
+        """inner = (kappa*lap(w) + pot*w) * cinv on the interior, with
+        w = v**s on the tracked branch and ``src`` its three stencil
+        views; False if some |v| is zero."""
+        if not unit_power and _tracked_power(v, theta, s, w, r, ang, tmp) is None:
             return False
-        np.multiply(2.0, u[1:-1], out=lap)
-        np.subtract(u[2:], lap, out=lap)
-        np.add(lap, u[:-2], out=lap)
-        np.multiply(lap, dxinv2, out=lap)
-        inner = k[1:-1]
-        np.multiply(kappa, lap, out=inner)
+        right, mid, left = src
+        np.multiply(two, mid, lap)
+        np.subtract(right, lap, lap)
+        np.add(lap, left, lap)
+        np.multiply(lap, dxinv2, lap)
+        np.multiply(kappa, lap, inner)
         if pot_inner is not None:
-            np.multiply(pot_inner, u[1:-1], out=lap)
-            np.add(inner, lap, out=inner)
-        np.multiply(inner, cinv, out=inner)
+            np.multiply(pot_inner, mid, lap)
+            np.add(inner, lap, inner)
+        np.multiply(inner, cinv, inner)
         return True
 
-    def to_stage(h, k, j, step):
-        np.multiply(h, k, out=stage)
-        np.add(y, stage, out=stage)
-        stage[0] = bl[step, j]
-        stage[-1] = br[step, j]
+    def to_stage(h, k, left, right):
+        np.multiply(h, k, stage)
+        np.add(y, stage, stage)
+        stage[0] = left
+        stage[-1] = right
         return stage
 
     def fail(code, step, index=0):
         status[:] = (code, step, index)
         return frames, status
 
-    for step in range(n_steps):
-        y[0] = bl[step, 0]
-        y[-1] = br[step, 0]
-        if not (rhs(y, k1)
-                and rhs(to_stage(half, k1, 1, step), k2)
-                and rhs(to_stage(half, k2, 1, step), k3)
-                and rhs(to_stage(dt, k3, 2, step), k4)):
-            return fail(STATUS_ZERO, step)
-        np.multiply(2.0, k2, out=acc)
-        np.add(k1, acc, out=acc)
-        np.multiply(2.0, k3, out=stage)
-        np.add(acc, stage, out=acc)
-        np.add(acc, k4, out=acc)
-        np.multiply(sixth, acc, out=acc)
-        np.add(y, acc, out=y)
-        y[0] = bl[step, 2]
-        y[-1] = br[step, 2]
+    # a failing march is reported by its status, not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(n_steps):
+            (l0, l1, l2), (r0, r1, r2) = left_rows[step], right_rows[step]
+            y[0] = l0
+            y[-1] = r0
+            if not (rhs(y, y_src, inner1)
+                    and rhs(to_stage(half, k1, l1, r1), stage_src, inner2)
+                    and rhs(to_stage(half, k2, l1, r1), stage_src, inner3)
+                    and rhs(to_stage(full, k3, l2, r2), stage_src, inner4)):
+                return fail(STATUS_ZERO, step)
+            np.multiply(two, k2, acc)
+            np.add(k1, acc, acc)
+            np.multiply(two, k3, stage)
+            np.add(acc, stage, acc)
+            np.add(acc, k4, acc)
+            np.multiply(sixth, acc, acc)
+            np.add(y, acc, y)
+            y[0] = l2
+            y[-1] = r2
 
-        if not np.isfinite(y, out=mask).all():
-            return fail(STATUS_NONFINITE, step, int(np.argmin(mask)))
-        if np.equal(y, 0, out=mask).any():
-            return fail(STATUS_ZERO, step, int(np.argmax(mask)))
-        if not unit_power:
-            theta += _phase_step(y, theta, ang, tmp)
-        frames[step + 1, :] = y
+            if not np.isfinite(y, mask).all():
+                return fail(STATUS_NONFINITE, step, int(np.argmin(mask)))
+            if not y.all():
+                return fail(STATUS_ZERO, step, int(np.argmax(y == 0)))
+            if not unit_power:
+                theta += _phase_step(y, theta, ang, tmp)
+            frames[step + 1, :] = y
     return frames, status

@@ -36,6 +36,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from ._kernels import TWO_PI
 from .errors import DegenerateStudyError, DomainError, PropagationError
 from .fields import lift_sampler
 from .solutions import (
@@ -171,37 +172,38 @@ def fit_observed_order(resolutions: Sequence[float], errors: Sequence[float]) ->
 # ---------------------------------------------------------------------------
 
 
-def _axpy(y, a: float, k):
-    """y + a*k for a number, an ndarray, or componentwise for a tuple."""
-    if type(y) is tuple:
-        return tuple(yi + a * ki for yi, ki in zip(y, k))
-    return y + a * k
-
-
-def _finite(y) -> bool:
-    if isinstance(y, np.ndarray):
-        return bool(np.isfinite(y).all())
-    return all(map(cmath.isfinite, y if type(y) is tuple else (y,)))
-
-
 def rk4_step(state, rhs: Callable, t: float, dt: float):
     """One classical Runge-Kutta step of d(state)/dt = rhs(t, state).
 
-    ``state`` is a complex number, an ndarray, or a tuple of complex
+    ``state`` is a complex number, an ndarray, or a pair of complex
     numbers (a first-order system, such as (g, g')), and ``rhs`` returns
-    the same kind.  An overflow in a stage or a non-finite new state
-    raises ``PropagationError``.
+    the same kind.  A pair is updated component by component; every
+    update is ``y + a*k``, and the slope is ``k1 + 2 k2 + 2 k3 + 1.0*k4``
+    summed left to right.  An overflow in a stage or a non-finite new
+    state raises ``PropagationError``.
     """
+    half, sixth = 0.5 * dt, dt / 6.0
     try:
-        k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * dt, _axpy(state, 0.5 * dt, k1))
-        k3 = rhs(t + 0.5 * dt, _axpy(state, 0.5 * dt, k2))
-        k4 = rhs(t + dt, _axpy(state, dt, k3))
+        if type(state) is tuple:
+            u, v = state
+            ku1, kv1 = rhs(t, state)
+            ku2, kv2 = rhs(t + half, (u + half * ku1, v + half * kv1))
+            ku3, kv3 = rhs(t + half, (u + half * ku2, v + half * kv2))
+            ku4, kv4 = rhs(t + dt, (u + dt * ku3, v + dt * kv3))
+            new = (u + sixth * (((ku1 + 2.0 * ku2) + 2.0 * ku3) + 1.0 * ku4),
+                   v + sixth * (((kv1 + 2.0 * kv2) + 2.0 * kv3) + 1.0 * kv4))
+            finite = cmath.isfinite(new[0]) and cmath.isfinite(new[1])
+        else:
+            k1 = rhs(t, state)
+            k2 = rhs(t + half, state + half * k1)
+            k3 = rhs(t + half, state + half * k2)
+            k4 = rhs(t + dt, state + dt * k3)
+            new = state + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + 1.0 * k4)
+            finite = (bool(np.isfinite(new).all()) if isinstance(new, np.ndarray)
+                      else cmath.isfinite(new))
     except OverflowError as err:
         raise PropagationError(f"RK4 step dt={dt} at t={t} overflowed: {err}") from err
-    slope = _axpy(_axpy(_axpy(k1, 2.0, k2), 2.0, k3), 1.0, k4)  # k1 + 2 k2 + 2 k3 + k4
-    new = _axpy(state, dt / 6.0, slope)
-    if not _finite(new):
+    if not finite:
         raise PropagationError(f"RK4 step dt={dt} at t={t} produced a non-finite value")
     return new
 
@@ -210,16 +212,12 @@ class _TrackedPower:
     """Continuous-branch power of a scalar trajectory value.
 
     ``theta`` holds the unwrapped argument of the previous accepted
-    state; stage values are unwrapped relative to it.
+    state; stage values are unwrapped relative to it (the phase step
+    ``d`` below, wrapped into [-pi, pi]).
     """
 
     def __init__(self, initial: complex):
         self.theta = cmath.phase(initial)
-
-    def _phase_step(self, value: complex) -> float:
-        d = cmath.phase(value) - self.theta
-        d -= 2.0 * math.pi * round(d / (2.0 * math.pi))
-        return d
 
     def __call__(self, value: complex, s: float) -> complex:
         r = abs(value)
@@ -230,11 +228,16 @@ class _TrackedPower:
         if not math.isfinite(r):
             # an earlier stage overflowed; its phase is meaningless
             raise OverflowError(f"trajectory value {value} is not finite")
-        ang = s * (self.theta + self._phase_step(value))
+        theta = self.theta
+        d = cmath.phase(value) - theta
+        d -= TWO_PI * round(d / TWO_PI)
+        ang = s * (theta + d)
         return r**s * complex(math.cos(ang), math.sin(ang))
 
     def advance(self, value: complex) -> None:
-        self.theta += self._phase_step(value)
+        d = cmath.phase(value) - self.theta
+        d -= TWO_PI * round(d / TWO_PI)
+        self.theta += d
 
 
 def _step_count(span: float, step: float) -> int:
@@ -260,10 +263,10 @@ def integrate_separated_time(kind: SolutionKind, q: float, lam: float,
     if n == 0:
         return trajectory
     h = t_end / n
-    scale = lam / (1j * hbar * coef)
+    scale, s_power = lam / (1j * hbar * coef), 2.0 - q
     f = 1.0 + 0j
     tracker = _TrackedPower(f)
-    rhs = lambda _t, y: scale * tracker(y, 2.0 - q)
+    rhs = lambda _t, y: scale * tracker(y, s_power)
     for k in range(n):
         f = rk4_step(f, rhs, k * h, h)
         if f == 0:
@@ -335,12 +338,12 @@ def _initial_theta(values: np.ndarray, xs: np.ndarray, t0: float, boundary) -> n
     log = getattr(boundary, "log_value", None)
     if log is not None:
         target = log(float(xs[0]), t0).imag
-        shift = round((target - theta[0]) / (2.0 * math.pi))
+        shift = round((target - theta[0]) / TWO_PI)
     else:
         anchor = int(np.argmin(np.abs(xs)))
         target = math.atan2(values[anchor].imag, values[anchor].real)
-        shift = round((target - theta[anchor]) / (2.0 * math.pi))
-    return theta + 2.0 * math.pi * shift
+        shift = round((target - theta[anchor]) / TWO_PI)
+    return theta + TWO_PI * shift
 
 
 def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,

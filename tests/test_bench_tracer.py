@@ -88,3 +88,21 @@ def test_tracer_counts_every_emitted_byte_and_file(fmt, tmp_path):
     assert tracer.counters["reports.emit.bytes"] == sum(f.stat().st_size for f in files)
     assert tracer.groups["cli.cmd_propagate"][0] == 1
     assert tracer.groups["kernels.propagate_frames"][0] == 1
+
+
+@pytest.mark.parametrize("name, args", [
+    ("integrate_separated_time", (SolutionKind.NEW, 1.5, 1.0, 1.0, 0.3, 0.01)),
+    ("integrate_separated_space", (SolutionKind.NRT, 0.9, 1.0, 0.5, 1.0, -0.3, 0.01)),
+])
+def test_tracer_counts_one_rk4_call_per_separated_step(name, args):
+    # integrators.ode.rk4_steps is the count of traced rk4_step calls, so
+    # each step must still call rk4_step through the module
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        trajectory = getattr(integrators, name)(*args)
+    finally:
+        tracer.uninstall()
+    assert len(trajectory) == 31  # 30 steps of 0.01 across a span of 0.3
+    assert tracer.groups["integrators.ode"][0] == 1
+    assert tracer.groups["integrators.rk4_step"][0] == 30

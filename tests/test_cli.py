@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -336,6 +339,22 @@ class TestPropagateCommand:
             code, out, err = run(capsys, "propagate", "--steps", "0", "--format", "svg",
                                  "--out", str(tmp_path / "initial.svg"))
         assert (code, out, err) == (0, "", "")
+
+    def test_failing_march_reports_its_status_without_numpy_warnings(self):
+        # a stage overflows at step 2; the march stops on its status, and
+        # numpy's floating-point warnings stay out of the user's way
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qnlse", "propagate", "--q", "0.5", "--dt", "0.05",
+             "--steps", "40", "--nx", "201", "--xmin", "-1", "--xmax", "1"],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "RuntimeWarning: dt=0.05 exceeds the diffusive-scaling heuristic" in proc.stderr
+        assert proc.stderr.endswith(
+            "error: field value became non-finite at step 2, index 1\n")
+        assert "_kernels.py" not in proc.stderr
+        assert proc.stderr.count("Warning") == 1
 
     def test_svg_output(self, capsys, tmp_path):
         path = tmp_path / "frame.svg"

@@ -191,6 +191,13 @@ def test_failing_marches_stop_where_the_expression_form_stops():
     status = assert_same_march((v0, th0, 0.8, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5, zero_stage, br))
     assert status.tolist() == [_kernels.STATUS_ZERO, 1, 0]
 
+    nan_stage = bl.copy()
+    nan_stage[1, 1] = complex(0.0, math.nan)  # a nan stage value, but not a zero one
+    for s in (1.0, 0.8):
+        status = assert_same_march((v0, th0, s, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5,
+                                    nan_stage, br))
+        assert status.tolist() == [_kernels.STATUS_NONFINITE, 1, 1]
+
     huge = v0.copy()
     huge[6] = 1e308  # the Laplacian overflows, and each of the four stages widens it by a point
     status = assert_same_march((huge, np.angle(huge), 1.0, -1j, -0.5, 10.0, np.ones(n), 1e-3, 5,
@@ -220,8 +227,7 @@ def test_tracked_power_follows_the_continuous_log_past_pi(kind, q, p, t, dt):
     ang, tmp, r = np.empty(n), np.empty(n), np.empty(n)
     step = _kernels._phase_step(y, theta, ang, tmp)
     assert np.max(np.abs(theta + step - log_after.imag)) <= 1e-12 * np.max(np.abs(log_after.imag))
-    w = _kernels._tracked_power(y, theta, s, np.empty(n, dtype=np.complex128), r, ang, tmp,
-                                np.empty(n, dtype=bool))
+    w = _kernels._tracked_power(y, theta, s, np.empty(n, dtype=np.complex128), r, ang, tmp)
     exact = np.exp(s * log_after)
     assert np.max(np.abs(w - exact) / np.abs(exact)) <= 1e-12
     # the principal branch is off by a finite phase wherever |arg y| wound past pi
