@@ -28,7 +28,7 @@ multiplies by the same (a, 0.0), bit for bit (±0, inf and nan
 included), and only the cast's dispatch is saved.  A zero |w| or state
 value is found with ``not a.all()``, which, like ``a == 0``, counts nan
 as nonzero.  numpy's floating-point warnings are silenced for the
-march: a failing march is reported by its status.
+march, which raises its own error instead (below).
 
 An all-zero ``pot`` is detected once per call and its ``pot*w`` term is
 skipped: that term is a signed zero, which can only change the sign of
@@ -36,8 +36,9 @@ an exactly zero slope component, and the expression-form oracle in
 ``tests/test_kernels.py``, whose draws include signed zeros, finds no
 frame that differs.
 
-``propagate_frames`` returns ``(frames, status)``; rows of ``frames``
-after a failing step are left unwritten.
+``propagate_frames`` returns every frame, the initial one included, or
+raises ``PropagationError`` at the first step that leaves a zero or
+non-finite value (a stage's zero |w| is reported at index 0).
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .errors import PropagationError
 
-STATUS_OK = 0
-STATUS_ZERO = 1
-STATUS_NONFINITE = 2
+TWO_PI = 2.0 * math.pi
 
 
 def _phase_step(y, theta, out, tmp):
@@ -81,18 +80,10 @@ def _tracked_power(y, theta, s, out, r, ang, tmp):
 
 
 def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
-    """Run the RK4 march; returns (frames, status) with status[0] one of
-    the STATUS_* codes and status[1:3] = (step, index) on failure."""
-    v0 = np.ascontiguousarray(v0, dtype=np.complex128)
-    s, cinv, kappa, dxinv2 = float(s), complex(cinv), float(kappa), float(dxinv2)
-    pot = np.ascontiguousarray(pot, dtype=np.float64)
-    dt, n_steps = float(dt), int(n_steps)
-    bl = np.ascontiguousarray(bl, dtype=np.complex128)
-    br = np.ascontiguousarray(br, dtype=np.complex128)
-
+    """Run the RK4 march and return its frames, one row per step after
+    the initial one; raises PropagationError at a failing step."""
     n = v0.shape[0]
     frames = np.empty((n_steps + 1, n), dtype=np.complex128)
-    status = np.zeros(3, dtype=np.int64)
     frames[0, :] = v0
 
     unit_power = s == 1.0
@@ -143,11 +134,10 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
         stage[-1] = right
         return stage
 
-    def fail(code, step, index=0):
-        status[:] = (code, step, index)
-        return frames, status
+    def fail(reason, step, index=0):
+        raise PropagationError(f"field value became {reason} at step {step}, index {index}")
 
-    # a failing march is reported by its status, not by numpy's warnings
+    # a failing march raises at its step, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(n_steps):
             (l0, l1, l2), (r0, r1, r2) = left_rows[step], right_rows[step]
@@ -157,7 +147,7 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
                     and rhs(to_stage(half, k1, l1, r1), stage_src, inner2)
                     and rhs(to_stage(half, k2, l1, r1), stage_src, inner3)
                     and rhs(to_stage(full, k3, l2, r2), stage_src, inner4)):
-                return fail(STATUS_ZERO, step)
+                fail("zero", step)
             np.multiply(two, k2, acc)
             np.add(k1, acc, acc)
             np.multiply(two, k3, stage)
@@ -169,10 +159,10 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
             y[-1] = r2
 
             if not np.isfinite(y, mask).all():
-                return fail(STATUS_NONFINITE, step, int(np.argmin(mask)))
+                fail("non-finite", step, int(np.argmin(mask)))
             if not y.all():
-                return fail(STATUS_ZERO, step, int(np.argmax(y == 0)))
+                fail("zero", step, int(np.argmax(y == 0)))
             if not unit_power:
                 theta += _phase_step(y, theta, ang, tmp)
             frames[step + 1, :] = y
-    return frames, status
+    return frames

@@ -181,11 +181,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = run_verification()
     report: dict = {}
     for r in results:
-        report[f"{r.name}.passed"] = int(r.passed)
-        report[f"{r.name}.worst"] = r.worst
-        report[f"{r.name}.tolerance"] = r.tolerance
-        if r.detail:
-            report[f"{r.name}.detail"] = r.detail
+        report.update((f"{r.name}.{key}", value) for key, value in r.as_dict().items()
+                      if key != "name" and (key != "detail" or r.detail))
     all_passed = all(r.passed for r in results)
     report["all_passed"] = int(all_passed)
     _emit_report(report, args)

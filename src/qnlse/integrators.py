@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -78,6 +79,12 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         require_interval(self.x_min, self.x_max)
+        for name in ("n_points", "n_steps"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.n_points < 3:
             raise DomainError("n_points must be at least 3")
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -159,6 +166,8 @@ def fit_observed_order(resolutions: Sequence[float], errors: Sequence[float]) ->
     errs = [float(e) for e in errors]
     if len(res) != len(errs) or len(res) < 2:
         raise DegenerateStudyError("need at least two (resolution, error) pairs")
+    if not all(map(math.isfinite, res + errs)):
+        raise DegenerateStudyError("resolutions and errors must be finite to fit a slope")
     if len(set(res)) != len(res):
         raise DegenerateStudyError("duplicate resolutions make the fit degenerate")
     if any(e <= 0 for e in errs):
@@ -318,7 +327,11 @@ def integrate_separated_space(kind: SolutionKind, q: float, lam: float,
         if state[0] == 0:
             raise DomainError(f"space factor reached zero at x={(k + 1) * h}")
         tracker.advance(state[0])
-        trajectory.append(((k + 1) * h, to_g(state[0])))
+        try:
+            g = to_g(state[0])
+        except OverflowError as err:
+            raise PropagationError(f"space factor overflowed at x={(k + 1) * h}: {err}") from err
+        trajectory.append(((k + 1) * h, g))
     return trajectory
 
 
@@ -361,6 +374,7 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
     """
     grid = initial.grid
     s, coef = marched_form(equation, q)
+    m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
 
     values = np.asarray(initial.values, dtype=np.complex128)
     if values.shape != (grid.n_points,):
@@ -395,16 +409,10 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
     bl, br = source(float(xs[0]), tau), source(float(xs[-1]), tau)
 
     theta0 = _initial_theta(values, xs, initial.t, boundary)
-    frames, status = _kernels.propagate_frames(
+    frames = _kernels.propagate_frames(
         values, theta0, s, -1j / (hbar * coef), -hbar * hbar / (2.0 * m),
         1.0 / (dx * dx), pot, grid.dt, n_steps, bl, br,
     )
-    if status[0] != _kernels.STATUS_OK:
-        reason = "zero" if status[0] == _kernels.STATUS_ZERO else "non-finite"
-        raise PropagationError(
-            f"field value became {reason} at step {int(status[1])}, "
-            f"index {int(status[2])}"
-        )
     return Trajectory(grid, initial.t, frames)
 
 

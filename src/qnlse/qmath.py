@@ -77,8 +77,10 @@ def q_exp_real_cutoff(q: float, x: float) -> float:
     """Real deformed exponential with the standard cutoff.
 
     Returns [1 + (q-1)x]^(1/(1-q)) where the bracket is positive and 0
-    otherwise; total on the reals.
+    otherwise; total on the finite reals.
     """
+    if not (math.isfinite(q) and math.isfinite(x)):
+        raise DomainError(f"non-finite deformed exponential argument (q={q}, x={x})")
     if abs(q - 1.0) < EPS_Q_ONE:
         return math.exp(-x)
     base = 1.0 + (q - 1.0) * x

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .fields import as_sample, finite_exp, lift_sampler, require_everywhere, value_power
 from .qmath import HypParams, hyp2f1, hyp2f1_deriv
-from .solutions import SolutionKind, marched_form, require_space, time_coefficient
+from .solutions import SolutionKind, marched_form, positive_scale, require_space, time_coefficient
 
 _EPS = np.finfo(float).eps
 
@@ -326,6 +326,7 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     axis, point_residual = _SCANS[equation]
     if axis != "xt" and lam is None:
         raise DomainError(f"equation {equation!r} needs the separation constant lam")
+    m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
     if potential is not None:
         potential = lift_sampler(potential)
     args = SimpleNamespace(q=q, m=m, hbar=hbar, potential=potential, lam=lam,

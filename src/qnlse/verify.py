@@ -524,16 +524,11 @@ def suite_pde_manufactured() -> SuiteResult:
     keep the parasitic modes below truncation error.
     """
     tol = 1e-5
-    worst = 0.0
     spec = FreeParticleSpec(q=1.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for kind in (SolutionKind.NEW, SolutionKind.NRT):
-            exact = manufactured_field(kind, spec)
-            grid = GridSpec(-5.0, 5.0, 401, 1e-4, 20)
-            traj = propagate(kind, sample_field(exact, grid, 0.0), spec.q,
-                             spec.m, spec.hbar, boundary=exact)
-            worst = max(worst, interior_linf_error(traj[-1], exact))
+        worst = max(PdeCase(kind, spec, dx0=0.025).error(0)[1]
+                    for kind in (SolutionKind.NEW, SolutionKind.NRT))
     return SuiteResult("pde-manufactured", worst <= tol, worst, tol)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qnlse import _kernels, cli, integrators, residuals
+from qnlse.errors import PropagationError
 from qnlse.integrators import GridSpec, manufactured_field
 from qnlse.residuals import Analytic
 from qnlse.solutions import (
@@ -68,6 +69,28 @@ def test_tracer_counts_point_residuals_and_kernel_marches():
     assert tracer.groups["residuals.point"][0] == len(samplers)
     assert tracer.groups["kernels.propagate_frames"][0] == 1
     assert tracer.counters["kernels.point_updates"] == 9 * 2
+
+
+def test_tracer_lets_a_failing_march_raise_and_closes_its_spans():
+    spec = FreeParticleSpec(q=0.5)
+    exact = manufactured_field(SolutionKind.NEW, spec)
+    initial = integrators.sample_field(exact, GridSpec(-1.0, 1.0, 201, 0.05, 40), 0.0)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(PropagationError, match="non-finite at step 2, index 1$"):
+                integrators.propagate(SolutionKind.NEW, initial, spec.q, spec.m, spec.hbar,
+                                      boundary=exact)
+    finally:
+        tracer.uninstall()
+
+    assert tracer.groups["integrators.propagate"][0] == 1
+    assert tracer.groups["kernels.propagate_frames"][0] == 1
+    assert tracer._stack == []
+    # the count is read from the kernel's arguments: the planned march, 199 x 40
+    assert tracer.counters["kernels.point_updates"] == 199 * 40
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

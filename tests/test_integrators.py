@@ -53,12 +53,18 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("kwargs", [
         dict(x_min=1.0, x_max=0.0), dict(n_points=2), dict(dt=0.0),
-        dict(dt=-1.0), dict(n_steps=-1),
+        dict(dt=-1.0), dict(n_steps=-1), dict(n_points=5.5), dict(n_points=11.0),
+        dict(n_steps=2.0),
     ])
     def test_validation(self, kwargs):
         base = dict(x_min=0.0, x_max=1.0, n_points=11, dt=0.1, n_steps=5)
         with pytest.raises(DomainError):
             GridSpec(**{**base, **kwargs})
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = GridSpec(0.0, 1.0, np.int64(5), 0.1, np.int32(2))
+        assert grid.dx == 0.25
+        assert grid.t_values().size == 3
 
 
 class TestRk4:
@@ -281,6 +287,13 @@ class TestPropagate:
         for a, b in zip(run(), run()):
             assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("m, hbar", [(0.5, 0.0), (0.0, 1.0), (-1.0, 1.0), (0.5, math.nan)])
+    def test_validates_mass_and_hbar(self, m, hbar):
+        grid = GridSpec(-1.0, 1.0, 11, 1e-4, 2)
+        with pytest.raises(DomainError, match=r"mass|hbar"):
+            quiet_propagate(SolutionKind.NEW, Frame(grid, 0.0, np.ones(11, dtype=complex)),
+                            1.5, m, hbar, boundary=lambda x, t: 1.0 + 0j)
+
     def test_zero_initial_value_rejected(self):
         grid = GridSpec(-1.0, 1.0, 11, 1e-4, 5)
         values = np.ones(11, dtype=complex)
@@ -414,6 +427,10 @@ class TestConvergenceStudies:
             fit_observed_order([0.1], [1e-3])
         with pytest.raises(DegenerateStudyError):
             fit_observed_order([0.1, 0.05], [1e-3, 0.0])
+        with pytest.raises(DegenerateStudyError, match="finite"):
+            fit_observed_order([1.0, 2.0], [math.nan, 1.0])
+        with pytest.raises(DegenerateStudyError, match="finite"):
+            fit_observed_order([1.0, math.inf], [0.5, 1.0])
 
     def test_study_needs_two_levels(self):
         spec = FreeParticleSpec(q=1.5)

@@ -4,10 +4,12 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnlse import _kernels
+from qnlse.errors import PropagationError
 from qnlse.integrators import GridSpec, interior_linf_error, manufactured_field, propagate, sample_field
 from qnlse.solutions import FreeParticleSpec, SolutionKind, marched_form
 
@@ -31,9 +33,7 @@ def test_unit_power_shortcut_keeps_linear_path_exact():
     pot = np.zeros(n)
     bl = np.ones((1, 3), dtype=np.complex128) * v0[0]
     br = np.ones((1, 3), dtype=np.complex128) * v0[-1]
-    frames, status = _kernels.propagate_frames(
-        v0, th0, 1.0, -1j, -1.0, 1.0, pot, 0.0, 1, bl, br)
-    assert status[0] == _kernels.STATUS_OK
+    frames = _kernels.propagate_frames(v0, th0, 1.0, -1j, -1.0, 1.0, pot, 0.0, 1, bl, br)
     # dt = 0 keeps the interior exactly equal to the initial values
     assert np.array_equal(frames[1][1:-1], v0[1:-1])
 
@@ -45,7 +45,8 @@ def test_unit_power_shortcut_keeps_linear_path_exact():
 
 def expression_form_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
     """The RK4 march written as whole-array expressions, one temporary per
-    operation: the reference whose bits the buffered kernel must keep."""
+    operation: the reference whose bits and errors the buffered kernel
+    must keep."""
     two_pi = 2.0 * math.pi
 
     def phase_step(y, theta):
@@ -73,55 +74,57 @@ def expression_form_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl
 
     theta = np.array(th0, dtype=np.float64)
     frames = np.empty((n_steps + 1, v0.shape[0]), dtype=np.complex128)
-    status = np.zeros(3, dtype=np.int64)
     y = v0.copy()
     frames[0, :] = y
 
-    def fail(code, step, index=0):
-        status[:] = (code, step, index)
-        return frames, status
+    def fail(reason, step, index=0):
+        raise PropagationError(f"field value became {reason} at step {step}, index {index}")
 
     for step in range(n_steps):
         y[0], y[-1] = bl[step, 0], br[step, 0]
         k1 = rhs(y, theta)
         if k1 is None:
-            return fail(_kernels.STATUS_ZERO, step)
+            fail("zero", step)
         stage = y + 0.5 * dt * k1
         stage[0], stage[-1] = bl[step, 1], br[step, 1]
         k2 = rhs(stage, theta)
         if k2 is None:
-            return fail(_kernels.STATUS_ZERO, step)
+            fail("zero", step)
         stage = y + 0.5 * dt * k2
         stage[0], stage[-1] = bl[step, 1], br[step, 1]
         k3 = rhs(stage, theta)
         if k3 is None:
-            return fail(_kernels.STATUS_ZERO, step)
+            fail("zero", step)
         stage = y + dt * k3
         stage[0], stage[-1] = bl[step, 2], br[step, 2]
         k4 = rhs(stage, theta)
         if k4 is None:
-            return fail(_kernels.STATUS_ZERO, step)
+            fail("zero", step)
         y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[0], y[-1] = bl[step, 2], br[step, 2]
         finite = np.isfinite(y.real) & np.isfinite(y.imag)
         if not np.all(finite):
-            return fail(_kernels.STATUS_NONFINITE, step, int(np.argmin(finite)))
+            fail("non-finite", step, int(np.argmin(finite)))
         zero = y == 0
         if np.any(zero):
-            return fail(_kernels.STATUS_ZERO, step, int(np.argmax(zero)))
+            fail("zero", step, int(np.argmax(zero)))
         theta += phase_step(y, theta)
         frames[step + 1, :] = y
-    return frames, status
+    return frames
+
+
+def march_outcome(march, args):
+    """The frame bytes of a clean march, or the type and message of its error."""
+    try:
+        return "ok", march(*args).tobytes()
+    except PropagationError as err:
+        return type(err), str(err)
 
 
 def assert_same_march(args):
-    frames, status = _kernels.propagate_frames(*args)
-    ref_frames, ref_status = expression_form_frames(*args)
-    assert status.tolist() == ref_status.tolist()
-    # rows past a failing step are never written
-    rows = args[8] + 1 if status[0] == _kernels.STATUS_OK else int(status[1]) + 1
-    assert frames[:rows].tobytes() == ref_frames[:rows].tobytes()
-    return status
+    outcome = march_outcome(_kernels.propagate_frames, args)
+    assert outcome == march_outcome(expression_form_frames, args)
+    return outcome
 
 
 components = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
@@ -169,9 +172,15 @@ def test_buffered_kernel_keeps_powers_with_numpy_shortcuts():
     bl = np.full((4, 3), v0[0])
     br = np.full((4, 3), v0[-1])
     for s in (0.5, 2.0):
-        status = assert_same_march((v0, np.unwrap(np.angle(v0)), s, -1j, -0.5, 100.0,
-                                    np.zeros(n), 1e-4, 4, bl, br))
-        assert status[0] == _kernels.STATUS_OK
+        outcome = assert_same_march((v0, np.unwrap(np.angle(v0)), s, -1j, -0.5, 100.0,
+                                     np.zeros(n), 1e-4, 4, bl, br))
+        assert outcome[0] == "ok"
+
+
+def assert_march_fails(args, message):
+    with pytest.raises(PropagationError, match=f"^field value became {message}$"):
+        _kernels.propagate_frames(*args)
+    assert_same_march(args)
 
 
 def test_failing_marches_stop_where_the_expression_form_stops():
@@ -183,26 +192,24 @@ def test_failing_marches_stop_where_the_expression_form_stops():
 
     zero_end = br.copy()
     zero_end[2, 2] = 0.0  # the state at the end of step 2 vanishes at the last point
-    status = assert_same_march((v0, th0, 1.0, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5, bl, zero_end))
-    assert status.tolist() == [_kernels.STATUS_ZERO, 2, n - 1]
+    assert_march_fails((v0, th0, 1.0, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5, bl, zero_end),
+                       f"zero at step 2, index {n - 1}")
 
     zero_stage = bl.copy()
     zero_stage[1, 1] = 0.0  # a half-step stage of step 1 has no fractional power
-    status = assert_same_march((v0, th0, 0.8, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5, zero_stage, br))
-    assert status.tolist() == [_kernels.STATUS_ZERO, 1, 0]
+    assert_march_fails((v0, th0, 0.8, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5, zero_stage, br),
+                       "zero at step 1, index 0")
 
     nan_stage = bl.copy()
     nan_stage[1, 1] = complex(0.0, math.nan)  # a nan stage value, but not a zero one
     for s in (1.0, 0.8):
-        status = assert_same_march((v0, th0, s, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5,
-                                    nan_stage, br))
-        assert status.tolist() == [_kernels.STATUS_NONFINITE, 1, 1]
+        assert_march_fails((v0, th0, s, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5, nan_stage, br),
+                           "non-finite at step 1, index 1")
 
     huge = v0.copy()
     huge[6] = 1e308  # the Laplacian overflows, and each of the four stages widens it by a point
-    status = assert_same_march((huge, np.angle(huge), 1.0, -1j, -0.5, 10.0, np.ones(n), 1e-3, 5,
-                                bl, br))
-    assert status.tolist() == [_kernels.STATUS_NONFINITE, 0, 2]
+    assert_march_fails((huge, np.angle(huge), 1.0, -1j, -0.5, 10.0, np.ones(n), 1e-3, 5, bl, br),
+                       "non-finite at step 0, index 2")
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +261,8 @@ def linear_steps(draw):
 def test_unit_power_step_is_the_linear_schroedinger_rk4_step(case):
     v0, cinv, kappa, dxinv2, pot, dt, bl, br = case
     n = v0.size
-    frames, status = _kernels.propagate_frames(v0, np.angle(v0), 1.0, cinv, kappa, dxinv2,
-                                               pot, dt, 1, bl, br)
-    assert status[0] == _kernels.STATUS_OK
+    frames = _kernels.propagate_frames(v0, np.angle(v0), 1.0, cinv, kappa, dxinv2, pot, dt,
+                                       1, bl, br)
     # the RHS is cinv * (kappa * D2 + diag(pot)) on the interior rows;
     # the end rows are zero, since the ends are Dirichlet values
     d2 = np.zeros((n, n))

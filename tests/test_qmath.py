@@ -114,6 +114,12 @@ class TestDeformedExponential:
         with pytest.raises(DomainError):
             q_exp_real_cutoff(0.999, -1e7)
 
+    @pytest.mark.parametrize("q, x", [(1.5, math.nan), (math.inf, 1.0), (math.nan, 0.5),
+                                      (1.5, math.inf), (0.5, -math.inf)])
+    def test_real_cutoff_rejects_non_finite_arguments(self, q, x):
+        with pytest.raises(DomainError, match="non-finite"):
+            q_exp_real_cutoff(q, x)
+
     def test_product_rule_with_matching_convention(self):
         # e(x)e(y) = e(x + y + (q-1)xy) wherever both brackets are positive
         count = 0

@@ -286,6 +286,11 @@ class TestScan:
                          spec.m, spec.hbar, None, (x, t), AN)
         assert abs(r) == pytest.approx(rep.max_abs, rel=1e-12)
 
+    @pytest.mark.parametrize("m, hbar", [(0.5, 0.0), (0.0, 1.0), (-1.0, 1.0), (0.5, math.nan)])
+    def test_validates_mass_and_hbar(self, m, hbar):
+        with pytest.raises(DomainError, match=r"mass|hbar"):
+            scan_residual("new-field", lambda x, t: 1j, GRID, AN, q=1.5, m=m, hbar=hbar)
+
     def test_unknown_tag(self):
         with pytest.raises(DomainError):
             scan_residual("bogus", lambda x, t: 1j, GRID, AN, q=1.5)

@@ -135,6 +135,13 @@ def test_separated_trajectories_end_as_the_oracle_ends(fn, args, ending):
     assert result[0] == "ok" if ending == "ok" else ending in result[1]
 
 
+def test_nrt_space_map_back_overflow_is_a_propagation_error():
+    # the step itself is finite; mapping u back to g = u^(1/(2-q)) overflows
+    with pytest.raises(PropagationError, match=r"^space factor overflowed at x=1.0: "):
+        integrators.integrate_separated_space(SolutionKind.NRT, 1.78125, 52.0, 0.7, 1.0,
+                                              1.0, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # single steps, with zero, huge and non-finite states
 # ---------------------------------------------------------------------------
