@@ -496,6 +496,11 @@ class PdeCase:
     dt: float = 1e-4
     t_final: float = 0.002
 
+    def __post_init__(self) -> None:
+        require_interval(self.x_min, self.x_max)
+        for name in ("dx0", "dt", "t_final"):
+            positive_scale(name, getattr(self, name))
+
     def error(self, level: int) -> tuple[float, float]:
         """(dx, interior max error of the last frame) at refinement ``level``."""
         dx = self.dx0 / 2.0**level

@@ -33,9 +33,10 @@ from .qmath import EPS_Q_ONE, HypParams, hyp2f1
 
 def positive_scale(name: str, value: float) -> float:
     """``value`` as a float, or DomainError unless it is finite and
-    positive: the rule for the mass ``m`` and the action scale ``hbar``."""
+    positive: the rule for the mass ``m``, the action scale ``hbar`` and
+    a study's steps and horizon."""
     if not math.isfinite(value):
-        raise DomainError(f"non-finite particle parameter {name}")
+        raise DomainError(f"non-finite parameter {name}")
     if value <= 0:
         raise DomainError(f"{'mass' if name == 'm' else name} must be positive, got {value}")
     return float(value)

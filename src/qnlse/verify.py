@@ -2,10 +2,20 @@
 
 Each suite exercises one analytic claim (an identity, an exactness
 statement, a limit, an order of accuracy) with fixed tolerances and a
-seeded random-draw budget, and reports its worst observed defect.  The
-CLI ``verify`` command runs all of them; the acceptance tests reuse
-them.  Randomness is seeded from the ``QNLSE_SEED`` environment
-variable (default 42) so reruns are reproducible.
+seeded random-draw budget, and reports its worst observed defect; a
+nan check value fails its suite.  The CLI ``verify`` command runs all
+of them; the acceptance tests reuse them.  Randomness is seeded from
+the ``QNLSE_SEED`` environment variable (default 42) so reruns are
+reproducible.
+
+``run_verification`` runs the suites on every CPU the process may use.
+The seeded suites share one generator and stay one task, in registry
+order; every other suite is a task of its own.  The task numbers go
+into a pipe, and this process and ``min(CPUs, tasks) - 1`` workers
+forked with ``os.fork`` pull from it until it is empty.  The results
+come back in registry order and equal a serial run's, so the reports
+are byte-identical to one; a worker's warnings go to the same stderr,
+once per process.
 """
 
 from __future__ import annotations
@@ -14,12 +24,14 @@ import cmath
 import inspect
 import math
 import os
+import pickle
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QnlseError
 from .integrators import (
     GridSpec,
     OdeSpaceCase,
@@ -103,6 +115,14 @@ def _scan_grid() -> GridSpec:
     return GridSpec(-5.0, 5.0, 101, 0.1, 10)
 
 
+def _worst(*values: float, pick=max) -> float:
+    """``pick`` (``max`` or ``min``) of a suite's check values, or nan if
+    any of them is nan: the one accumulator of every suite, so that a nan
+    fails its suite instead of vanishing (``max(0.0, nan)`` is 0.0 and
+    ``min(inf, nan)`` is inf)."""
+    return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
 def _draw_z(rng, radius: float = 0.9) -> complex:
     r = radius * math.sqrt(rng.uniform())
     phi = rng.uniform(-math.pi, math.pi)
@@ -121,7 +141,7 @@ def suite_binomial_identity(rng) -> SuiteResult:
     for _ in range(200):
         alpha = rng.uniform(-3.0, 3.0)
         gamma = rng.uniform(0.5, 4.0)
-        worst = max(worst, check_binomial_identity(alpha, gamma, _draw_z(rng)))
+        worst = _worst(worst, check_binomial_identity(alpha, gamma, _draw_z(rng)))
     return SuiteResult("binomial-identity", worst <= tol, worst, tol)
 
 
@@ -136,13 +156,13 @@ def suite_hypergeometric_ode(rng) -> SuiteResult:
             rng.uniform(0.5, 4.0),
             _draw_z(rng),
         )
-        worst = max(worst, hypergeom_ode_residual(params))
+        worst = _worst(worst, hypergeom_ode_residual(params))
     # the plane-wave specialization: alpha = 1/(q-1), beta = gamma
     for q in (0.5, 0.9, 1.1, 1.5, 2.0):
         for _ in range(40):
             gamma = rng.uniform(0.5, 4.0)
             params = HypParams(1.0 / (q - 1.0), gamma, gamma, _draw_z(rng))
-            worst = max(worst, hypergeom_ode_residual(params))
+            worst = _worst(worst, hypergeom_ode_residual(params))
     return SuiteResult("hypergeometric-ode", worst <= tol, worst, tol)
 
 
@@ -157,7 +177,7 @@ def suite_hypergeometric_symmetry(rng) -> SuiteResult:
         z = _draw_z(rng)
         f1 = hyp2f1(HypParams(a, b, c, z))
         f2 = hyp2f1(HypParams(b, a, c, z))
-        worst = max(worst, abs(f1 - f2) / max(1.0, abs(f1)))
+        worst = _worst(worst, abs(f1 - f2) / max(1.0, abs(f1)))
     return SuiteResult("hypergeometric-symmetry", worst <= tol, worst, tol)
 
 
@@ -176,7 +196,7 @@ def suite_power_integer_consistency(rng) -> SuiteResult:
             if n < 0:
                 direct = 1.0 / direct
             got = cpow_principal(base, n)
-            worst = max(worst, abs(got - direct) / max(1.0, abs(direct)))
+            worst = _worst(worst, abs(got - direct) / max(1.0, abs(direct)))
     return SuiteResult("power-integer-consistency", worst <= tol, worst, tol)
 
 
@@ -202,7 +222,7 @@ def suite_deformed_exp_product_rule(rng) -> SuiteResult:
             continue
         lhs = q_exp_real_cutoff(q, x) * q_exp_real_cutoff(q, y)
         rhs = q_exp_real_cutoff(q, combined)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
         count += 1
     return SuiteResult("deformed-exp-product-rule", worst <= tol, worst, tol)
 
@@ -222,9 +242,9 @@ def suite_deformed_exp_limit(rng) -> SuiteResult:
         sups = []
         for d in deltas:
             q = 1.0 + sign * d
-            sups.append(max(abs(q_exp(q, z) - cmath.exp(-z)) for z in zs))
+            sups.append(_worst(*(abs(q_exp(q, z) - cmath.exp(-z)) for z in zs)))
         orders.append(fit_observed_order(deltas, sups))
-    worst = min(orders)
+    worst = _worst(*orders, pick=min)
     return SuiteResult("deformed-exp-limit", worst >= tol, worst, tol,
                        detail="fitted order in |q-1| (pass if >= tolerance)")
 
@@ -263,10 +283,8 @@ def suite_plane_wave_representations() -> SuiteResult:
                     q_plane_wave_hypergeometric(spec, g, float(x), float(t))
                     for g in (0.5, 1.0, 2.7)
                 ]
-                for v in values:
-                    worst = max(worst, abs(v - direct))
-                worst = max(worst, abs(values[0] - values[1]))
-                worst = max(worst, abs(values[0] - values[2]))
+                worst = _worst(worst, *(abs(v - direct) for v in values),
+                               abs(values[0] - values[1]), abs(values[0] - values[2]))
     return SuiteResult("plane-wave-representations", worst <= tol, worst, tol)
 
 
@@ -295,7 +313,7 @@ def suite_classical_limit() -> SuiteResult:
     """Distance to exp(i(px - Et)/hbar) vanishes linearly in q - 1."""
     tol = 0.9
     table = classical_limit_table()
-    worst_order = min(order for _, order in table.values())
+    worst_order = _worst(*(order for _, order in table.values()), pick=min)
     details = " ".join(f"{family}:{order:.3f}" for family, (_, order) in table.items())
     return SuiteResult("classical-limit", worst_order >= tol, worst_order, tol,
                        detail="fitted orders " + details)
@@ -340,7 +358,7 @@ def suite_origin_normalization() -> SuiteResult:
                 separated_space_curve(kind, spec)(0.0),
                 product_solution_field(kind, spec)(0.0, 0.0),
             ]
-        worst = max(worst, max(abs(v - 1.0) for v in values))
+        worst = _worst(worst, *(abs(v - 1.0) for v in values))
     return SuiteResult("origin-normalization", worst == 0.0, worst, 0.0)
 
 
@@ -369,19 +387,18 @@ def _residual_pairs(q: float):
 
 
 def _exactness_worst(method) -> tuple[float, str]:
+    """The largest scan residual over every pair, and the first pair that has it."""
     grid = _scan_grid()
-    worst = 0.0
-    where = ""
-    q_values = RESIDUAL_Q_SET + (2.0,)
-    for q in q_values:
+    scans = []
+    for q in RESIDUAL_Q_SET + (2.0,):
         spec, pairs = _residual_pairs(q)
         for tag, sampler, extra in pairs:
             rep = scan_residual(tag, sampler, grid, method, q=q,
                                 m=spec.m, hbar=spec.hbar, **extra)
-            if rep.max_abs > worst:
-                worst = rep.max_abs
-                where = f"{tag} q={q}"
-    return worst, where
+            scans.append((rep.max_abs, f"{tag} q={q}"))
+    worst = _worst(*(value for value, _ in scans))
+    return worst, next(where for value, where in scans
+                       if value == worst or math.isnan(value))
 
 
 def suite_residual_exactness_analytic() -> SuiteResult:
@@ -410,7 +427,7 @@ def suite_change_of_variables() -> SuiteResult:
                                   m=spec.m, hbar=spec.hbar)
             r_phi = scan_residual("new-phi", psi.pow(q), grid, Analytic(), q=q,
                                   m=spec.m, hbar=spec.hbar)
-            worst = max(worst, r_psi.max_abs, r_phi.max_abs)
+            worst = _worst(worst, r_psi.max_abs, r_phi.max_abs)
     return SuiteResult("change-of-variables", worst <= tol, worst, tol)
 
 
@@ -439,7 +456,7 @@ def suite_method_agreement() -> SuiteResult:
             - separated_space_residual(SolutionKind.NRT, g_nrt, q, lam, spec.m,
                                        spec.hbar, x, fd),
         ]
-        worst = max(worst, max(float(np.max(np.abs(d))) for d in pairs))
+        worst = _worst(worst, *(float(np.max(np.abs(d))) for d in pairs))
     return SuiteResult("derivative-method-agreement", worst <= tol, worst, tol)
 
 
@@ -455,7 +472,7 @@ def suite_lambda_uniqueness() -> SuiteResult:
         for factor in (1.01, 0.99):
             rep = scan_residual(tag, g, grid, Analytic(), q=spec.q,
                                 m=spec.m, hbar=spec.hbar, lam=lam * factor)
-            worst_min = min(worst_min, rep.max_abs)
+            worst_min = _worst(worst_min, rep.max_abs, pick=min)
     return SuiteResult("lambda-uniqueness", worst_min > floor, worst_min, floor,
                        detail="max residual under 1% lambda perturbation (must exceed tolerance)")
 
@@ -476,7 +493,7 @@ def suite_cross_equation() -> SuiteResult:
     for tag, sampler, extra in checks:
         rep = scan_residual(tag, sampler, grid, Analytic(), q=spec.q,
                             m=spec.m, hbar=spec.hbar, **extra)
-        worst_min = min(worst_min, rep.max_abs)
+        worst_min = _worst(worst_min, rep.max_abs, pick=min)
     return SuiteResult("cross-equation-rejection", worst_min > floor, worst_min, floor,
                        detail="smallest cross-equation max residual (must exceed tolerance)")
 
@@ -496,10 +513,10 @@ def suite_ode_vs_closed_form() -> SuiteResult:
         for kind in (SolutionKind.NEW, SolutionKind.NRT):
             traj = integrate_separated_time(kind, q, lam, spec.hbar, 1.0, 1e-3)
             exact = separated_time_curve(kind, spec)(1.0)
-            worst = max(worst, abs(traj[-1][1] - exact))
+            worst = _worst(worst, abs(traj[-1][1] - exact))
             traj = integrate_separated_space(kind, q, lam, spec.m, spec.hbar, 1.0, 1e-3)
             exact = separated_space_curve(kind, spec)(1.0)
-            worst = max(worst, abs(traj[-1][1] - exact))
+            worst = _worst(worst, abs(traj[-1][1] - exact))
     return SuiteResult("ode-vs-closed-form", worst <= tol, worst, tol)
 
 
@@ -510,7 +527,7 @@ def suite_ode_order() -> SuiteResult:
         convergence_study(OdeTimeCase(SolutionKind.NEW, spec), 4).observed_order,
         convergence_study(OdeSpaceCase(SolutionKind.NRT, spec), 4).observed_order,
     ]
-    worst_dev = max(abs(o - 4.0) for o in orders)
+    worst_dev = _worst(*(abs(o - 4.0) for o in orders))
     return SuiteResult("ode-order", worst_dev <= 0.5, worst_dev, 0.5,
                        detail=f"orders {orders[0]:.3f}, {orders[1]:.3f}")
 
@@ -527,8 +544,8 @@ def suite_pde_manufactured() -> SuiteResult:
     spec = FreeParticleSpec(q=1.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        worst = max(PdeCase(kind, spec, dx0=0.025).error(0)[1]
-                    for kind in (SolutionKind.NEW, SolutionKind.NRT))
+        worst = _worst(*(PdeCase(kind, spec, dx0=0.025).error(0)[1]
+                         for kind in (SolutionKind.NEW, SolutionKind.NRT)))
     return SuiteResult("pde-manufactured", worst <= tol, worst, tol)
 
 
@@ -541,7 +558,7 @@ def suite_pde_spatial_order() -> SuiteResult:
         warnings.simplefilter("ignore", RuntimeWarning)
         for kind in (SolutionKind.NEW, SolutionKind.NRT):
             rep = convergence_study(PdeCase(kind, spec), 3)
-            worst_dev = max(worst_dev, abs(rep.observed_order - 2.0))
+            worst_dev = _worst(worst_dev, abs(rep.observed_order - 2.0))
             detail.append(f"{kind.value}:{rep.observed_order:.3f}")
     return SuiteResult("pde-spatial-order", worst_dev <= 0.3, worst_dev, 0.3,
                        detail=" ".join(detail))
@@ -558,11 +575,11 @@ def suite_pde_classical_agreement() -> SuiteResult:
         new = propagate(SolutionKind.NEW, initial, 1.0, spec.m, spec.hbar, boundary=exact)
         nrt = propagate(SolutionKind.NRT, initial, 1.0, spec.m, spec.hbar, boundary=exact)
     # row by row: a whole-array difference would add 10 MB to verify's peak RSS
-    pair_gap = max(float(np.max(np.abs(a - b))) for a, b in zip(new.values, nrt.values))
+    pair_gap = _worst(*(float(np.max(np.abs(a - b))) for a, b in zip(new.values, nrt.values)))
     linear_err = interior_linf_error(new[-1], exact)
     passed = pair_gap <= 1e-10 and linear_err <= 1e-4
     return SuiteResult(
-        "pde-classical-agreement", passed, max(pair_gap, linear_err), 1e-4,
+        "pde-classical-agreement", passed, _worst(pair_gap, linear_err), 1e-4,
         detail=f"propagator gap {pair_gap:.3g} (tol 1e-10), linear error "
                f"{linear_err:.3g} (tol 1e-4)",
     )
@@ -614,9 +631,157 @@ _SUITE_FUNCS = {
 }
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _tasks(names: list[str] | None) -> list[list[tuple]]:
+    """The selected suites as tasks of ``(registry index, suite, wants_rng)``.
+
+    The seeded suites (those taking ``rng``) form one task, in registry
+    order, so that they draw from one generator exactly as a serial run
+    does; every other suite is a task of its own.
+    """
+    tasks: list[list[tuple]] = []
+    seeded: list[tuple] = []
+    for index, (name, func) in enumerate(_SUITE_FUNCS.items()):
+        if names is not None and name not in names:
+            continue
+        if "rng" in inspect.signature(func).parameters:
+            if not seeded:
+                tasks.append(seeded)
+            seeded.append((index, func, True))
+        else:
+            tasks.append([(index, func, False)])
+    return tasks
+
+
+def _pull(queue: int, tasks, seed: int) -> list[tuple]:
+    """Run the tasks whose numbers this process reads from ``queue``, one
+    byte at a time, until EOF: ``[(registry index, SuiteResult or the
+    exception the suite raised)]``."""
+    done: list[tuple] = []
+    while byte := os.read(queue, 1):
+        rng = np.random.default_rng(seed)
+        for index, func, wants_rng in tasks[byte[0]]:
+            try:
+                done.append((index, func(rng) if wants_rng else func()))
+            except Exception as exc:
+                done.append((index, exc))
+                # every task still queued comes later in the registry, so
+                # none of them can change which error the run raises
+                while os.read(queue, 256):
+                    pass
+                return done
+    return done
+
+
+def _worker(queue: int, out: int, tasks, seed: int) -> None:
+    """A forked worker's whole life: pull tasks, write the pickled
+    outcomes to ``out`` and leave with ``os._exit``; it never returns."""
+    status = 1
+    try:
+        done = _pull(queue, tasks, seed)
+        try:
+            payload = pickle.dumps(done)
+            pickle.loads(payload)
+        except Exception:  # an exception that does not pickle travels as its text
+            payload = pickle.dumps([
+                (index, QnlseError(f"{type(o).__name__}: {o}") if isinstance(o, Exception) else o)
+                for index, o in done])
+        with open(out, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        _flush_stdio()
+        os._exit(status)
+
+
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):  # None or closed: nothing to flush
+            pass
+
+
+def _run_tasks(tasks, seed: int) -> tuple[dict, list[str]]:
+    """Run ``tasks`` here and in ``min(CPUs, tasks) - 1`` forked workers:
+    ``({registry index: SuiteResult or exception}, [a note for each
+    worker that died without reporting])``.
+
+    Every worker is reaped before this returns or raises,
+    ``KeyboardInterrupt`` included; the queue is drained first, so a
+    worker stops after its current task.
+    """
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(tasks))))
+    os.close(feed)
+    workers: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
+    payloads = []
+    try:
+        n_workers = min(_usable_cpus(), len(tasks)) - 1 if hasattr(os, "fork") else 0
+        if n_workers > 0:
+            _flush_stdio()  # so that no worker writes the parent's buffered text
+        for _ in range(n_workers):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the rest runs here
+                os.close(reader)
+                os.close(writer)
+                break
+            if pid == 0:
+                os.close(reader)
+                for _, other in workers:
+                    os.close(other)
+                _worker(queue, writer, tasks, seed)
+            os.close(writer)
+            workers.append((pid, reader))
+        done = dict(_pull(queue, tasks, seed))
+        for _, reader in workers:
+            with open(reader, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        while os.read(queue, 256):
+            pass
+        os.close(queue)
+        statuses = []
+        for pid, reader in workers:
+            os.close(reader)
+            statuses.append(os.waitpid(pid, 0)[1])
+    lost = []
+    for (pid, _), status, payload in zip(workers, statuses, payloads):
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0 and payload:
+            done.update(pickle.loads(payload))
+        elif code >= 0:
+            lost.append(f"verify worker {pid} exited with status {code}")
+        else:
+            lost.append(f"verify worker {pid} was killed by signal {-code}")
+    return done, lost
+
+
 def run_verification(seed: int | None = None,
                      names: list[str] | None = None) -> list[SuiteResult]:
-    """Run the requested suites (all by default) and collect results."""
+    """Run the requested suites (all by default) and collect results.
+
+    The suites run on every CPU the process may use: the seeded suites
+    as one task, every other suite as a task of its own, pulled from one
+    queue by this process and by ``min(CPUs, tasks) - 1`` forked workers
+    (none where ``os.fork`` is missing, or with one CPU or one task).
+    The results come back in registry order and equal a serial run's,
+    so the reports are unchanged.  If suites raise, the one earliest in
+    the registry raises here, as in a serial run (an exception that does
+    not pickle comes back from a worker as a ``QnlseError`` with its
+    type name and message); a worker that dies before reporting raises
+    ``QnlseError`` with its exit status.  A worker's warnings go to the
+    same stderr, once per process.
+    """
     unknown = sorted(set(names or ()) - set(_SUITE_FUNCS))
     if unknown:
         raise DomainError(
@@ -624,11 +789,15 @@ def run_verification(seed: int | None = None,
         )
     if seed is None:
         seed = seed_from_env()
-    rng = np.random.default_rng(seed)
+    tasks = _tasks(names)
+    done, lost = _run_tasks(tasks, seed)
     results = []
-    for name, func in _SUITE_FUNCS.items():
-        if names is not None and name not in names:
-            continue
-        wants_rng = "rng" in inspect.signature(func).parameters
-        results.append(func(rng) if wants_rng else func())
+    for index in sorted(index for task in tasks for index, _, _ in task):
+        outcome = done.get(index)
+        if outcome is None:
+            name = list(_SUITE_FUNCS)[index]
+            raise QnlseError(f"suite {name} was not reported: {'; '.join(lost)}")
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
     return results

@@ -420,6 +420,20 @@ class TestConvergenceStudies:
         assert rep.observed_order == pytest.approx(2.0, abs=0.3)
         assert rep.monotone
 
+    @pytest.mark.parametrize("bad", [
+        {"dt": math.nan}, {"dt": 0.0}, {"dt": -1e-4}, {"dt": math.inf},
+        {"dx0": math.nan}, {"dx0": 0.0}, {"dx0": -0.2}, {"dx0": math.inf},
+        {"t_final": math.nan}, {"t_final": 0.0}, {"t_final": -0.002}, {"t_final": math.inf},
+        {"x_min": math.nan}, {"x_min": 1.0, "x_max": 0.0},
+    ])
+    def test_pde_case_rejects_bad_inputs_before_marching(self, bad, monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched")
+
+        monkeypatch.setattr(integrators, "propagate", no_march)
+        with pytest.raises(DomainError):
+            PdeCase(SolutionKind.NEW, FreeParticleSpec(q=1.1), **bad)
+
     def test_fit_guards(self):
         with pytest.raises(DegenerateStudyError):
             fit_observed_order([0.1, 0.1], [1e-3, 1e-4])
