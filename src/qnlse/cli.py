@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from ._pool import MAX_TASKS, run_tasks
 from .errors import DomainError, QnlseError
 from .integrators import (
     GridSpec,
@@ -37,7 +38,8 @@ from .reports import (
     float_reprs,
     frame_csv_text,
     frame_filename,
-    frames_json_text,
+    frames_json_items,
+    join_frames_json,
     report_csv_text,
     report_json_text,
     svg_line_plot,
@@ -58,6 +60,11 @@ from .verify import LIMIT_DELTAS, classical_limit_table, run_verification
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# propagate formats its frames in chunks of about this many field values,
+# pulled by every usable CPU; a chunk's CSV text (about 80 bytes a value)
+# is what one process holds in flight
+FRAME_CHUNK_VALUES = 4096
 
 
 class UsageError(Exception):
@@ -246,6 +253,13 @@ def _remove_stale_frames(directory: Path, last: int) -> None:
             path.unlink()
 
 
+def _frame_chunks(n_frames: int, n_points: int) -> list[slice]:
+    """Consecutive runs of frames of about ``FRAME_CHUNK_VALUES`` values
+    each, at most ``MAX_TASKS`` of them."""
+    size = max(1, FRAME_CHUNK_VALUES // n_points, -(-n_frames // MAX_TASKS))
+    return [slice(k, min(k + size, n_frames)) for k in range(0, n_frames, size)]
+
+
 def cmd_propagate(args: argparse.Namespace) -> int:
     spec, grid = _particle(args), _grid(args)
     equation = SolutionKind(args.equation)
@@ -253,18 +267,38 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     initial = sample_field(exact, grid, 0.0)
     traj = propagate(equation, initial, spec.q, spec.m, spec.hbar, boundary=exact)
     xs = grid.x_values()
+    if args.fmt == "svg":
+        last = traj[-1]
+        write_text(args.out, field_svg_text(xs, last.t, last.values))
+        return EXIT_OK
+    # every usable CPU formats chunks of frames; this process writes them
+    times, chunks = traj.times(), _frame_chunks(len(traj), len(xs))
+
+    def describe(c: int) -> str:
+        return f"the chunk of frames {chunks[c].start}-{chunks[c].stop - 1}"
+
     if args.fmt == "csv":
         args.out.mkdir(parents=True, exist_ok=True)
         x_col = float_reprs(xs)
-        for k, (t, row) in enumerate(zip(traj.times(), traj.values)):
-            write_text(args.out / frame_filename(k), frame_csv_text(x_col, t, row))
+
+        def csv_texts(c: int) -> list[str]:
+            return [frame_csv_text(x_col, t, row)
+                    for t, row in zip(times[chunks[c]], traj.values[chunks[c]])]
+
+        def write_frames(c: int, texts: list[str]) -> None:
+            for k, text in enumerate(texts, chunks[c].start):
+                write_text(args.out / frame_filename(k), text)
+
+        run_tasks("propagate", len(chunks), csv_texts, write_frames, describe)
         _remove_stale_frames(args.out, len(traj) - 1)
-    elif args.fmt == "json":
-        _emit_text(frames_json_text(equation.value, spec.q, xs,
-                                    traj.times(), traj.values), args)
     else:
-        last = traj[-1]
-        write_text(args.out, field_svg_text(xs, last.t, last.values))
+        items = [""] * len(chunks)
+        run_tasks("propagate", len(chunks),
+                  lambda c: frames_json_items(times[chunks[c]], traj.values[chunks[c]]),
+                  items.__setitem__, describe)
+        text = join_frames_json(equation.value, spec.q, xs, items)
+        items.clear()  # let the chunks go before the write encodes the text
+        _emit_text(text, args)
     return EXIT_OK
 
 

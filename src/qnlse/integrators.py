@@ -30,6 +30,7 @@ import cmath
 import itertools
 import math
 import operator
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -56,6 +57,12 @@ from .solutions import (
 # Explicit diffusive-scaling heuristic for the time step; exceeding it
 # warns (the RK4 imaginary-axis limit is roomier) but does not abort.
 STABILITY_SAFETY = 0.2
+
+# Work is bounded before it starts: propagate refuses a march whose frames
+# would take more than this share of physical memory, and the separated
+# integrators refuse more steps than this (each step keeps its state).
+FRAME_MEMORY_SHARE = 0.5
+MAX_SEPARATED_STEPS = 1_000_000
 
 
 def require_interval(x_min: float, x_max: float) -> None:
@@ -250,14 +257,19 @@ class _TrackedPower:
 
 
 def _step_count(span: float, step: float) -> int:
-    """Steps of size about ``step`` across ``span`` (either sign)."""
+    """Steps of size about ``step`` across ``span`` (either sign), at most
+    ``MAX_SEPARATED_STEPS``."""
     if not math.isfinite(span):
         raise DomainError(f"integration span must be finite, got {span}")
     if span == 0.0:
         return 0
     if not step > 0:
         raise DomainError("step size must be positive")
-    return max(1, round(abs(span) / step))
+    steps = abs(span) / step
+    if not steps <= MAX_SEPARATED_STEPS:
+        raise DomainError(f"a span of {span} in steps of {step} takes more than "
+                          f"{MAX_SEPARATED_STEPS} steps")
+    return max(1, round(steps))
 
 
 def integrate_separated_time(kind: SolutionKind, q: float, lam: float,
@@ -359,6 +371,14 @@ def _initial_theta(values: np.ndarray, xs: np.ndarray, t0: float, boundary) -> n
     return theta + TWO_PI * shift
 
 
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+
+
 def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
               hbar: float, boundary,
               potential: Optional[Callable[[float], float]] = None) -> Trajectory:
@@ -370,7 +390,9 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
     The boundary source supplies exact Dirichlet values at both grid
     ends for every RK4 stage time.  Returns the field after every step,
     the initial frame included, as one ``Trajectory``.  The initial
-    frame must match the grid and be finite and nonzero everywhere.
+    frame must match the grid and be finite and nonzero everywhere, and
+    the frames, ``(n_steps + 1) * n_points * 16`` bytes, may take at most
+    ``FRAME_MEMORY_SHARE`` of physical memory.
     """
     grid = initial.grid
     s, coef = marched_form(equation, q)
@@ -385,6 +407,13 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
         raise DomainError("field values must be finite")
     if np.any(values == 0):
         raise DomainError("initial field must be nonzero everywhere")
+    frame_bytes = (grid.n_steps + 1) * grid.n_points * 16
+    memory = _physical_memory()
+    if memory is not None and frame_bytes > FRAME_MEMORY_SHARE * memory:
+        raise DomainError(
+            f"{grid.n_steps} steps on {grid.n_points} points need {frame_bytes} bytes of "
+            f"frames, more than {FRAME_MEMORY_SHARE:g} of physical memory ({memory} bytes)"
+        )
 
     dx = grid.dx
     limit = STABILITY_SAFETY * dx * dx * m / hbar

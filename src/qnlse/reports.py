@@ -76,20 +76,33 @@ def frame_csv_text(x_col: list[str], t: float, values) -> str:
     return "x,t,re,im\n" + "\n".join(rows) + "\n"
 
 
-def frames_json_text(equation: str, q: float, xs, times, values) -> str:
-    """A march as JSON: byte for byte ``json.dumps(payload, sort_keys=True,
-    indent=2) + "\n"`` of ``{"equation", "q", "x", "frames": [{"t", "re",
-    "im"}, ...]}``, with frame k from ``times[k]`` and the row ``values[k]``.
+def frames_json_items(times, values) -> str:
+    """The ``{"im", "re", "t"}`` items of these frames, as ``join_frames_json``
+    writes them, separated by ``",\n"``: frame k from ``times[k]`` and the
+    row ``values[k]``.
 
     Each float array becomes one string straight from its ``repr``s; the
     parts are gathered in one list and joined once.
     """
-    parts = ['{\n  "equation": ', json.dumps(equation), ',\n  "frames": [']
-    sep = "\n"
+    parts = []
+    item = '    {\n      "im": '
     for t, row in zip(times, values):
-        parts += [sep, '    {\n      "im": ', _json_floats(row.imag, "        "),
+        parts += [item, _json_floats(row.imag, "        "),
                   ',\n      "re": ', _json_floats(row.real, "        "),
                   ',\n      "t": ', json.dumps(t), "\n    }"]
+        item = ',\n    {\n      "im": '
+    return "".join(parts)
+
+
+def join_frames_json(equation: str, q: float, xs, chunks) -> str:
+    """A march as JSON: byte for byte ``json.dumps(payload, sort_keys=True,
+    indent=2) + "\n"`` of ``{"equation", "q", "x", "frames": [{"t", "re",
+    "im"}, ...]}``, from the ``frames_json_items`` of consecutive runs of
+    its frames, given in frame order.  The whole text is joined once."""
+    parts = ['{\n  "equation": ', json.dumps(equation), ',\n  "frames": [']
+    sep = "\n"
+    for chunk in filter(None, chunks):
+        parts += [sep, chunk]
         sep = ",\n"
     parts += ["\n  ]" if sep == ",\n" else "]", ',\n  "q": ', json.dumps(q),
               ',\n  "x": ', _json_floats(xs, "    "), "\n}\n"]

@@ -316,8 +316,9 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     the point residual is called once, on the whole mesh; a bare scalar
     sampler (or potential) is first lifted onto arrays.  Scan order is
     t-major, then x: ``worst_point`` is the first maximum in that order,
-    ``l2`` is summed in it, and a domain error names the first offending
-    point.  ``lam`` is required for the separated tags.
+    ``l2`` is summed in it, and a domain error (a non-finite residual
+    included) names the first offending point.  ``lam`` is required for
+    the separated tags.
     """
     if equation not in _SCANS:
         raise DomainError(
@@ -348,6 +349,11 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     except DomainError as err:
         raise DomainError(f"{err} [while scanning {equation}]") from err
     r = np.broadcast_to(r, x.shape).ravel()
+    finite = np.isfinite(r)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise DomainError(f"residual not finite at (x={float(x.flat[k])!r}, "
+                          f"t={float(t.flat[k])!r}): {r[k]} [while scanning {equation}]")
     worst = int(np.argmax(r))
     return ResidualReport(
         equation=equation,

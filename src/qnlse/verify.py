@@ -8,14 +8,12 @@ of them; the acceptance tests reuse them.  Randomness is seeded from
 the ``QNLSE_SEED`` environment variable (default 42) so reruns are
 reproducible.
 
-``run_verification`` runs the suites on every CPU the process may use.
-The seeded suites share one generator and stay one task, in registry
-order; every other suite is a task of its own.  The task numbers go
-into a pipe, and this process and ``min(CPUs, tasks) - 1`` workers
-forked with ``os.fork`` pull from it until it is empty.  The results
-come back in registry order and equal a serial run's, so the reports
-are byte-identical to one; a worker's warnings go to the same stderr,
-once per process.
+``run_verification`` runs the suites on every CPU the process may use,
+through the pull queue of ``_pool``.  The seeded suites share one
+generator and stay one task, in registry order; every other suite is a
+task of its own.  The results come back in registry order and equal a
+serial run's, so the reports are byte-identical to one; a worker's
+warnings go to the same stderr, once per process.
 """
 
 from __future__ import annotations
@@ -24,14 +22,13 @@ import cmath
 import inspect
 import math
 import os
-import pickle
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QnlseError
+from . import _pool
+from .errors import DomainError
 from .integrators import (
     GridSpec,
     OdeSpaceCase,
@@ -631,14 +628,6 @@ _SUITE_FUNCS = {
 }
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _tasks(names: list[str] | None) -> list[list[tuple]]:
     """The selected suites as tasks of ``(registry index, suite, wants_rng)``.
 
@@ -660,120 +649,12 @@ def _tasks(names: list[str] | None) -> list[list[tuple]]:
     return tasks
 
 
-def _pull(queue: int, tasks, seed: int) -> list[tuple]:
-    """Run the tasks whose numbers this process reads from ``queue``, one
-    byte at a time, until EOF: ``[(registry index, SuiteResult or the
-    exception the suite raised)]``."""
-    done: list[tuple] = []
-    while byte := os.read(queue, 1):
-        rng = np.random.default_rng(seed)
-        for index, func, wants_rng in tasks[byte[0]]:
-            try:
-                done.append((index, func(rng) if wants_rng else func()))
-            except Exception as exc:
-                done.append((index, exc))
-                # every task still queued comes later in the registry, so
-                # none of them can change which error the run raises
-                while os.read(queue, 256):
-                    pass
-                return done
-    return done
-
-
-def _worker(queue: int, out: int, tasks, seed: int) -> None:
-    """A forked worker's whole life: pull tasks, write the pickled
-    outcomes to ``out`` and leave with ``os._exit``; it never returns."""
-    status = 1
-    try:
-        done = _pull(queue, tasks, seed)
-        try:
-            payload = pickle.dumps(done)
-            pickle.loads(payload)
-        except Exception:  # an exception that does not pickle travels as its text
-            payload = pickle.dumps([
-                (index, QnlseError(f"{type(o).__name__}: {o}") if isinstance(o, Exception) else o)
-                for index, o in done])
-        with open(out, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        _flush_stdio()
-        os._exit(status)
-
-
-def _flush_stdio() -> None:
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except (AttributeError, OSError, ValueError):  # None or closed: nothing to flush
-            pass
-
-
-def _run_tasks(tasks, seed: int) -> tuple[dict, list[str]]:
-    """Run ``tasks`` here and in ``min(CPUs, tasks) - 1`` forked workers:
-    ``({registry index: SuiteResult or exception}, [a note for each
-    worker that died without reporting])``.
-
-    Every worker is reaped before this returns or raises,
-    ``KeyboardInterrupt`` included; the queue is drained first, so a
-    worker stops after its current task.
-    """
-    queue, feed = os.pipe()
-    os.write(feed, bytes(range(len(tasks))))
-    os.close(feed)
-    workers: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
-    payloads = []
-    try:
-        n_workers = min(_usable_cpus(), len(tasks)) - 1 if hasattr(os, "fork") else 0
-        if n_workers > 0:
-            _flush_stdio()  # so that no worker writes the parent's buffered text
-        for _ in range(n_workers):
-            reader, writer = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the rest runs here
-                os.close(reader)
-                os.close(writer)
-                break
-            if pid == 0:
-                os.close(reader)
-                for _, other in workers:
-                    os.close(other)
-                _worker(queue, writer, tasks, seed)
-            os.close(writer)
-            workers.append((pid, reader))
-        done = dict(_pull(queue, tasks, seed))
-        for _, reader in workers:
-            with open(reader, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-    finally:
-        while os.read(queue, 256):
-            pass
-        os.close(queue)
-        statuses = []
-        for pid, reader in workers:
-            os.close(reader)
-            statuses.append(os.waitpid(pid, 0)[1])
-    lost = []
-    for (pid, _), status, payload in zip(workers, statuses, payloads):
-        code = os.waitstatus_to_exitcode(status)
-        if code == 0 and payload:
-            done.update(pickle.loads(payload))
-        elif code >= 0:
-            lost.append(f"verify worker {pid} exited with status {code}")
-        else:
-            lost.append(f"verify worker {pid} was killed by signal {-code}")
-    return done, lost
-
-
 def run_verification(seed: int | None = None,
                      names: list[str] | None = None) -> list[SuiteResult]:
     """Run the requested suites (all by default) and collect results.
 
-    The suites run on every CPU the process may use: the seeded suites
-    as one task, every other suite as a task of its own, pulled from one
-    queue by this process and by ``min(CPUs, tasks) - 1`` forked workers
-    (none where ``os.fork`` is missing, or with one CPU or one task).
+    The suites run on every CPU the process may use (``_pool``): the
+    seeded suites as one task, every other suite as a task of its own.
     The results come back in registry order and equal a serial run's,
     so the reports are unchanged.  If suites raise, the one earliest in
     the registry raises here, as in a serial run (an exception that does
@@ -790,14 +671,14 @@ def run_verification(seed: int | None = None,
     if seed is None:
         seed = seed_from_env()
     tasks = _tasks(names)
-    done, lost = _run_tasks(tasks, seed)
-    results = []
-    for index in sorted(index for task in tasks for index, _, _ in task):
-        outcome = done.get(index)
-        if outcome is None:
-            name = list(_SUITE_FUNCS)[index]
-            raise QnlseError(f"suite {name} was not reported: {'; '.join(lost)}")
-        if isinstance(outcome, Exception):
-            raise outcome
-        results.append(outcome)
-    return results
+    done: dict[int, list[SuiteResult]] = {}
+
+    def run(task: int) -> list[SuiteResult]:
+        rng = np.random.default_rng(seed)
+        return [func(rng) if wants_rng else func() for _, func, wants_rng in tasks[task]]
+
+    _pool.run_tasks("verify", len(tasks), run, done.__setitem__,
+                    lambda task: f"suite {list(_SUITE_FUNCS)[tasks[task][0][0]]}")
+    return [result for _, result in sorted(
+        (index, result) for task, results in done.items()
+        for (index, _, _), result in zip(tasks[task], results))]

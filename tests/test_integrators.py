@@ -188,6 +188,20 @@ class TestSeparatedIntegration:
         with pytest.raises(DomainError, match="hbar"):
             integrate_separated_space(SolutionKind.NRT, 1.5, 1.0, 0.5, hbar, 1.0, 0.1)
 
+    @pytest.mark.parametrize("step", [1e-12, 5e-324])
+    def test_step_count_is_bounded_before_any_step(self, step):
+        # 1e12 steps would run for hours; 1/5e-324 is inf steps
+        with pytest.raises(DomainError, match=r"more than 1000000 steps"):
+            integrate_separated_time(SolutionKind.NEW, 1.5, 1.0, 1.0, 1.0, step)
+        with pytest.raises(DomainError, match=r"more than 1000000 steps"):
+            integrate_separated_space(SolutionKind.NRT, 1.5, 1.0, 0.5, 1.0, -1.0, step)
+
+    def test_step_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(integrators, "MAX_SEPARATED_STEPS", 10)
+        assert len(integrate_separated_time(SolutionKind.NEW, 1.5, 1.0, 1.0, 1.0, 0.1)) == 11
+        with pytest.raises(DomainError, match=r"in steps of 0\.09 takes more than 10 steps"):
+            integrate_separated_time(SolutionKind.NEW, 1.5, 1.0, 1.0, 1.0, 0.09)
+
     def test_space_state_is_a_pair_of_complex_scalars(self, monkeypatch):
         seen = []
 
@@ -332,6 +346,34 @@ class TestPropagate:
         with pytest.raises(PropagationError, match="step"):
             quiet_propagate(SolutionKind.NEW, sample_field(exact, grid, 0.0),
                             spec.q, spec.m, spec.hbar, boundary=exact)
+
+    def test_frames_over_the_memory_share_are_refused_before_any_work(self, monkeypatch):
+        # 6.4e15 bytes of frames: no machine has twice that; the boundary
+        # source must not be evaluated either (6e12 points a side)
+        calls = []
+        boundary = lambda x, t: calls.append((x, t)) or 1.0 + 0j
+        grid = GridSpec(-5.0, 5.0, 401, 1e-5, 10**12)
+        with pytest.raises(DomainError, match=r"^1000000000000 steps on 401 points need "
+                                              r"6416000000006416 bytes of frames, more than "
+                                              r"0\.5 of physical memory \(\d+ bytes\)$"):
+            quiet_propagate(SolutionKind.NEW, Frame(grid, 0.0, np.ones(401, dtype=complex)),
+                            1.5, 0.5, 1.0, boundary=boundary)
+        assert calls == []
+
+    def test_memory_share_is_inclusive(self, monkeypatch):
+        # 11 points: (4 + 1) * 11 * 16 = 880 bytes pass at 1760 bytes of memory
+        monkeypatch.setattr(integrators, "_physical_memory", lambda: 1760)
+        spec = FreeParticleSpec(q=1.5)
+        exact = manufactured_field(SolutionKind.NEW, spec)
+        for steps, fits in ((4, True), (5, False)):
+            initial = sample_field(exact, GridSpec(-1.0, 1.0, 11, 1e-4, steps), 0.0)
+            if fits:
+                assert len(quiet_propagate(SolutionKind.NEW, initial, spec.q, spec.m,
+                                           spec.hbar, boundary=exact)) == 5
+            else:
+                with pytest.raises(DomainError, match="1056 bytes of frames"):
+                    quiet_propagate(SolutionKind.NEW, initial, spec.q, spec.m,
+                                    spec.hbar, boundary=exact)
 
     def test_q_guards(self):
         grid = GridSpec(-1.0, 1.0, 11, 1e-4, 1)

@@ -10,7 +10,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnlse.reports import float_reprs, frame_csv_text, frames_json_text
+from qnlse.reports import (
+    float_reprs,
+    frame_csv_text,
+    frames_json_items,
+    join_frames_json,
+)
 
 # finite doubles, with the reprs that differ most between formatters
 # (signed zero, subnormals, exponent switch-over, inexact decimals)
@@ -59,11 +64,15 @@ def json_dumps_frames(equation, q, xs, times, values) -> str:
 
 
 @settings(deadline=None)
-@given(marches(), doubles)
-def test_frames_json_text_matches_json_dumps(march, q):
+@given(marches(), doubles, st.data())
+def test_frames_json_joined_from_chunks_matches_json_dumps(march, q, data):
+    # how propagate writes JSON: the items of consecutive runs of frames,
+    # formatted apart and joined in frame order (no cut: one run)
     xs, times, values = march
-    assert frames_json_text("nrt", q, xs, times, values) == \
-        json_dumps_frames("nrt", q, xs, times, values)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(times) - 1))) if len(times) > 1 else [])
+    bounds = [0, *cuts, len(times)]
+    chunks = [frames_json_items(times[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert join_frames_json("nrt", q, xs, chunks) == json_dumps_frames("nrt", q, xs, times, values)
 
 
 @settings(deadline=None)
@@ -78,7 +87,7 @@ def test_frame_csv_text_matches_csv_writer(march):
 def test_json_with_no_frames_matches_json_dumps():
     xs = np.array([-1.0, 0.0, 1.0])
     values = np.empty((0, 3), dtype=np.complex128)
-    assert frames_json_text("new", 1.5, xs, [], values) == \
+    assert join_frames_json("new", 1.5, xs, [frames_json_items([], values)]) == \
         json_dumps_frames("new", 1.5, xs, [], values)
 
 
@@ -87,5 +96,5 @@ def test_numpy_scalar_times_are_written_as_floats():
     row = np.array([1 + 2j, -0.0 + 0.1j, 3e-9 - 1e22j])
     t = np.float64(0.25)
     assert frame_csv_text(float_reprs(xs), t, row) == csv_writer_frame(xs, 0.25, row)
-    assert frames_json_text("new", 1.5, xs, [t], row[None, :]) == \
+    assert join_frames_json("new", 1.5, xs, [frames_json_items([t], row[None, :])]) == \
         json_dumps_frames("new", 1.5, xs, [0.25], row[None, :])

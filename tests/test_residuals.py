@@ -324,6 +324,18 @@ class TestScan:
         with pytest.raises(DomainError, match=r"not finite at \(x=1\.0, t=0\.0\)"):
             scan_residual("new-field", huge, grid, AN, q=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_residual_raises_naming_the_scan(self, bad):
+        # a potential that is not finite at x = 0 leaves every closed form
+        # finite but the residual not; t-major order meets (0.0, 0.0) first
+        spec = FreeParticleSpec(q=1.1)
+        grid = GridSpec(-1.0, 1.0, 11, 0.1, 3)
+        potential = lambda x: bad if x == 0.0 else 0.0
+        with pytest.raises(DomainError, match=r"^residual not finite at \(x=0\.0, t=0\.0\): "
+                                              r"(nan|inf) \[while scanning nrt-field\]$"):
+            scan_residual("nrt-field", product_solution_field(SolutionKind.NRT, spec), grid,
+                          AN, q=spec.q, m=spec.m, hbar=spec.hbar, potential=potential)
+
     def test_domain_error_carries_location(self):
         # a field with a zero at an interior grid point aborts with coordinates
         hole = lambda x, t: complex(x - 0.5, 0.0) if abs(x - 0.5) > 1e-12 else 0j

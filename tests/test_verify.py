@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from qnlse import verify
+from qnlse import _pool, verify
 from qnlse.errors import DomainError, QnlseError
 from qnlse.verify import (
     DEFAULT_SEED,
@@ -136,7 +136,7 @@ def assert_no_child_left():
 
 
 def run_on(cpus, monkeypatch, **kwargs):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
     return run_verification(**kwargs)
 
 
@@ -178,17 +178,17 @@ def fake_suites(monkeypatch, tmp_path):
 
     for name in (A, B, C):
         monkeypatch.setitem(verify._SUITE_FUNCS, name, fake(name))
-    real_pull = verify._pull
+    real_pull = _pool._pull
 
-    def pull(queue, tasks, seed):
+    def pull(queue):
         if os.getpid() == parent:
             deadline = time.monotonic() + 10.0
             while not started.exists() and time.monotonic() < deadline:
                 time.sleep(0.001)
-        return real_pull(queue, tasks, seed)
+        return real_pull(queue)
 
-    monkeypatch.setattr(verify, "_pull", pull)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_pool, "_pull", pull)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
 
     def where():
         return {name: (tmp_path / f"ran-{name}").read_text()
