@@ -49,11 +49,9 @@ from .residuals import Analytic, FiniteDifference, scan_residual
 from .solutions import (
     FreeParticleSpec,
     SolutionKind,
+    closed_form,
     marched_form,
-    product_solution_field,
-    q_plane_wave_field,
     separated_space_curve,
-    separated_time_curve,
 )
 from .verify import LIMIT_DELTAS, classical_limit_table, run_verification
 
@@ -207,26 +205,13 @@ def _residual_tag(args: argparse.Namespace) -> str:
     return f"{eq}-{args.form}"
 
 
-def _residual_sampler(solution: str, form: str, spec: FreeParticleSpec):
-    if form in ("time", "space"):
-        if solution == "plane":
-            raise UsageError(
-                "--solution plane has no separated factors; pick new or nrt"
-            )
-        curve = separated_time_curve if form == "time" else separated_space_curve
-        return curve(SolutionKind(solution), spec)
-    if solution == "plane":
-        psi = q_plane_wave_field(spec)
-    else:
-        psi = product_solution_field(SolutionKind(solution), spec)
-    return psi.pow(spec.q) if form == "phi" else psi
-
-
 def cmd_residual(args: argparse.Namespace) -> int:
     spec, grid = _particle(args), _grid(args)
     solution = args.solution or args.equation
     tag = _residual_tag(args)
-    sampler = _residual_sampler(solution, args.form, spec)
+    if solution == "plane" and args.form in ("time", "space"):
+        raise UsageError("--solution plane has no separated factors; pick new or nrt")
+    sampler = closed_form(solution, args.form, spec)
     method = Analytic() if args.method == "analytic" else FiniteDifference()
     rep = scan_residual(
         tag, sampler, grid, method,

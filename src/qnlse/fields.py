@@ -17,9 +17,9 @@ sum is the continuation anchored at log 1 = 0.
 
 Every method (``__call__``, ``log_value``, ``d_t``, ``d_x``, ``d_xx``,
 ``deriv``) broadcasts: coordinates may be floats or ndarrays, and a
-scalar call returns a Python ``complex``.  A vanished base or a
-non-finite value raises ``DomainError`` naming the first offending
-point in C order.
+scalar call returns a Python ``complex``, the value an array call gives
+at that point, bit for bit.  A vanished base or a non-finite value
+raises ``DomainError`` naming the first offending point in C order.
 
 A "sampler" in the rest of the package is any callable (x, t) -> complex.
 Bare scalar callables are still accepted: ``lift_sampler`` applies them
@@ -32,6 +32,7 @@ back to principal-branch arithmetic otherwise.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,35 @@ def finite_exp(log, what: str, **coords):
     return as_sample(value)
 
 
+_CALCULUS = ("log_value", "d_t", "d_x", "d_xx", "deriv")
+
+
+def _scalars_on_arrays(n_coords: int):
+    """Class decorator: a call of ``__call__`` or a calculus method whose
+    ``n_coords`` coordinates are all scalars runs on one-point arrays and
+    returns that point's value as a Python complex, since numpy's array
+    loops round complex products and quotients differently from scalar
+    arithmetic (Python's and numpy's alike)."""
+
+    def wrap(method):
+        @functools.wraps(method)
+        def call(self, *args):
+            coords = args[:n_coords]
+            if any(map(np.ndim, coords)):
+                return method(self, *args)
+            return complex(method(self, *map(np.atleast_1d, coords), *args[n_coords:])[0])
+
+        return call
+
+    def decorate(cls):
+        for name in ("__call__",) + _CALCULUS:
+            if name in vars(cls):
+                setattr(cls, name, wrap(vars(cls)[name]))
+        return cls
+
+    return decorate
+
+
 @dataclass(frozen=True)
 class AffineFactor:
     """One factor (1 + cx*x + ct*t) ** s of a power-product field."""
@@ -79,6 +109,7 @@ class AffineFactor:
         return 1.0 + self.cx * x + self.ct * t
 
 
+@_scalars_on_arrays(2)
 class PowerProductField:
     """A * prod_j (1 + cx_j x + ct_j t) ** s_j with exact calculus.
 
@@ -105,7 +136,7 @@ class PowerProductField:
         total = np.full(np.broadcast(x, t).shape, self._log_amp)
         for f, b in zip(self.factors, self._bases(x, t)):
             total += f.s * np.log(b)
-        return as_sample(total)
+        return total
 
     def __call__(self, x, t):
         return finite_exp(self.log_value(x, t), "field value", x=x, t=t)
@@ -123,15 +154,15 @@ class PowerProductField:
 
     def d_t(self, x, t):
         _, lt, _ = self._log_grads(x, t)
-        return as_sample(self(x, t) * lt)
+        return self(x, t) * lt
 
     def d_x(self, x, t):
         lx, _, _ = self._log_grads(x, t)
-        return as_sample(self(x, t) * lx)
+        return self(x, t) * lx
 
     def d_xx(self, x, t):
         lx, _, lxx = self._log_grads(x, t)
-        return as_sample(self(x, t) * (lx * lx + lxx))
+        return self(x, t) * (lx * lx + lxx)
 
     def pow(self, s: float) -> "PowerProductField":
         """The field raised to a real power, on its own continuous branch."""
@@ -141,6 +172,7 @@ class PowerProductField:
         )
 
 
+@_scalars_on_arrays(2)
 class ExponentialField:
     """A * exp(kx*x + kt*t); the q -> 1 limit of the power products."""
 
@@ -159,13 +191,13 @@ class ExponentialField:
         return finite_exp(self.log_value(x, t), "field value", x=x, t=t)
 
     def d_t(self, x, t):
-        return as_sample(self.kt * self(x, t))
+        return self.kt * self(x, t)
 
     def d_x(self, x, t):
-        return as_sample(self.kx * self(x, t))
+        return self.kx * self(x, t)
 
     def d_xx(self, x, t):
-        return as_sample(self.kx * self.kx * self(x, t))
+        return self.kx * self.kx * self(x, t)
 
     def pow(self, s: float) -> "ExponentialField":
         return ExponentialField(
@@ -173,6 +205,7 @@ class ExponentialField:
         )
 
 
+@_scalars_on_arrays(1)
 class PowerCurve:
     """A * (1 + c*u) ** s, one-variable analogue of the power product."""
 
@@ -190,7 +223,7 @@ class PowerCurve:
         return b
 
     def log_value(self, u):
-        return as_sample(self._log_amp + self.s * np.log(self._base(u)))
+        return self._log_amp + self.s * np.log(self._base(u))
 
     def __call__(self, u):
         return finite_exp(self.log_value(u), "curve value", u=u)
@@ -201,8 +234,8 @@ class PowerCurve:
         b = self._base(u)
         v = self(u)
         if order == 1:
-            return as_sample(v * self.s * self.c / b)
-        return as_sample(v * self.s * (self.s - 1.0) * (self.c / b) ** 2)
+            return v * self.s * self.c / b
+        return v * self.s * (self.s - 1.0) * (self.c / b) ** 2
 
     def pow(self, s: float) -> "PowerCurve":
         return PowerCurve(
@@ -210,6 +243,7 @@ class PowerCurve:
         )
 
 
+@_scalars_on_arrays(1)
 class ExpCurve:
     """A * exp(k*u), the q -> 1 limit of the power curves."""
 
@@ -228,9 +262,9 @@ class ExpCurve:
 
     def deriv(self, u, order: int):
         if order == 1:
-            return as_sample(self.k * self(u))
+            return self.k * self(u)
         if order == 2:
-            return as_sample(self.k * self.k * self(u))
+            return self.k * self.k * self(u)
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
 
     def pow(self, s: float) -> "ExpCurve":
@@ -238,7 +272,6 @@ class ExpCurve:
 
 
 _CLOSED_FORMS = (PowerProductField, ExponentialField, PowerCurve, ExpCurve)
-_CALCULUS = ("log_value", "d_t", "d_x", "d_xx", "deriv")
 
 
 class _Pointwise:

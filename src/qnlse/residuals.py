@@ -345,7 +345,9 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
         raise DomainError("empty scan grid")
 
     try:
-        r = np.abs(point_residual(lift_sampler(sampler), x, t, args))
+        # a non-finite residual is reported below, by point, not warned about
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            r = np.abs(point_residual(lift_sampler(sampler), x, t, args))
     except DomainError as err:
         raise DomainError(f"{err} [while scanning {equation}]") from err
     r = np.broadcast_to(r, x.shape).ravel()

@@ -183,6 +183,20 @@ def product_solution_field(kind: SolutionKind, spec: FreeParticleSpec):
     )
 
 
+def closed_form(solution: str, form: str, spec: FreeParticleSpec):
+    """The closed form of ``solution`` ("plane", "new" or "nrt") in ``form``:
+    the field psi ("field"), phi = psi^q ("phi"), or its separated time or
+    space factor ("time", "space"); the plane wave has no separated factors."""
+    if form in ("time", "space"):
+        if solution == "plane":
+            raise DomainError("the plane wave has no separated factors")
+        curve = separated_time_curve if form == "time" else separated_space_curve
+        return curve(SolutionKind(solution), spec)
+    psi = (q_plane_wave_field(spec) if solution == "plane"
+           else product_solution_field(SolutionKind(solution), spec))
+    return psi.pow(spec.q) if form == "phi" else psi
+
+
 def q_plane_wave_hypergeometric(
     spec: FreeParticleSpec, gamma: float, x: float, t: float
 ) -> complex:

@@ -10,10 +10,11 @@ reproducible.
 
 ``run_verification`` runs the suites on every CPU the process may use,
 through the pull queue of ``_pool``.  The seeded suites share one
-generator and stay one task, in registry order; every other suite is a
-task of its own.  The results come back in registry order and equal a
-serial run's, so the reports are byte-identical to one; a worker's
-warnings go to the same stderr, once per process.
+generator, which only their task builds, and stay one task, in registry
+order; every other suite is a task of its own.  The results come back
+in registry order and equal a serial run's, so the reports are
+byte-identical to one; a worker's warnings go to the same stderr, once
+per process.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .integrators import (
     PdeCase,
     convergence_study,
     fit_observed_order,
-    integrate_separated_space,
-    integrate_separated_time,
     interior_linf_error,
     manufactured_field,
     propagate,
@@ -67,6 +66,7 @@ from .solutions import (
     admits_space,
     admits_time,
     classical_plane_wave_field,
+    closed_form,
     product_solution_field,
     q_plane_wave_field,
     q_plane_wave_hypergeometric,
@@ -118,6 +118,13 @@ def _worst(*values: float, pick=max) -> float:
     fails its suite instead of vanishing (``max(0.0, nan)`` is 0.0 and
     ``min(inf, nan)`` is inf)."""
     return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
+def _order_in_q(distance, deltas=LIMIT_DELTAS, sign: float = 1.0):
+    """The distances ``distance(1 + sign*d)`` for each d of ``deltas``, and
+    the order in |q - 1| fitted to them."""
+    sups = [distance(1.0 + sign * d) for d in deltas]
+    return sups, fit_observed_order(deltas, sups)
 
 
 def _draw_z(rng, radius: float = 0.9) -> complex:
@@ -233,14 +240,9 @@ def suite_deformed_exp_limit(rng) -> SuiteResult:
     tol = 0.9
     zs = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(25)]
     zs = [z for z in zs if abs(z) <= 2.0] or [1.0 + 1.0j]
-    orders = []
-    for sign in (+1.0, -1.0):
-        deltas = (1e-2, 1e-3, 1e-4)
-        sups = []
-        for d in deltas:
-            q = 1.0 + sign * d
-            sups.append(_worst(*(abs(q_exp(q, z) - cmath.exp(-z)) for z in zs)))
-        orders.append(fit_observed_order(deltas, sups))
+    orders = [_order_in_q(lambda q: _worst(*(abs(q_exp(q, z) - cmath.exp(-z)) for z in zs)),
+                          (1e-2, 1e-3, 1e-4), sign)[1]
+              for sign in (+1.0, -1.0)]
     worst = _worst(*orders, pick=min)
     return SuiteResult("deformed-exp-limit", worst >= tol, worst, tol,
                        detail="fitted order in |q-1| (pass if >= tolerance)")
@@ -292,18 +294,12 @@ def classical_limit_table(p: float = 1.0, m: float = 0.5,
     ``LIMIT_DELTAS``, and the order in q - 1 fitted to them."""
     x, t = np.meshgrid(*_limit_grid())
     classical = classical_plane_wave_field(FreeParticleSpec(q=1.0, p=p, m=m, hbar=hbar))(x, t)
-    table = {}
-    for family in ("plane", "new", "nrt"):
-        sups = []
-        for d in LIMIT_DELTAS:
-            spec = FreeParticleSpec(q=1.0 + d, p=p, m=m, hbar=hbar)
-            if family == "plane":
-                sol = q_plane_wave_field(spec)
-            else:
-                sol = product_solution_field(SolutionKind(family), spec)
-            sups.append(float(np.max(np.abs(sol(x, t) - classical))))
-        table[family] = (sups, fit_observed_order(LIMIT_DELTAS, sups))
-    return table
+
+    def table_row(family: str):
+        return _order_in_q(lambda q: float(np.max(np.abs(closed_form(
+            family, "field", FreeParticleSpec(q=q, p=p, m=m, hbar=hbar))(x, t) - classical))))
+
+    return {family: table_row(family) for family in ("plane", "new", "nrt")}
 
 
 def suite_classical_limit() -> SuiteResult:
@@ -327,8 +323,7 @@ def suite_non_coincidence() -> SuiteResult:
 
     split = sup_diff(1.5, np.linspace(-5.0, 5.0, 101))
     fit_xs = _limit_grid()[0]
-    sups = [sup_diff(1.0 + d, fit_xs) for d in LIMIT_DELTAS]
-    order = fit_observed_order(LIMIT_DELTAS, sups)
+    order = _order_in_q(lambda q: sup_diff(q, fit_xs))[1]
     passed = split > 1e-3 and order >= 0.9
     return SuiteResult(
         "non-coincidence", passed, order, 0.9,
@@ -365,66 +360,55 @@ def suite_origin_normalization() -> SuiteResult:
 
 
 def _residual_pairs(q: float):
-    """Every equation paired with the closed form that solves it."""
+    """Every equation paired with the closed form that solves it (the field
+    scans do not read ``lam``)."""
     spec = FreeParticleSpec(q=q)
-    lam = spec.energy
-    pairs = [
-        ("new-field", q_plane_wave_field(spec), {}),
-        ("new-phi", q_plane_wave_field(spec).pow(q), {}),
-        ("new-time", separated_time_curve(SolutionKind.NEW, spec), {"lam": lam}),
-        ("new-space", separated_space_curve(SolutionKind.NEW, spec), {"lam": lam}),
-    ]
+    forms = [("new", "plane", "field"), ("new", "plane", "phi"),
+             ("new", "new", "time"), ("new", "new", "space")]
     if admits_time(SolutionKind.NRT, q) and admits_space(SolutionKind.NRT, q):
-        pairs += [
-            ("nrt-field", product_solution_field(SolutionKind.NRT, spec), {}),
-            ("nrt-time", separated_time_curve(SolutionKind.NRT, spec), {"lam": lam}),
-            ("nrt-space", separated_space_curve(SolutionKind.NRT, spec), {"lam": lam}),
-        ]
-    return spec, pairs
+        forms += [("nrt", "nrt", form) for form in ("field", "time", "space")]
+    return spec, [(f"{equation}-{form}", closed_form(solution, form, spec), {"lam": spec.energy})
+                  for equation, solution, form in forms]
 
 
-def _exactness_worst(method) -> tuple[float, str]:
-    """The largest scan residual over every pair, and the first pair that has it."""
+def _scan_maxima(spec: FreeParticleSpec, pairs, method=Analytic()) -> list[float]:
+    """The ``max_abs`` of each ``(tag, sampler, extra)`` scanned on the scan grid
+    at the parameters of ``spec``; ``extra`` holds ``lam`` where a tag needs one."""
     grid = _scan_grid()
+    return [scan_residual(tag, sampler, grid, method, q=spec.q, m=spec.m,
+                          hbar=spec.hbar, **extra).max_abs
+            for tag, sampler, extra in pairs]
+
+
+def _exactness(name: str, method, tol: float) -> SuiteResult:
+    """The largest scan residual over every pair, with the first pair that has it."""
     scans = []
     for q in RESIDUAL_Q_SET + (2.0,):
         spec, pairs = _residual_pairs(q)
-        for tag, sampler, extra in pairs:
-            rep = scan_residual(tag, sampler, grid, method, q=q,
-                                m=spec.m, hbar=spec.hbar, **extra)
-            scans.append((rep.max_abs, f"{tag} q={q}"))
+        scans += zip(_scan_maxima(spec, pairs, method), (f"{tag} q={q}" for tag, _, _ in pairs))
     worst = _worst(*(value for value, _ in scans))
-    return worst, next(where for value, where in scans
-                       if value == worst or math.isnan(value))
+    where = next(where for value, where in scans if value == worst or math.isnan(value))
+    return SuiteResult(name, worst <= tol, worst, tol, detail=f"worst at {where}")
 
 
 def suite_residual_exactness_analytic() -> SuiteResult:
-    tol = 1e-8
-    worst, where = _exactness_worst(Analytic())
-    return SuiteResult("residual-exactness-analytic", worst <= tol, worst, tol,
-                       detail=f"worst at {where}")
+    return _exactness("residual-exactness-analytic", Analytic(), 1e-8)
 
 
 def suite_residual_exactness_fd() -> SuiteResult:
-    tol = 1e-5
-    worst, where = _exactness_worst(FiniteDifference())
-    return SuiteResult("residual-exactness-fd", worst <= tol, worst, tol,
-                       detail=f"worst at {where}")
+    return _exactness("residual-exactness-fd", FiniteDifference(), 1e-5)
 
 
 def suite_change_of_variables() -> SuiteResult:
     """The psi-form and the phi-form (phi = psi^q) agree on exactness."""
     tol = 1e-8
-    grid = _scan_grid()
     worst = 0.0
     for q in (0.9, 1.5):
         spec = FreeParticleSpec(q=q)
-        for psi in (q_plane_wave_field(spec), product_solution_field(SolutionKind.NEW, spec)):
-            r_psi = scan_residual("new-field", psi, grid, Analytic(), q=q,
-                                  m=spec.m, hbar=spec.hbar)
-            r_phi = scan_residual("new-phi", psi.pow(q), grid, Analytic(), q=q,
-                                  m=spec.m, hbar=spec.hbar)
-            worst = _worst(worst, r_psi.max_abs, r_phi.max_abs)
+        for solution in ("plane", "new"):
+            worst = _worst(worst, *_scan_maxima(spec, [
+                (f"new-{form}", closed_form(solution, form, spec), {}) for form in ("field", "phi")
+            ]))
     return SuiteResult("change-of-variables", worst <= tol, worst, tol)
 
 
@@ -433,43 +417,34 @@ def suite_method_agreement() -> SuiteResult:
     tol = 1e-4
     worst = 0.0
     x, t = np.meshgrid(np.linspace(-5.0, 5.0, 11), (0.0, 0.5, 1.0))
-    an, fd = Analytic(), FiniteDifference()
+
+    def gap(residual, *args) -> float:
+        return float(np.max(np.abs(residual(*args, Analytic())
+                                   - residual(*args, FiniteDifference()))))
+
+    new, nrt = SolutionKind.NEW, SolutionKind.NRT
     for q in (0.9, 1.5):
         spec = FreeParticleSpec(q=q)
-        lam = spec.energy
-        plane = q_plane_wave_field(spec)
-        nrt_prod = product_solution_field(SolutionKind.NRT, spec)
-        f_new = separated_time_curve(SolutionKind.NEW, spec)
-        g_nrt = separated_space_curve(SolutionKind.NRT, spec)
-        pairs = [
-            new_nlse_residual(plane, q, spec.m, spec.hbar, (x, t), an)
-            - new_nlse_residual(plane, q, spec.m, spec.hbar, (x, t), fd),
-            nrt_residual(nrt_prod, q, spec.m, spec.hbar, None, (x, t), an)
-            - nrt_residual(nrt_prod, q, spec.m, spec.hbar, None, (x, t), fd),
-            separated_time_residual(SolutionKind.NEW, f_new, q, lam, spec.hbar, t, an)
-            - separated_time_residual(SolutionKind.NEW, f_new, q, lam, spec.hbar, t, fd),
-            separated_space_residual(SolutionKind.NRT, g_nrt, q, lam, spec.m,
-                                     spec.hbar, x, an)
-            - separated_space_residual(SolutionKind.NRT, g_nrt, q, lam, spec.m,
-                                       spec.hbar, x, fd),
-        ]
-        worst = _worst(worst, *(float(np.max(np.abs(d))) for d in pairs))
+        m, hbar, lam = spec.m, spec.hbar, spec.energy
+        worst = _worst(
+            worst,
+            gap(new_nlse_residual, closed_form("plane", "field", spec), q, m, hbar, (x, t)),
+            gap(nrt_residual, closed_form("nrt", "field", spec), q, m, hbar, None, (x, t)),
+            gap(separated_time_residual, new, closed_form("new", "time", spec), q, lam, hbar, t),
+            gap(separated_space_residual, nrt, closed_form("nrt", "space", spec),
+                q, lam, m, hbar, x),
+        )
     return SuiteResult("derivative-method-agreement", worst <= tol, worst, tol)
 
 
 def suite_lambda_uniqueness() -> SuiteResult:
     """A 1% mis-set separation constant is loudly visible."""
     floor = 1e-4
-    grid = _scan_grid()
-    worst_min = math.inf
     spec = FreeParticleSpec(q=1.5)
-    lam = spec.energy
-    for kind, tag in ((SolutionKind.NEW, "new-space"), (SolutionKind.NRT, "nrt-space")):
-        g = separated_space_curve(kind, spec)
-        for factor in (1.01, 0.99):
-            rep = scan_residual(tag, g, grid, Analytic(), q=spec.q,
-                                m=spec.m, hbar=spec.hbar, lam=lam * factor)
-            worst_min = _worst(worst_min, rep.max_abs, pick=min)
+    worst_min = _worst(*_scan_maxima(spec, [
+        (f"{kind.value}-space", separated_space_curve(kind, spec), {"lam": spec.energy * factor})
+        for kind in (SolutionKind.NEW, SolutionKind.NRT) for factor in (1.01, 0.99)
+    ]), pick=min)
     return SuiteResult("lambda-uniqueness", worst_min > floor, worst_min, floor,
                        detail="max residual under 1% lambda perturbation (must exceed tolerance)")
 
@@ -477,20 +452,13 @@ def suite_lambda_uniqueness() -> SuiteResult:
 def suite_cross_equation() -> SuiteResult:
     """Each equation rejects the other equation's q != 1 solution."""
     floor = 1e-3
-    grid = _scan_grid()
     spec = FreeParticleSpec(q=1.5)
-    lam = spec.energy
-    checks = [
+    worst_min = _worst(*_scan_maxima(spec, [
         ("nrt-field", product_solution_field(SolutionKind.NEW, spec), {}),
         ("new-field", product_solution_field(SolutionKind.NRT, spec), {}),
-        ("new-space", separated_space_curve(SolutionKind.NRT, spec), {"lam": lam}),
-        ("nrt-space", separated_space_curve(SolutionKind.NEW, spec), {"lam": lam}),
-    ]
-    worst_min = math.inf
-    for tag, sampler, extra in checks:
-        rep = scan_residual(tag, sampler, grid, Analytic(), q=spec.q,
-                            m=spec.m, hbar=spec.hbar, **extra)
-        worst_min = _worst(worst_min, rep.max_abs, pick=min)
+        ("new-space", separated_space_curve(SolutionKind.NRT, spec), {"lam": spec.energy}),
+        ("nrt-space", separated_space_curve(SolutionKind.NEW, spec), {"lam": spec.energy}),
+    ]), pick=min)
     return SuiteResult("cross-equation-rejection", worst_min > floor, worst_min, floor,
                        detail="smallest cross-equation max residual (must exceed tolerance)")
 
@@ -503,17 +471,9 @@ def suite_cross_equation() -> SuiteResult:
 def suite_ode_vs_closed_form() -> SuiteResult:
     """RK4 endpoints match the closed forms to 1e-7 at step 1e-3."""
     tol = 1e-7
-    worst = 0.0
-    for q in (0.5, 1.1, 1.5):
-        spec = FreeParticleSpec(q=q)
-        lam = spec.energy
-        for kind in (SolutionKind.NEW, SolutionKind.NRT):
-            traj = integrate_separated_time(kind, q, lam, spec.hbar, 1.0, 1e-3)
-            exact = separated_time_curve(kind, spec)(1.0)
-            worst = _worst(worst, abs(traj[-1][1] - exact))
-            traj = integrate_separated_space(kind, q, lam, spec.m, spec.hbar, 1.0, 1e-3)
-            exact = separated_space_curve(kind, spec)(1.0)
-            worst = _worst(worst, abs(traj[-1][1] - exact))
+    worst = _worst(*(case(kind, FreeParticleSpec(q=q), 1.0, 1e-3).error(0)[1]
+                     for q in (0.5, 1.1, 1.5) for kind in SolutionKind
+                     for case in (OdeTimeCase, OdeSpaceCase)))
     return SuiteResult("ode-vs-closed-form", worst <= tol, worst, tol)
 
 
@@ -654,7 +614,8 @@ def run_verification(seed: int | None = None,
     """Run the requested suites (all by default) and collect results.
 
     The suites run on every CPU the process may use (``_pool``): the
-    seeded suites as one task, every other suite as a task of its own.
+    seeded suites as one task, the only one that builds
+    ``default_rng(seed)``, and every other suite as a task of its own.
     The results come back in registry order and equal a serial run's,
     so the reports are unchanged.  If suites raise, the one earliest in
     the registry raises here, as in a serial run (an exception that does
@@ -674,8 +635,8 @@ def run_verification(seed: int | None = None,
     done: dict[int, list[SuiteResult]] = {}
 
     def run(task: int) -> list[SuiteResult]:
-        rng = np.random.default_rng(seed)
-        return [func(rng) if wants_rng else func() for _, func, wants_rng in tasks[task]]
+        rng = (np.random.default_rng(seed),) if tasks[task][0][2] else ()
+        return [func(*rng) for _, func, _ in tasks[task]]
 
     _pool.run_tasks("verify", len(tasks), run, done.__setitem__,
                     lambda task: f"suite {list(_SUITE_FUNCS)[tasks[task][0][0]]}")

@@ -122,8 +122,7 @@ class TestExitCodes:
 WORK_ENTRY_POINTS = (
     "run_verification", "propagate", "scan_residual", "convergence_study",
     "manufactured_field", "sample_field", "classical_limit_table",
-    "q_plane_wave_field", "product_solution_field", "separated_space_curve",
-    "separated_time_curve",
+    "closed_form", "separated_space_curve",
 )
 
 

@@ -80,6 +80,11 @@ def curve_methods(curve):
 # subnormal step (5e-324), where EPS * scale underflows to zero
 @example(PowerProductField([AffineFactor(0.625j, 1j, 2.2250738585072014e-308)], 1),
          np.array([2.6875]), np.array([1.0]))
+# Python's complex division and numpy's differ: a scalar call that divided
+# in Python put d_x 1 ulp and d_xx 7 subnormal steps away from the array call
+@example(PowerProductField([AffineFactor(1j * 1.1709046720538892e-154, 1j * 0.875, 1.125)],
+                           2 + 0j),
+         np.array([0.0]), np.array([3.0]))
 def test_field_methods_broadcast_like_scalar_calls(field, xs, ts):
     x, t = np.meshgrid(xs, ts)
     for method in field_methods(field):

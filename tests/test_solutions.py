@@ -12,6 +12,7 @@ from qnlse.solutions import (
     FreeParticleSpec,
     SolutionKind,
     classical_plane_wave_field,
+    closed_form,
     product_solution_field,
     q_plane_wave_field,
     q_plane_wave_hypergeometric,
@@ -244,3 +245,25 @@ class TestCurves:
         assert powered(x) == pytest.approx(
             cmath.exp((2.0 - spec.q) * g.log_value(x)), rel=1e-14
         )
+
+
+class TestClosedFormChoice:
+    @pytest.mark.parametrize("q", [0.9, 1.0, 1.5])
+    def test_each_solution_and_form_names_its_closed_form(self, q):
+        spec = FreeParticleSpec(q=q)
+        x, t = np.meshgrid(np.linspace(-3.0, 3.0, 7), (0.0, 0.5))
+        for solution, psi in (("plane", q_plane_wave_field(spec)),
+                              ("new", product_solution_field(SolutionKind.NEW, spec)),
+                              ("nrt", product_solution_field(SolutionKind.NRT, spec))):
+            assert np.array_equal(closed_form(solution, "field", spec)(x, t), psi(x, t))
+            assert np.array_equal(closed_form(solution, "phi", spec)(x, t), psi.pow(q)(x, t))
+        for kind in SolutionKind:
+            assert np.array_equal(closed_form(kind.value, "time", spec)(t),
+                                  separated_time_curve(kind, spec)(t))
+            assert np.array_equal(closed_form(kind.value, "space", spec)(x),
+                                  separated_space_curve(kind, spec)(x))
+
+    @pytest.mark.parametrize("form", ["time", "space"])
+    def test_plane_wave_has_no_separated_factors(self, form):
+        with pytest.raises(DomainError, match="the plane wave has no separated factors"):
+            closed_form("plane", form, FreeParticleSpec(q=1.5))

@@ -152,6 +152,16 @@ def test_split_run_equals_serial_run(monkeypatch, names):
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("names,builds", [(MIXED, 1), (["non-coincidence"], 0)],
+                         ids=["mixed", "unseeded"])
+def test_only_the_seeded_task_builds_a_generator(monkeypatch, names, builds):
+    seeds = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or real(seed))
+    run_on(1, monkeypatch, seed=5, names=names)
+    assert seeds == [5] * builds
+
+
 A, B, C = "classical-limit", "non-coincidence", "origin-normalization"  # registry order
 
 
