@@ -10,8 +10,7 @@ outcomes in flight are at most a few per worker: those its pipe holds
 and the one it is sending.  Every outcome is handed to ``deliver`` here,
 in the order they come back.
 
-``verify`` runs its suites on it, and ``cli.cmd_propagate`` formats its
-frames on it.
+``verify`` runs its suites on it; it is the pool's only user.
 """
 
 from __future__ import annotations

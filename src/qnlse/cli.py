@@ -8,6 +8,11 @@ space factors side by side).  Each subcommand takes only the flags it
 reads (``_SUBCOMMANDS``); any other flag is a usage error.  Only
 ``propagate`` and ``compare`` offer ``--format svg``.
 
+``verify`` runs its suites on every usable CPU through ``_pool``, the
+pool's only user.  ``propagate`` formats its frames in this process, one
+frame at a time, and writes each CSV frame, and each JSON frame sent to
+stdout, as soon as it is formatted.
+
 Exit codes: 0 all checks passed, 1 a tolerance or verification check
 failed, 2 usage or configuration error.  ``QNLSE_SEED`` seeds the
 randomized suites (default 42).
@@ -16,11 +21,11 @@ randomized suites (default 42).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 from typing import Optional
 
-from ._pool import MAX_TASKS, run_tasks
 from .errors import DomainError, QnlseError
 from .integrators import (
     GridSpec,
@@ -38,8 +43,7 @@ from .reports import (
     float_reprs,
     frame_csv_text,
     frame_filename,
-    frames_json_items,
-    join_frames_json,
+    frames_json_parts,
     report_csv_text,
     report_json_text,
     svg_line_plot,
@@ -58,11 +62,6 @@ from .verify import LIMIT_DELTAS, classical_limit_table, run_verification
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-# propagate formats its frames in chunks of about this many field values,
-# pulled by every usable CPU; a chunk's CSV text (about 80 bytes a value)
-# is what one process holds in flight
-FRAME_CHUNK_VALUES = 4096
 
 
 class UsageError(Exception):
@@ -238,13 +237,6 @@ def _remove_stale_frames(directory: Path, last: int) -> None:
             path.unlink()
 
 
-def _frame_chunks(n_frames: int, n_points: int) -> list[slice]:
-    """Consecutive runs of frames of about ``FRAME_CHUNK_VALUES`` values
-    each, at most ``MAX_TASKS`` of them."""
-    size = max(1, FRAME_CHUNK_VALUES // n_points, -(-n_frames // MAX_TASKS))
-    return [slice(k, min(k + size, n_frames)) for k in range(0, n_frames, size)]
-
-
 def cmd_propagate(args: argparse.Namespace) -> int:
     spec, grid = _particle(args), _grid(args)
     equation = SolutionKind(args.equation)
@@ -256,34 +248,23 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         last = traj[-1]
         write_text(args.out, field_svg_text(xs, last.t, last.values))
         return EXIT_OK
-    # every usable CPU formats chunks of frames; this process writes them
-    times, chunks = traj.times(), _frame_chunks(len(traj), len(xs))
-
-    def describe(c: int) -> str:
-        return f"the chunk of frames {chunks[c].start}-{chunks[c].stop - 1}"
-
+    times = traj.times()
     if args.fmt == "csv":
         args.out.mkdir(parents=True, exist_ok=True)
         x_col = float_reprs(xs)
-
-        def csv_texts(c: int) -> list[str]:
-            return [frame_csv_text(x_col, t, row)
-                    for t, row in zip(times[chunks[c]], traj.values[chunks[c]])]
-
-        def write_frames(c: int, texts: list[str]) -> None:
-            for k, text in enumerate(texts, chunks[c].start):
-                write_text(args.out / frame_filename(k), text)
-
-        run_tasks("propagate", len(chunks), csv_texts, write_frames, describe)
+        for k, (t, row) in enumerate(zip(times, traj.values)):
+            write_text(args.out / frame_filename(k), frame_csv_text(x_col, t, row))
         _remove_stale_frames(args.out, len(traj) - 1)
+        return EXIT_OK
+    parts = frames_json_parts(equation.value, spec.q, xs, times, traj.values)
+    if args.out is None:
+        sys.stdout.writelines(parts)  # frame by frame: one frame's text at a time
     else:
-        items = [""] * len(chunks)
-        run_tasks("propagate", len(chunks),
-                  lambda c: frames_json_items(times[chunks[c]], traj.values[chunks[c]]),
-                  items.__setitem__, describe)
-        text = join_frames_json(equation.value, spec.q, xs, items)
-        items.clear()  # let the chunks go before the write encodes the text
-        _emit_text(text, args)
+        # one write_text of the whole text: bench/tracer.py counts the files
+        # and bytes written through it.  Joining 64 frames at a time lets
+        # each frame's piece go before the text is whole.
+        batches = iter(lambda: "".join(itertools.islice(parts, 64)), "")
+        write_text(args.out, "".join(batches))
     return EXIT_OK
 
 

@@ -68,6 +68,11 @@ def finite_exp(log, what: str, **coords):
     return as_sample(value)
 
 
+# Decorates each log_value: an infinite coordinate makes the log nan
+# (0 * inf), and the value's finiteness check then names the point, so
+# numpy need not warn as well.
+_nan_at_infinity = np.errstate(invalid="ignore")
+
 _CALCULUS = ("log_value", "d_t", "d_x", "d_xx", "deriv")
 
 
@@ -132,6 +137,7 @@ class PowerProductField:
             require_everywhere(b != 0, "field base vanished", x=x, t=t)
         return bases
 
+    @_nan_at_infinity
     def log_value(self, x, t):
         total = np.full(np.broadcast(x, t).shape, self._log_amp)
         for f, b in zip(self.factors, self._bases(x, t)):
@@ -152,17 +158,20 @@ class PowerProductField:
             lxx -= f.s * (f.cx / b) ** 2
         return lx, lt, lxx
 
+    # each derivative takes the value first, which checks the point
+
     def d_t(self, x, t):
-        _, lt, _ = self._log_grads(x, t)
-        return self(x, t) * lt
+        value = self(x, t)
+        return value * self._log_grads(x, t)[1]
 
     def d_x(self, x, t):
-        lx, _, _ = self._log_grads(x, t)
-        return self(x, t) * lx
+        value = self(x, t)
+        return value * self._log_grads(x, t)[0]
 
     def d_xx(self, x, t):
+        value = self(x, t)
         lx, _, lxx = self._log_grads(x, t)
-        return self(x, t) * (lx * lx + lxx)
+        return value * (lx * lx + lxx)
 
     def pow(self, s: float) -> "PowerProductField":
         """The field raised to a real power, on its own continuous branch."""
@@ -184,6 +193,7 @@ class ExponentialField:
             raise DomainError("field amplitude must be nonzero")
         self._log_amp = cmath.log(self.amplitude)
 
+    @_nan_at_infinity
     def log_value(self, x, t):
         return self._log_amp + self.kx * x + self.kt * t
 
@@ -222,6 +232,7 @@ class PowerCurve:
         require_everywhere(b != 0, "curve base vanished", u=u)
         return b
 
+    @_nan_at_infinity
     def log_value(self, u):
         return self._log_amp + self.s * np.log(self._base(u))
 
@@ -231,8 +242,8 @@ class PowerCurve:
     def deriv(self, u, order: int):
         if order not in (1, 2):
             raise DomainError(f"derivative order must be 1 or 2, got {order}")
+        v = self(u)  # checks the point first
         b = self._base(u)
-        v = self(u)
         if order == 1:
             return v * self.s * self.c / b
         return v * self.s * (self.s - 1.0) * (self.c / b) ** 2
@@ -254,6 +265,7 @@ class ExpCurve:
             raise DomainError("curve amplitude must be nonzero")
         self._log_amp = cmath.log(self.amplitude)
 
+    @_nan_at_infinity
     def log_value(self, u):
         return self._log_amp + self.k * u
 

@@ -379,6 +379,18 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
+def require_frame_memory(n_steps: int, n_points: int) -> None:
+    """Refuse a march whose frames, ``(n_steps + 1) * n_points * 16``
+    bytes, would take more than ``FRAME_MEMORY_SHARE`` of physical memory."""
+    frame_bytes = (n_steps + 1) * n_points * 16
+    memory = _physical_memory()
+    if memory is not None and frame_bytes > FRAME_MEMORY_SHARE * memory:
+        raise DomainError(
+            f"{n_steps} steps on {n_points} points need {frame_bytes} bytes of "
+            f"frames, more than {FRAME_MEMORY_SHARE:g} of physical memory ({memory} bytes)"
+        )
+
+
 def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
               hbar: float, boundary,
               potential: Optional[Callable[[float], float]] = None) -> Trajectory:
@@ -407,13 +419,7 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
         raise DomainError("field values must be finite")
     if np.any(values == 0):
         raise DomainError("initial field must be nonzero everywhere")
-    frame_bytes = (grid.n_steps + 1) * grid.n_points * 16
-    memory = _physical_memory()
-    if memory is not None and frame_bytes > FRAME_MEMORY_SHARE * memory:
-        raise DomainError(
-            f"{grid.n_steps} steps on {grid.n_points} points need {frame_bytes} bytes of "
-            f"frames, more than {FRAME_MEMORY_SHARE:g} of physical memory ({memory} bytes)"
-        )
+    require_frame_memory(grid.n_steps, grid.n_points)
 
     dx = grid.dx
     limit = STABILITY_SAFETY * dx * dx * m / hbar
@@ -533,8 +539,14 @@ class PdeCase:
     def error(self, level: int) -> tuple[float, float]:
         """(dx, interior max error of the last frame) at refinement ``level``."""
         dx = self.dx0 / 2.0**level
-        n_points = max(3, round((self.x_max - self.x_min) / dx) + 1)
-        n_steps = max(1, round(self.t_final / self.dt))
+        spans, steps = (self.x_max - self.x_min) / dx, self.t_final / self.dt
+        if not (math.isfinite(spans) and math.isfinite(steps)):
+            raise DomainError(f"dx={dx:g} and dt={self.dt:g} give no finite grid on "
+                              f"[{self.x_min:g}, {self.x_max:g}] up to t={self.t_final:g}")
+        n_points = max(3, round(spans) + 1)
+        n_steps = max(1, round(steps))
+        # the grid is sampled before propagate could refuse it
+        require_frame_memory(n_steps, n_points)
         grid = GridSpec(self.x_min, self.x_max, n_points, self.dt, n_steps)
         exact = manufactured_field(self.equation, self.spec)
         traj = propagate(self.equation, sample_field(exact, grid, 0.0), self.spec.q,

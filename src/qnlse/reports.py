@@ -2,12 +2,12 @@
 
 Reports are flat key -> value mappings, written either as a single JSON
 object or as ``key,value`` CSV rows carrying the same values.  Floats
-are written by ``repr``: the shortest string that round-trips, at most
-17 significant digits, so the two formats parse back to identical
-doubles.  Field frames use the ``x,t,re,im`` row schema, one file per
-frame; a whole march goes to JSON as ``x`` plus a list of
-``{"im", "re", "t"}`` frames, written directly from the frame arrays
-with the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.
+are written as ``repr`` writes them: the shortest string that
+round-trips, at most 17 significant digits, so the two formats parse
+back to identical doubles.  Field frames use the ``x,t,re,im`` row
+schema, one file per frame; a whole march goes to JSON as ``x`` plus a
+list of ``{"im", "re", "t"}`` frames, made frame by frame from the frame
+arrays with the bytes of ``json.dumps(..., sort_keys=True, indent=2)``.
 Nothing here embeds timestamps: byte-identical reruns are part of the
 contract.
 """
@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -59,9 +60,32 @@ def parse_report_csv(text: str) -> dict:
     return out
 
 
+# repr writes the doubles of this magnitude range, and zeros, in plain
+# notation; orjson writes them the same way
+_PLAIN_MIN, _PLAIN_MAX = 1e-4, 1e16
+
+
 def float_reprs(values) -> list[str]:
-    """``repr`` of each double of a real array."""
-    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+    """``repr`` of each double of a one-dimensional real array.
+
+    orjson writes the digits: Ryu (Adams, PLDI 2018) finds the same
+    shortest, correctly rounded digits as ``repr``'s dtoa (Gay, 1990),
+    and orjson lays them out as ``repr`` does for zeros and for
+    ``1e-4 <= |x| < 1e16``.  ``repr`` itself writes the rest: the values
+    it puts in exponent notation, and nan and +-inf, which orjson writes
+    as ``null``.
+    """
+    import orjson  # only frame emission needs it
+
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not values.size:
+        return []
+    items = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    other = ~((magnitude >= _PLAIN_MIN) & (magnitude < _PLAIN_MAX)) & (values != 0)
+    for i in np.flatnonzero(other).tolist():
+        items[i] = repr(float(values[i]))
+    return items
 
 
 def frame_csv_text(x_col: list[str], t: float, values) -> str:
@@ -76,37 +100,24 @@ def frame_csv_text(x_col: list[str], t: float, values) -> str:
     return "x,t,re,im\n" + "\n".join(rows) + "\n"
 
 
-def frames_json_items(times, values) -> str:
-    """The ``{"im", "re", "t"}`` items of these frames, as ``join_frames_json``
-    writes them, separated by ``",\n"``: frame k from ``times[k]`` and the
-    row ``values[k]``.
+def frames_json_parts(equation: str, q: float, xs, times, values) -> Iterator[str]:
+    """A march as JSON, in consecutive parts: byte for byte
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\n"`` of
+    ``{"equation", "q", "x", "frames": [{"t", "re", "im"}, ...]}``, with
+    frame k from ``times[k]`` and the row ``values[k]``.
 
-    Each float array becomes one string straight from its ``repr``s; the
-    parts are gathered in one list and joined once.
+    The head comes first, then one part per frame, made only when it is
+    asked for, then the tail, which carries ``q`` and ``x``.
     """
-    parts = []
-    item = '    {\n      "im": '
-    for t, row in zip(times, values):
-        parts += [item, _json_floats(row.imag, "        "),
-                  ',\n      "re": ', _json_floats(row.real, "        "),
-                  ',\n      "t": ', json.dumps(t), "\n    }"]
-        item = ',\n    {\n      "im": '
-    return "".join(parts)
-
-
-def join_frames_json(equation: str, q: float, xs, chunks) -> str:
-    """A march as JSON: byte for byte ``json.dumps(payload, sort_keys=True,
-    indent=2) + "\n"`` of ``{"equation", "q", "x", "frames": [{"t", "re",
-    "im"}, ...]}``, from the ``frames_json_items`` of consecutive runs of
-    its frames, given in frame order.  The whole text is joined once."""
-    parts = ['{\n  "equation": ', json.dumps(equation), ',\n  "frames": [']
+    yield '{\n  "equation": ' + json.dumps(equation) + ',\n  "frames": ['
     sep = "\n"
-    for chunk in filter(None, chunks):
-        parts += [sep, chunk]
+    for t, row in zip(times, values):
+        yield "".join((sep, '    {\n      "im": ', _json_floats(row.imag, "        "),
+                       ',\n      "re": ', _json_floats(row.real, "        "),
+                       ',\n      "t": ', json.dumps(t), "\n    }"))
         sep = ",\n"
-    parts += ["\n  ]" if sep == ",\n" else "]", ',\n  "q": ', json.dumps(q),
-              ',\n  "x": ', _json_floats(xs, "    "), "\n}\n"]
-    return "".join(parts)
+    yield "".join(("\n  ]" if sep == ",\n" else "]", ',\n  "q": ', json.dumps(q),
+                   ',\n  "x": ', _json_floats(xs, "    "), "\n}\n"))
 
 
 def _json_floats(values, indent: str) -> str:

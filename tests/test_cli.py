@@ -9,14 +9,13 @@ import re
 import shutil
 import subprocess
 import sys
-import time
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from qnlse import _pool, cli
+from qnlse import cli
 from qnlse.cli import main
 from qnlse.errors import (
     ConvergenceError,
@@ -25,7 +24,13 @@ from qnlse.errors import (
     PropagationError,
     QnlseError,
 )
-from qnlse.reports import frame_filename, parse_report_csv
+from qnlse.reports import (
+    frame_csv_text,
+    frame_filename,
+    frames_json_parts,
+    parse_report_csv,
+    write_text,
+)
 
 
 def run(capsys, *argv):
@@ -320,9 +325,7 @@ class TestPropagateCommand:
         x, t, re, im = (float(v) for v in first.split(","))
         assert (x, t) == (-5.0, 0.0)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_shorter_run_removes_stale_frames(self, capsys, tmp_path, frames_on, cpus):
-        frames_on(cpus, frames_per_chunk=1)
+    def test_shorter_run_removes_stale_frames(self, capsys, tmp_path):
         out = tmp_path / "frames"
         out.mkdir()
         keep = ("frame_7.csv", "frame_0000009.csv", "frame_000009.txt", "notes.csv")
@@ -337,7 +340,6 @@ class TestPropagateCommand:
         assert sorted(p.name for p in out.iterdir()) == sorted(frames + list(keep))
         last_t = float((out / frames[-1]).read_text().splitlines()[1].split(",")[1])
         assert last_t == pytest.approx(2e-5)
-        assert_no_child_left()
 
     def test_march_over_the_memory_share_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "propagate", "--steps", str(10**12), "--nx", "401")
@@ -394,21 +396,6 @@ MARCH = ("propagate", "--q", "1.3", "--dt", "1e-5", "--nx", str(NX),
          "--xmin", "-1", "--xmax", "1")
 
 
-@pytest.fixture
-def frames_on(monkeypatch):
-    """``frames_on(cpus, frames_per_chunk)``: run propagate as if on
-    ``cpus`` CPUs, formatting chunks of that many frames of the NX-point grid."""
-    def frames_on(cpus, frames_per_chunk):
-        monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(cli, "FRAME_CHUNK_VALUES", frames_per_chunk * NX)
-    return frames_on
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def emitted(capsys, tmp_path, steps):
     """The CSV frames, the JSON file and the JSON on stdout of one march."""
     out = tmp_path / "run"
@@ -418,92 +405,109 @@ def emitted(capsys, tmp_path, steps):
                  ("--format", "json", "--out", str(out / "frames.json")), ()):
         code, stdout, _ = run(capsys, *MARCH, "--steps", str(steps), *argv)
         assert code == 0
-        assert_no_child_left()
     csv_frames = {p.name: p.read_bytes() for p in sorted((out / "csv").iterdir())}
     return csv_frames, (out / "frames.json").read_bytes(), stdout
 
 
-class TestFrameEmissionOnEveryCpu:
-    @pytest.mark.parametrize("steps", [0, 1, 2, 9, 10])
-    def test_split_emission_equals_one_chunk_on_one_cpu(self, capsys, tmp_path,
-                                                       frames_on, steps):
-        frames_on(1, frames_per_chunk=10**6)
-        serial = emitted(capsys, tmp_path, steps)
-        assert list(serial[0]) == [frame_filename(k) for k in range(steps + 1)]
-        assert len(json.loads(serial[2])["frames"]) == steps + 1
-        assert serial[1] == serial[2].encode()
-        for cpus in (1, 2, 3):
-            for per_chunk in (1, 3, 4):  # 11 frames: 11, 3+3+3+2 and 4+4+3 chunks
-                frames_on(cpus, per_chunk)
-                assert emitted(capsys, tmp_path, steps) == serial, (cpus, per_chunk)
+def json_from_csv_frames(csv_frames) -> str:
+    """The JSON text ``propagate`` writes for the march these CSV frames
+    hold, rebuilt with ``json.dumps`` from the frames' own float text."""
+    frames, xs = [], None
+    for text in csv_frames.values():
+        rows = [line.split(",") for line in text.decode().splitlines()[1:]]
+        xs = [float(row[0]) for row in rows]
+        frames.append({"t": float(rows[0][1]), "re": [float(row[2]) for row in rows],
+                       "im": [float(row[3]) for row in rows]})
+    payload = {"equation": "new", "q": 1.3, "x": xs, "frames": frames}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    def test_late_write_failure_raises_the_serial_error(self, tmp_path, frames_on):
-        outcomes = []
-        for cpus in (1, 2, 3):
-            frames_on(cpus, frames_per_chunk=1)
-            out = tmp_path / f"on{cpus}"
-            (out / frame_filename(3)).mkdir(parents=True)
-            with pytest.raises(OSError) as caught:
-                main([*MARCH, "--steps", "9", "--format", "csv", "--out", str(out)])
-            outcomes.append((type(caught.value), str(caught.value).replace(str(out), "OUT")))
-            assert all((out / frame_filename(k)).is_file() for k in range(3))
-            assert_no_child_left()
-        assert outcomes[0][0] is IsADirectoryError
-        assert outcomes[1:] == outcomes[:1] * 2
 
-    def test_late_write_failure_exits_as_a_serial_run(self, tmp_path):
-        script = ("import sys; from qnlse import _pool, cli; "
-                  "_pool._usable_cpus = lambda: int(sys.argv[1]); "
-                  f"cli.FRAME_CHUNK_VALUES = {NX}; sys.exit(cli.main(sys.argv[2:]))")
+class TestFrameEmission:
+    # 130 steps: a JSON file joined from three batches of parts
+    @pytest.mark.parametrize("steps", [0, 1, 2, 9, 10, 130])
+    def test_csv_json_file_and_stdout_agree(self, capsys, tmp_path, steps):
+        csv_frames, json_file, stdout = emitted(capsys, tmp_path, steps)
+        assert list(csv_frames) == [frame_filename(k) for k in range(steps + 1)]
+        assert json_file == stdout.encode()
+        assert stdout == json_from_csv_frames(csv_frames)
+        assert emitted(capsys, tmp_path, steps) == (csv_frames, json_file, stdout)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_frame_is_written_before_the_next_is_formatted(self, capsys, tmp_path,
+                                                                monkeypatch, fmt):
+        events = []
+
+        def csv_text(x_col, t, row):
+            events.append("format")
+            return frame_csv_text(x_col, t, row)
+
+        def write_frame(path, text):
+            events.append("write")
+            write_text(path, text)
+
+        def json_parts(*args):
+            for part in frames_json_parts(*args):
+                events.append("format")
+                yield part
+
+        class Stdout:
+            def writelines(self, parts):
+                for part in parts:
+                    events.append("write")
+
+        monkeypatch.setattr(cli, "frame_csv_text", csv_text)
+        monkeypatch.setattr(cli, "write_text", write_frame)
+        monkeypatch.setattr(cli, "frames_json_parts", json_parts)
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        argv = ("--format", "csv", "--out", str(tmp_path / "csv")) if fmt == "csv" else ()
+        assert main([*MARCH, "--steps", "10", *argv]) == 0
+        # csv: one file a frame; json: the head, one part a frame, the tail
+        assert events == ["format", "write"] * (11 if fmt == "csv" else 13)
+
+    def test_write_failure_leaves_the_earlier_frames(self, tmp_path):
+        out = tmp_path / "csv"
+        (out / frame_filename(3)).mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            main([*MARCH, "--steps", "9", "--format", "csv", "--out", str(out)])
+        assert all((out / frame_filename(k)).is_file() for k in range(3))
+        assert sorted(p.name for p in out.iterdir()) == [frame_filename(k) for k in range(4)]
+
+    def test_write_failure_exits_1_with_the_error_line(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        outcomes = []
-        for cpus in ("1", "2"):
-            out = tmp_path / f"on{cpus}"
-            (out / frame_filename(3)).mkdir(parents=True)
-            proc = subprocess.run([sys.executable, "-c", script, cpus, *MARCH, "--steps", "9",
-                                   "--format", "csv", "--out", str(out)],
-                                  capture_output=True, text=True, env=env, check=False)
-            outcomes.append((proc.returncode, proc.stdout,
-                             proc.stderr.splitlines()[-1].replace(str(out), "OUT")))
-        assert outcomes[0] == (1, "", "IsADirectoryError: [Errno 21] Is a directory: "
-                                      "'OUT/frame_000003.csv'")
-        assert outcomes[1] == outcomes[0]
+        out = tmp_path / "csv"
+        (out / frame_filename(3)).mkdir(parents=True)
+        proc = subprocess.run([sys.executable, "-m", "qnlse", *MARCH, "--steps", "9",
+                               "--format", "csv", "--out", str(out)],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines()[-1].replace(str(out), "OUT") == (
+            "IsADirectoryError: [Errno 21] Is a directory: 'OUT/frame_000003.csv'")
 
-    def test_chunk_lost_with_its_worker_is_named(self, capsys, tmp_path, frames_on,
-                                                 monkeypatch):
-        parent, died = os.getpid(), tmp_path / "worker-died"
-        real = cli.frame_csv_text
+    def test_json_failing_at_frame_3_leaves_frames_0_to_2_on_stdout(self, capsys,
+                                                                    monkeypatch):
+        whole = run(capsys, *MARCH, "--steps", "9")[1]
 
-        def dies_in_the_worker(*args):
-            if os.getpid() != parent:
-                died.touch()
-                os._exit(3)
-            deadline = time.monotonic() + 10.0  # let the worker take a chunk first
-            while not died.exists() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return real(*args)
+        def fails_at_frame_3(*args):
+            for k, part in enumerate(frames_json_parts(*args)):
+                if k == 4:  # after the head and frames 0-2
+                    raise OSError("no space left")
+                yield part
 
-        frames_on(2, frames_per_chunk=1)
-        monkeypatch.setattr(cli, "frame_csv_text", dies_in_the_worker)
-        code, out, err = run(capsys, *MARCH, "--steps", "3", "--format", "csv",
-                             "--out", str(tmp_path / "csv"))
-        assert (code, out) == (1, "")
-        assert re.fullmatch(r"error: the chunk of frames (\d)-\1 was not reported: "
-                            r"propagate worker \d+ exited with status 3\n", err)
-        assert_no_child_left()
+        monkeypatch.setattr(cli, "frames_json_parts", fails_at_frame_3)
+        with pytest.raises(OSError, match="no space left"):
+            main([*MARCH, "--steps", "9"])
+        cut = capsys.readouterr().out
+        assert whole.startswith(cut)
+        assert cut.endswith("\n    }") and cut.count('"t": ') == 3
 
 
-@pytest.mark.parametrize("n_frames, n_points", [
-    (1, 21), (11, 21), (301, 401), (5001, 401), (10**6, 10**4), (7, 10**6)])
-def test_frame_chunks_cover_the_march_in_order(n_frames, n_points):
-    chunks = cli._frame_chunks(n_frames, n_points)
-    assert [k for c in chunks for k in range(n_frames)[c]] == list(range(n_frames))
-    assert 1 <= len(chunks) <= _pool.MAX_TASKS
-    sizes = [c.stop - c.start for c in chunks]
-    assert len(set(sizes[:-1])) <= 1 and 0 < sizes[-1] <= sizes[0]
-    # about FRAME_CHUNK_VALUES values a chunk, unless the task limit needs more
-    assert sizes[0] in (min(n_frames, max(1, cli.FRAME_CHUNK_VALUES // n_points)),
-                        -(-n_frames // _pool.MAX_TASKS))
+def test_verify_does_not_import_orjson():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    script = ("import sys; from qnlse import cli; code = cli.main(['verify', '--out', "
+              "sys.argv[1]]); sys.exit(code or 3 * ('orjson' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script, os.devnull],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestStudies:

@@ -1,6 +1,7 @@
 """The q-domain contract: every entry point accepts or rejects (kind, q)
 exactly as the rule in ``solutions`` that it depends on."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from qnlse.cli import main
 from qnlse.errors import DomainError
-from qnlse.fields import ExpCurve, ExponentialField
+from qnlse.fields import ExpCurve, ExponentialField, PowerCurve, PowerProductField
 from qnlse.integrators import (
     Frame,
     GridSpec,
@@ -29,6 +30,8 @@ from qnlse.solutions import (
     admits_space,
     admits_time,
     marched_form,
+    product_solution_field,
+    q_plane_wave_field,
     separated_space_curve,
     separated_time_curve,
 )
@@ -121,3 +124,66 @@ def test_entry_point_follows_its_rule(capsys, call, admits, kind, q):
         else:
             with pytest.raises(DomainError):
                 call(kind, q)
+
+
+# closed forms at an infinite coordinate: the value is not finite, and
+# that is the one thing the caller hears (no numpy warning first)
+INF = math.inf
+FIELDS = {
+    "power-product": q_plane_wave_field(FreeParticleSpec(q=1.5)),
+    "product-solution": product_solution_field(NRT, FreeParticleSpec(q=0.7)),
+    "exponential": q_plane_wave_field(FreeParticleSpec(q=1.0)),
+}
+CURVES = {
+    "power": separated_space_curve(NEW, FreeParticleSpec(q=1.5)),
+    "power-time": separated_time_curve(NRT, FreeParticleSpec(q=0.7)),
+    "exponential": separated_time_curve(NEW, FreeParticleSpec(q=1.0)),
+}
+
+
+def test_infinity_cases_cover_every_closed_form_class():
+    assert {type(f) for f in FIELDS.values()} == {PowerProductField, ExponentialField}
+    assert {type(c) for c in CURVES.values()} == {PowerCurve, ExpCurve}
+
+
+@pytest.mark.parametrize("point", [(INF, 0.0), (-INF, 0.3), (0.2, INF), (0.0, -INF),
+                                   (np.array([0.0, 1.0, INF]), 0.5)])
+@pytest.mark.parametrize("method", ["__call__", "d_t", "d_x", "d_xx"])
+@pytest.mark.parametrize("field", FIELDS.values(), ids=list(FIELDS))
+def test_field_at_an_infinite_coordinate_raises_without_warnings(field, method, point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^field value is not finite at \(x=.*inf"):
+            getattr(field, method)(*point)
+
+
+@pytest.mark.parametrize("u", [INF, -INF, np.array([-1.0, 0.0, -INF])])
+@pytest.mark.parametrize("call", ["value", "deriv1", "deriv2"])
+@pytest.mark.parametrize("curve", CURVES.values(), ids=list(CURVES))
+def test_curve_at_an_infinite_coordinate_raises_without_warnings(curve, call, u):
+    args = (u,) if call == "value" else (u, int(call[-1]))
+    method = curve if call == "value" else curve.deriv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^curve value is not finite at \(u=-?inf\)"):
+            method(*args)
+
+
+@pytest.mark.parametrize("p", [1e308, -1e308])
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+def test_closed_forms_of_a_huge_momentum_raise_without_warnings(q, p):
+    spec = FreeParticleSpec(q=q, p=p)
+    fields = [q_plane_wave_field(spec), product_solution_field(NRT, spec)]
+    curves = [separated_space_curve(NEW, spec), separated_time_curve(NEW, spec)]
+    calls = [getattr(f, name) for f in fields for name in ("__call__", "d_t", "d_x", "d_xx")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DomainError, match="is not finite"):
+                call(1.0, 0.5)
+        for curve in curves:  # a phase of p*u can still be finite: no raise needed
+            for call in (curve, lambda u: curve.deriv(u, 1), lambda u: curve.deriv(u, 2)):
+                try:
+                    call(1.0)
+                except DomainError as err:
+                    assert "is not finite" in str(err)

@@ -446,6 +446,10 @@ class TestTrajectory:
         assert traj[0].t == traj[-1].t == self.T0
 
 
+def no_sampling(*args, **kwargs):
+    raise AssertionError("sampled a grid")
+
+
 class TestConvergenceStudies:
     def test_pde_spatial_order_two(self):
         spec = FreeParticleSpec(q=1.1)
@@ -475,6 +479,21 @@ class TestConvergenceStudies:
         monkeypatch.setattr(integrators, "propagate", no_march)
         with pytest.raises(DomainError):
             PdeCase(SolutionKind.NEW, FreeParticleSpec(q=1.1), **bad)
+
+    @pytest.mark.parametrize("bad", [{"dx0": 5e-324}, {"dt": 5e-324}])
+    def test_pde_case_without_a_finite_grid_is_a_domain_error(self, bad, monkeypatch):
+        monkeypatch.setattr(integrators, "sample_field", no_sampling)
+        with pytest.raises(DomainError, match="give no finite grid"):
+            PdeCase(SolutionKind.NEW, FreeParticleSpec(q=1.1), **bad).error(0)
+
+    @pytest.mark.parametrize("dx0", [1e-9, 1e-300])
+    def test_pde_case_over_the_memory_share_is_refused_before_sampling(self, dx0,
+                                                                      monkeypatch):
+        # 1e-9 would sample 1e10 points: the frames' memory rule refuses it first
+        monkeypatch.setattr(integrators, "sample_field", no_sampling)
+        with pytest.raises(DomainError, match=r"^20 steps on \d+ points need \d+ bytes of "
+                                              r"frames, more than 0\.5 of physical memory"):
+            PdeCase(SolutionKind.NEW, FreeParticleSpec(q=1.1), dx0=dx0).error(0)
 
     def test_fit_guards(self):
         with pytest.raises(DegenerateStudyError):

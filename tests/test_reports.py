@@ -1,20 +1,20 @@
 """Frame emission against the generic encoders it replaces: ``csv.writer``
 rows of ``repr`` strings, and ``json.dumps(..., sort_keys=True, indent=2)``
-of the float-list payload.  Both must produce the same bytes."""
+of the float-list payload.  Both must produce the same bytes, and
+``float_reprs`` must be ``repr`` of every double."""
 
 import csv
 import io
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnlse.reports import (
     float_reprs,
     frame_csv_text,
-    frames_json_items,
-    join_frames_json,
+    frames_json_parts,
 )
 
 # finite doubles, with the reprs that differ most between formatters
@@ -64,15 +64,12 @@ def json_dumps_frames(equation, q, xs, times, values) -> str:
 
 
 @settings(deadline=None)
-@given(marches(), doubles, st.data())
-def test_frames_json_joined_from_chunks_matches_json_dumps(march, q, data):
-    # how propagate writes JSON: the items of consecutive runs of frames,
-    # formatted apart and joined in frame order (no cut: one run)
+@given(marches(), doubles)
+def test_frames_json_parts_match_json_dumps(march, q):
     xs, times, values = march
-    cuts = sorted(data.draw(st.sets(st.integers(1, len(times) - 1))) if len(times) > 1 else [])
-    bounds = [0, *cuts, len(times)]
-    chunks = [frames_json_items(times[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert join_frames_json("nrt", q, xs, chunks) == json_dumps_frames("nrt", q, xs, times, values)
+    parts = list(frames_json_parts("nrt", q, xs, times, values))
+    assert len(parts) == len(times) + 2  # the head, one part a frame, the tail
+    assert "".join(parts) == json_dumps_frames("nrt", q, xs, times, values)
 
 
 @settings(deadline=None)
@@ -87,7 +84,7 @@ def test_frame_csv_text_matches_csv_writer(march):
 def test_json_with_no_frames_matches_json_dumps():
     xs = np.array([-1.0, 0.0, 1.0])
     values = np.empty((0, 3), dtype=np.complex128)
-    assert join_frames_json("new", 1.5, xs, [frames_json_items([], values)]) == \
+    assert "".join(frames_json_parts("new", 1.5, xs, [], values)) == \
         json_dumps_frames("new", 1.5, xs, [], values)
 
 
@@ -96,5 +93,30 @@ def test_numpy_scalar_times_are_written_as_floats():
     row = np.array([1 + 2j, -0.0 + 0.1j, 3e-9 - 1e22j])
     t = np.float64(0.25)
     assert frame_csv_text(float_reprs(xs), t, row) == csv_writer_frame(xs, 0.25, row)
-    assert join_frames_json("new", 1.5, xs, [frames_json_items([t], row[None, :])]) == \
+    assert "".join(frames_json_parts("new", 1.5, xs, [t], row[None, :])) == \
         json_dumps_frames("new", 1.5, xs, [0.25], row[None, :])
+
+
+# every double: nan and +-inf, and any 64-bit pattern viewed as a float64
+any_doubles = st.one_of(
+    st.floats(),
+    st.integers(-2**63, 2**63 - 1).map(lambda bits: float(np.int64(bits).view(np.float64))),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(any_doubles, max_size=40))
+@example([1e-4, float(np.nextafter(1e-4, 0)), 1e16, float(np.nextafter(1e16, 0))])
+@example([5e-324, -5e-324, -0.0, 0.0, 1.7976931348623157e308, -1.7976931348623157e308])
+@example([float("nan"), float("inf"), -float("inf"), 1e-5, 1e22, 9007199254740993.0])
+@example([])
+def test_float_reprs_is_repr_of_every_double(values):
+    a = np.array(values, dtype=np.float64)
+    assert float_reprs(a) == list(map(repr, a.tolist()))
+
+
+def test_float_reprs_is_repr_on_strided_views():
+    bits = np.random.default_rng(16).integers(-2**63, 2**63, size=(2, 20_000), dtype=np.int64)
+    values = bits.view(np.float64)[:, ::2].ravel().view(np.complex128)
+    for part in (values.real, values.imag):
+        assert float_reprs(part) == list(map(repr, part.tolist()))
