@@ -21,14 +21,24 @@ and their order are those of the expression form
 ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)`` with
 ``k = (kappa*lap(w) + pot*w) * cinv``, so the frames are the same bits.
 
-The float multipliers of complex arrays (2, ``dxinv2``, ``kappa``,
-``dt/2``, ``dt``, ``dt/6``) are passed as Python ``complex``: numpy
-casts a float to complex128 for these loops anyway, so ``complex(a)``
-multiplies by the same (a, 0.0), bit for bit (±0, inf and nan
-included), and only the cast's dispatch is saved.  A zero |w| or state
-value is found with ``not a.all()``, which, like ``a == 0``, counts nan
-as nonzero.  numpy's floating-point warnings are silenced for the
-march, which raises its own error instead (below).
+Every scalar operand of a ufunc (2, ``dxinv2``, ``kappa``, ``cinv``,
+``dt/2``, ``dt``, ``dt/6``, ``s`` and 2*pi) is a 0-d array, made once,
+so that no ufunc converts a Python number again on every step.
+The complex ones are complex128: numpy multiplies a complex array by a
+float as by (a, 0.0), so ``np.array(a, dtype=complex128)`` gives the
+same bits (±0, inf and nan included).  ``np.power(r, s, r)`` with a 0-d
+exponent gives the bits of ``r **= s``, whose scalar-exponent shortcuts
+(sqrt at 0.5, square at 2) numpy 2's power loop matches; the oracle in
+``tests/test_kernels.py`` checks both shortcuts.  The ufuncs themselves
+are looked up once per call.
+
+The zero and finiteness checks count with ``np.count_nonzero``, which,
+like ``a == 0``, counts nan as nonzero, and skips the Python wrapper of
+``ndarray.all()``.  The state's checks run on its float view, two parts
+per point, where numpy's loops are faster than on complex values, and
+only a failing check goes back to the complex values to find the index.
+numpy's floating-point warnings are silenced for the march, which
+raises its own error instead (below).
 
 An all-zero ``pot`` is detected once per call and its ``pot*w`` term is
 skipped: that term is a signed zero, which can only change the sign of
@@ -50,15 +60,17 @@ import numpy as np
 from .errors import PropagationError
 
 TWO_PI = 2.0 * math.pi
+_TWO_PI = np.array(TWO_PI)  # the ufuncs' operand
+_TWO_PI.flags.writeable = False
 
 
 def _phase_step(y, theta, out, tmp):
     """Argument of ``y`` relative to ``theta``, wrapped into [-pi, pi], into ``out``."""
     np.arctan2(y.imag, y.real, out)
     np.subtract(out, theta, out)
-    np.divide(out, TWO_PI, tmp)
+    np.divide(out, _TWO_PI, tmp)
     np.rint(tmp, tmp)
-    np.multiply(TWO_PI, tmp, tmp)
+    np.multiply(_TWO_PI, tmp, tmp)
     np.subtract(out, tmp, out)
     return out
 
@@ -67,12 +79,12 @@ def _tracked_power(y, theta, s, out, r, ang, tmp):
     """``y**s`` on the branch tracked by ``theta``, into ``out``; None if
     some |y| is zero.  ``r``, ``ang`` and ``tmp`` are scratch."""
     np.abs(y, r)
-    if not r.all():
+    if np.count_nonzero(r) < r.size:
         return None
     _phase_step(y, theta, ang, tmp)
     np.add(theta, ang, ang)
     np.multiply(s, ang, ang)
-    r **= s  # in place, with the scalar-exponent shortcuts of r**s
+    np.power(r, s, r)  # with the scalar-exponent shortcuts of r**s
     np.cos(ang, out.real)
     np.sin(ang, out.imag)
     np.multiply(r, out, out)
@@ -82,6 +94,8 @@ def _tracked_power(y, theta, s, out, r, ang, tmp):
 def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
     """Run the RK4 march and return its frames, one row per step after
     the initial one; raises PropagationError at a failing step."""
+    multiply, add, subtract, isfinite, not_equal, count_nonzero = (
+        np.multiply, np.add, np.subtract, np.isfinite, np.not_equal, np.count_nonzero)
     n = v0.shape[0]
     frames = np.empty((n_steps + 1, n), dtype=np.complex128)
     frames[0, :] = v0
@@ -90,9 +104,9 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
     theta = None if unit_power else np.array(th0, dtype=np.float64)
     # pot is cast to complex once, as the product pot*w would cast it
     pot_inner = pot[1:-1].astype(np.complex128) if np.any(pot) else None
-    # numpy multiplies a complex array by a float as by complex(float, 0.0)
-    two, kappa, dxinv2 = complex(2.0), complex(kappa), complex(dxinv2)
-    half, full, sixth = complex(0.5 * dt), complex(dt), complex(dt / 6.0)
+    two, kappa, dxinv2, cinv, half, full, sixth = (
+        np.array(a, dtype=np.complex128) for a in (2.0, kappa, dxinv2, cinv, 0.5 * dt, dt, dt / 6.0))
+    s, zero = np.array(s, dtype=np.float64), np.array(0.0)
     left_rows, right_rows = bl[:n_steps].tolist(), br[:n_steps].tolist()
 
     y = v0.copy()
@@ -101,7 +115,9 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
     k1, k2, k3, k4 = (np.zeros(n, dtype=np.complex128) for _ in range(4))  # ends stay 0
     inner1, inner2, inner3, inner4 = k1[1:-1], k2[1:-1], k3[1:-1], k4[1:-1]
     lap = np.empty(n - 2, dtype=np.complex128)
-    mask = np.empty(n, dtype=bool)
+    y_parts = y.view(np.float64)  # re, im of each point
+    part_mask = np.empty(2 * n, dtype=bool)
+    point_mask = part_mask.view(np.uint16)  # a point's two part flags as one item
     if unit_power:
         y_src, stage_src = (y[2:], y[1:-1], y[:-2]), (stage[2:], stage[1:-1], stage[:-2])
     else:
@@ -116,20 +132,20 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
         if not unit_power and _tracked_power(v, theta, s, w, r, ang, tmp) is None:
             return False
         right, mid, left = src
-        np.multiply(two, mid, lap)
-        np.subtract(right, lap, lap)
-        np.add(lap, left, lap)
-        np.multiply(lap, dxinv2, lap)
-        np.multiply(kappa, lap, inner)
+        multiply(two, mid, lap)
+        subtract(right, lap, lap)
+        add(lap, left, lap)
+        multiply(lap, dxinv2, lap)
+        multiply(kappa, lap, inner)
         if pot_inner is not None:
-            np.multiply(pot_inner, mid, lap)
-            np.add(inner, lap, inner)
-        np.multiply(inner, cinv, inner)
+            multiply(pot_inner, mid, lap)
+            add(inner, lap, inner)
+        multiply(inner, cinv, inner)
         return True
 
     def to_stage(h, k, left, right):
-        np.multiply(h, k, stage)
-        np.add(y, stage, stage)
+        multiply(h, k, stage)
+        add(y, stage, stage)
         stage[0] = left
         stage[-1] = right
         return stage
@@ -148,21 +164,22 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
                     and rhs(to_stage(half, k2, l1, r1), stage_src, inner3)
                     and rhs(to_stage(full, k3, l2, r2), stage_src, inner4)):
                 fail("zero", step)
-            np.multiply(two, k2, acc)
-            np.add(k1, acc, acc)
-            np.multiply(two, k3, stage)
-            np.add(acc, stage, acc)
-            np.add(acc, k4, acc)
-            np.multiply(sixth, acc, acc)
-            np.add(y, acc, y)
+            multiply(two, k2, acc)
+            add(k1, acc, acc)
+            multiply(two, k3, stage)
+            add(acc, stage, acc)
+            add(acc, k4, acc)
+            multiply(sixth, acc, acc)
+            add(y, acc, y)
             y[0] = l2
             y[-1] = r2
 
-            if not np.isfinite(y, mask).all():
-                fail("non-finite", step, int(np.argmin(mask)))
-            if not y.all():
+            if count_nonzero(isfinite(y_parts, part_mask)) < 2 * n:
+                fail("non-finite", step, int(np.argmin(np.isfinite(y))))
+            not_equal(y_parts, zero, part_mask)
+            if count_nonzero(point_mask) < n:  # a point is zero where both its parts are
                 fail("zero", step, int(np.argmax(y == 0)))
             if not unit_power:
-                theta += _phase_step(y, theta, ang, tmp)
-            frames[step + 1, :] = y
+                add(theta, _phase_step(y, theta, ang, tmp), theta)
+            frames[step + 1] = y
     return frames

@@ -60,12 +60,18 @@ def require_everywhere(ok, what: str, **coords) -> None:
     raise DomainError(f"{what} at ({where})" if where else what)
 
 
+def require_finite(value, what: str, **coords):
+    """``value`` as a sample, or ``DomainError("<what> is not finite at
+    (...)")`` at the first point where it is not finite."""
+    require_everywhere(np.isfinite(value), f"{what} is not finite", **coords)
+    return as_sample(value)
+
+
 def finite_exp(log, what: str, **coords):
     """exp(log), or DomainError at the first point where it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.exp(log)
-    require_everywhere(np.isfinite(value), f"{what} is not finite", **coords)
-    return as_sample(value)
+    return require_finite(value, what, **coords)
 
 
 # Decorates each log_value: an infinite coordinate makes the log nan
@@ -74,6 +80,29 @@ def finite_exp(log, what: str, **coords):
 _nan_at_infinity = np.errstate(invalid="ignore")
 
 _CALCULUS = ("log_value", "d_t", "d_x", "d_xx", "deriv")
+
+
+def _finite_derivative(what: str, *names: str):
+    """Method decorator: the derivative of a checked value can still
+    overflow (a finite phase times a huge wavenumber), so it is computed
+    without numpy's overflow and invalid-value warnings and raises
+    ``DomainError("<what> derivative is not finite at (...)")`` at the
+    first point where it is not finite."""
+
+    def decorate(method):
+        @functools.wraps(method)
+        @np.errstate(over="ignore", invalid="ignore")
+        def checked(self, *args):
+            coords = dict(zip(names, args))
+            return require_finite(method(self, *args), f"{what} derivative", **coords)
+
+        return checked
+
+    return decorate
+
+
+_field_derivative = _finite_derivative("field", "x", "t")
+_curve_derivative = _finite_derivative("curve", "u")
 
 
 def _scalars_on_arrays(n_coords: int):
@@ -160,14 +189,17 @@ class PowerProductField:
 
     # each derivative takes the value first, which checks the point
 
+    @_field_derivative
     def d_t(self, x, t):
         value = self(x, t)
         return value * self._log_grads(x, t)[1]
 
+    @_field_derivative
     def d_x(self, x, t):
         value = self(x, t)
         return value * self._log_grads(x, t)[0]
 
+    @_field_derivative
     def d_xx(self, x, t):
         value = self(x, t)
         lx, _, lxx = self._log_grads(x, t)
@@ -200,12 +232,15 @@ class ExponentialField:
     def __call__(self, x, t):
         return finite_exp(self.log_value(x, t), "field value", x=x, t=t)
 
+    @_field_derivative
     def d_t(self, x, t):
         return self.kt * self(x, t)
 
+    @_field_derivative
     def d_x(self, x, t):
         return self.kx * self(x, t)
 
+    @_field_derivative
     def d_xx(self, x, t):
         return self.kx * self.kx * self(x, t)
 
@@ -239,6 +274,7 @@ class PowerCurve:
     def __call__(self, u):
         return finite_exp(self.log_value(u), "curve value", u=u)
 
+    @_curve_derivative
     def deriv(self, u, order: int):
         if order not in (1, 2):
             raise DomainError(f"derivative order must be 1 or 2, got {order}")
@@ -272,6 +308,7 @@ class ExpCurve:
     def __call__(self, u):
         return finite_exp(self.log_value(u), "curve value", u=u)
 
+    @_curve_derivative
     def deriv(self, u, order: int):
         if order == 1:
             return self.k * self(u)

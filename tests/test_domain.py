@@ -1,11 +1,14 @@
 """The q-domain contract: every entry point accepts or rejects (kind, q)
 exactly as the rule in ``solutions`` that it depends on."""
 
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qnlse.cli import main
 from qnlse.errors import DomainError
@@ -187,3 +190,37 @@ def test_closed_forms_of_a_huge_momentum_raise_without_warnings(q, p):
                     call(1.0)
                 except DomainError as err:
                     assert "is not finite" in str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([0.5, 1.0, 1.5]),
+       p=st.floats(1e100, 1e308) | st.floats(-1e308, -1e100),
+       u=st.floats(-2.0, 2.0))
+@example(q=1.0, p=1e308, u=1.0)  # k*k overflows in Python arithmetic, which neither raises nor warns
+def test_closed_form_derivatives_are_finite_or_raise_without_warnings(q, p, u):
+    spec = FreeParticleSpec(q=q, p=p)
+    curves = [separated_space_curve(NEW, spec), separated_time_curve(NEW, spec)]
+    fields = [q_plane_wave_field(spec), product_solution_field(NRT, spec)]
+    calls = [(curve.deriv, (u, order)) for curve in curves for order in (1, 2)]
+    calls += [(getattr(f, name), (u, 0.5)) for f in fields for name in ("d_t", "d_x", "d_xx")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, args in calls:
+            try:
+                value = call(*args)
+            except DomainError as err:
+                assert "is not finite at (" in str(err)
+            else:
+                assert cmath.isfinite(value)
+
+
+def test_residual_cli_reports_an_overflowing_derivative_on_one_error_line(capsys):
+    # the space curve's values are finite on [0.5, 1] at p = 1e308; its derivative is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["residual", "--q", "1.0", "--p", "1e308", "--equation", "new",
+                     "--form", "space", "--xmin", "0.5", "--xmax", "1.0", "--nx", "3"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code in (1, 2)
+    assert len(lines) == 1
+    assert lines[0].startswith("error: curve derivative is not finite at (u=0.5)")

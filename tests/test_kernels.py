@@ -177,6 +177,76 @@ def test_buffered_kernel_keeps_powers_with_numpy_shortcuts():
         assert outcome[0] == "ok"
 
 
+def propagate_args(monkeypatch, kind, q, n, dt, n_steps):
+    """The arguments ``propagate`` hands the kernel for the manufactured
+    march of ``kind`` at ``q`` on [-5, 5], p = 1, m = 0.5, hbar = 1."""
+    seen = []
+    kernel = _kernels.propagate_frames
+
+    def record(*args):
+        seen.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "propagate_frames", record)
+    spec = FreeParticleSpec(q=q)
+    field = manufactured_field(kind, spec)
+    grid = GridSpec(-5.0, 5.0, n, dt, n_steps)
+    propagate(kind, sample_field(field, grid, 0.0), q, spec.m, spec.hbar, boundary=field)
+    monkeypatch.undo()
+    return seen[0]
+
+
+# the benchmark's grid sizes, where numpy runs its long-array loops as
+# well as their tails; s = 0.5 and 2 take numpy's sqrt and square shortcuts
+@pytest.mark.parametrize("kind, q, n, dt, s", [
+    (SolutionKind.NEW, 1.05, 401, 1e-5, 1.0 / 1.05),
+    (SolutionKind.NRT, 0.9, 401, 1e-5, 2.0 - 0.9),
+    (SolutionKind.NRT, 1.5, 401, 1e-5, 0.5),
+    (SolutionKind.NEW, 0.5, 401, 1e-5, 2.0),
+    (SolutionKind.NEW, 1.0, 1601, 2e-6, 1.0),
+], ids=["new-401", "nrt-401", "sqrt-401", "square-401", "unit-1601"])
+def test_buffered_kernel_keeps_the_expression_form_bits_at_benchmark_sizes(monkeypatch, kind, q, n,
+                                                                          dt, s):
+    args = propagate_args(monkeypatch, kind, q, n, dt, 4)
+    assert args[2] == s
+    assert assert_same_march(args)[0] == "ok"
+
+
+class RecordingNumpy:
+    """numpy, recording each ufunc call and any Python number among its operands."""
+
+    def __init__(self):
+        self.ufunc_calls = 0
+        self.number_operands = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not isinstance(attr, np.ufunc):
+            return attr
+
+        def call(*args, **kwargs):
+            self.ufunc_calls += 1
+            self.number_operands += [(name, a) for a in args if isinstance(a, (int, float, complex))]
+            return attr(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("kind, q", [(SolutionKind.NEW, 1.05), (SolutionKind.NRT, 1.0)],
+                         ids=["tracked-power", "unit-power"])
+def test_no_ufunc_of_the_march_converts_a_python_number(monkeypatch, kind, q):
+    # numpy converts a Python number operand again on every call; the
+    # kernel hands its ufuncs 0-d arrays, made once per call
+    args = propagate_args(monkeypatch, kind, q, 33, 1e-5, 3)
+    expected = _kernels.propagate_frames(*args)
+    recorder = RecordingNumpy()
+    monkeypatch.setattr(_kernels, "np", recorder)
+    frames = _kernels.propagate_frames(*args)
+    assert recorder.ufunc_calls > 3 * 30
+    assert recorder.number_operands == []
+    assert frames.tobytes() == expected.tobytes()
+
+
 def assert_march_fails(args, message):
     with pytest.raises(PropagationError, match=f"^field value became {message}$"):
         _kernels.propagate_frames(*args)
