@@ -404,7 +404,8 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
     the initial frame included, as one ``Trajectory``.  The initial
     frame must match the grid and be finite and nonzero everywhere, and
     the frames, ``(n_steps + 1) * n_points * 16`` bytes, may take at most
-    ``FRAME_MEMORY_SHARE`` of physical memory.
+    ``FRAME_MEMORY_SHARE`` of physical memory.  The potential must be
+    finite at every grid point.
     """
     grid = initial.grid
     s, coef = marched_form(equation, q)
@@ -436,6 +437,9 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
     pot = np.zeros(grid.n_points) if potential is None else np.array(
         [float(potential(float(x))) for x in xs]
     )
+    finite = np.isfinite(pot)
+    if not finite.all():
+        raise DomainError(f"potential is not finite at x={float(xs[np.argmin(finite)])!r}")
     n_steps = grid.n_steps
     # boundary values at every stage time (t_k, t_k + dt/2, t_k + dt)
     t_k = initial.t + np.arange(n_steps) * grid.dt

@@ -81,22 +81,28 @@ _NAMES = {SolutionKind.NEW: "q-power", SolutionKind.NRT: "NRT"}
 
 def admits_time(kind: SolutionKind, q: float) -> bool:
     """Whether the time factor and the marched form of ``kind`` exist at q:
-    q != 0 for the q-power equation, q != 2 for NRT."""
+    a finite q, q != 0 for the q-power equation, q != 2 for NRT."""
     pole = 0.0 if kind is SolutionKind.NEW else 2.0
-    return abs(q - pole) >= EPS_Q_ONE
+    return math.isfinite(q) and abs(q - pole) >= EPS_Q_ONE
 
 
 def admits_space(kind: SolutionKind, q: float) -> bool:
-    """Whether the space factor of ``kind`` exists at q: q > -1 for the
-    q-power equation, q != 2 and (2-q)(3-q) > 0 for NRT."""
+    """Whether the space factor of ``kind`` exists at q: a finite q, q > -1
+    for the q-power equation, q != 2 and (2-q)(3-q) > 0 for NRT."""
     if kind is SolutionKind.NEW:
-        return q > -1.0
+        return math.isfinite(q) and q > -1.0
     return admits_time(kind, q) and (2.0 - q) * (3.0 - q) > 0.0
+
+
+def _require_finite_q(q: float) -> None:
+    if not math.isfinite(q):
+        raise DomainError(f"q must be finite, got q={q}")
 
 
 def time_coefficient(kind: SolutionKind, q: float) -> float:
     """The c of the separated time factor (1 + i(1-q)E t/(c hbar))^(1/(q-1)):
     q for the q-power equation, 2 - q for NRT."""
+    _require_finite_q(q)
     if not admits_time(kind, q):
         pole = "0" if kind is SolutionKind.NEW else "2"
         raise DomainError(f"the {_NAMES[kind]} time equation requires q != {pole}, got q={q}")
@@ -105,6 +111,7 @@ def time_coefficient(kind: SolutionKind, q: float) -> float:
 
 def require_space(kind: SolutionKind, q: float) -> None:
     """Raise DomainError unless ``admits_space(kind, q)``."""
+    _require_finite_q(q)
     if not admits_space(kind, q):
         rule = "q > -1" if kind is SolutionKind.NEW else "q != 2 and (2-q)(3-q) > 0"
         raise DomainError(f"the {_NAMES[kind]} space equation requires {rule}, got q={q}")

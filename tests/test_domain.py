@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qnlse import _kernels
 from qnlse.cli import main
 from qnlse.errors import DomainError
 from qnlse.fields import ExpCurve, ExponentialField, PowerCurve, PowerProductField
@@ -37,10 +38,13 @@ from qnlse.solutions import (
     q_plane_wave_field,
     separated_space_curve,
     separated_time_curve,
+    space_root,
+    time_coefficient,
 )
 
 NEW, NRT = SolutionKind.NEW, SolutionKind.NRT
 Q_VALUES = (0.0, 1e-13, 2.0 - 1e-13, 2.0, -1.0, 2.5, 3.5)
+NON_FINITE_Q = (math.inf, -math.inf, math.nan)
 
 
 def admits_marched(kind, q):
@@ -115,7 +119,7 @@ def test_rules_as_stated():
         == [admits_time(kind, q) for kind in SolutionKind for q in Q_VALUES]
 
 
-@pytest.mark.parametrize("q", Q_VALUES)
+@pytest.mark.parametrize("q", Q_VALUES + NON_FINITE_Q)
 @pytest.mark.parametrize("kind", list(SolutionKind))
 @pytest.mark.parametrize("call, admits", ENTRY_POINTS,
                          ids=[call.__name__ for call, _ in ENTRY_POINTS])
@@ -127,6 +131,39 @@ def test_entry_point_follows_its_rule(capsys, call, admits, kind, q):
         else:
             with pytest.raises(DomainError):
                 call(kind, q)
+
+
+@pytest.mark.parametrize("q", NON_FINITE_Q)
+@pytest.mark.parametrize("kind", list(SolutionKind))
+def test_non_finite_q_is_refused_as_not_finite(kind, q):
+    # q = inf once marched NEW with s = 0 and returned finite frames
+    assert not admits_time(kind, q) and not admits_space(kind, q)
+    for call in (marched_form, time_coefficient, space_root, march):
+        with pytest.raises(DomainError, match=f"^q must be finite, got q={q}$"):
+            call(kind, q)
+
+
+@pytest.mark.parametrize("q", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("kind", ["new", "nrt"])
+def test_propagate_cli_refuses_a_non_finite_q_on_one_error_line(capsys, kind, q):
+    code = main(["propagate", "--equation", kind, f"--q={q}", "--nx", "11", "--steps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --equation {kind}: q must be finite, got q={q}"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_Q)
+def test_non_finite_potential_is_refused_before_the_march(monkeypatch, bad):
+    # it was a march failure: "field value became non-finite at step 0, index 1"
+    def no_march(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(_kernels, "propagate_frames", no_march)
+    grid = GridSpec(-1.0, 1.0, 5, 1e-4, 1)
+    with pytest.raises(DomainError, match=r"^potential is not finite at x=0\.5$"):
+        propagate(NEW, Frame(grid, 0.0, np.ones(5, dtype=complex)), 1.5, 0.5, 1.0,
+                  boundary=lambda x, t: 1.0 + 0j, potential=lambda x: bad if x > 0.0 else 0.0)
 
 
 # closed forms at an infinite coordinate: the value is not finite, and

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from qnlse import _kernels
 from qnlse.errors import PropagationError
 from qnlse.integrators import GridSpec, interior_linf_error, manufactured_field, propagate, sample_field
 from qnlse.solutions import FreeParticleSpec, SolutionKind, marched_form
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_march_matches_closed_form():
@@ -43,11 +46,25 @@ def test_unit_power_shortcut_keeps_linear_path_exact():
 # ---------------------------------------------------------------------------
 
 
-def expression_form_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
+def binomial_series(eps, s):
+    """The stage series of (1 + eps)**s: its terms to eps**SERIES_ORDER,
+    summed by Horner's rule as whole-array expressions."""
+    coeffs = [complex(c) for c in _kernels.binomial_coefficients(s)]
+    total = coeffs[-1] * eps + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        total = total * eps + c
+    return total
+
+
+def expression_form_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br,
+                           series=True):
     """The RK4 march written as whole-array expressions, one temporary per
     operation: the reference whose bits and errors the buffered kernel
-    must keep."""
+    must keep.  With ``series=False`` every stage takes the tracked
+    power, as the kernel did before its stage series: the tolerance
+    reference of the s != 1 frames."""
     two_pi = 2.0 * math.pi
+    limit = _kernels.series_radius(s) * math.sqrt(0.5)
 
     def phase_step(y, theta):
         d = np.angle(y) - theta
@@ -63,11 +80,16 @@ def expression_form_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl
         ang = s * (theta + phase_step(y, theta))
         return r**s * (np.cos(ang) + 1j * np.sin(ang))
 
-    def rhs(y, theta):
-        w = tracked_power(y, theta)
-        if w is None:
-            return None
-        out = np.zeros_like(y)
+    def stage_power(v, y, wy, theta):
+        if s == 1.0 or not series:
+            return tracked_power(v, theta)
+        eps = (v - y) / y
+        if not np.all(np.abs(eps.view(np.float64)) <= limit):
+            return tracked_power(v, theta)
+        return binomial_series(eps, s) * wy
+
+    def rhs(w):
+        out = np.zeros_like(w)
         lap = (w[2:] - 2.0 * w[1:-1] + w[:-2]) * dxinv2
         out[1:-1] = (kappa * lap + pot[1:-1] * w[1:-1]) * cinv
         return out
@@ -82,24 +104,28 @@ def expression_form_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl
 
     for step in range(n_steps):
         y[0], y[-1] = bl[step, 0], br[step, 0]
-        k1 = rhs(y, theta)
-        if k1 is None:
+        wy = tracked_power(y, theta)
+        if wy is None:
             fail("zero", step)
+        k1 = rhs(wy)
         stage = y + 0.5 * dt * k1
         stage[0], stage[-1] = bl[step, 1], br[step, 1]
-        k2 = rhs(stage, theta)
-        if k2 is None:
+        w = stage_power(stage, y, wy, theta)
+        if w is None:
             fail("zero", step)
+        k2 = rhs(w)
         stage = y + 0.5 * dt * k2
         stage[0], stage[-1] = bl[step, 1], br[step, 1]
-        k3 = rhs(stage, theta)
-        if k3 is None:
+        w = stage_power(stage, y, wy, theta)
+        if w is None:
             fail("zero", step)
+        k3 = rhs(w)
         stage = y + dt * k3
         stage[0], stage[-1] = bl[step, 2], br[step, 2]
-        k4 = rhs(stage, theta)
-        if k4 is None:
+        w = stage_power(stage, y, wy, theta)
+        if w is None:
             fail("zero", step)
+        k4 = rhs(w)
         y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[0], y[-1] = bl[step, 2], br[step, 2]
         finite = np.isfinite(y.real) & np.isfinite(y.imag)
@@ -125,6 +151,19 @@ def assert_same_march(args):
     outcome = march_outcome(_kernels.propagate_frames, args)
     assert outcome == march_outcome(expression_form_frames, args)
     return outcome
+
+
+class CountingTrackedPower:
+    """``_kernels._tracked_power``, counting its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.tracked_power = _kernels._tracked_power
+        monkeypatch.setattr(_kernels, "_tracked_power", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.tracked_power(*args)
 
 
 components = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
@@ -163,6 +202,46 @@ def kernel_args(draw):
 @given(kernel_args())
 def test_buffered_kernel_keeps_the_expression_form_bits(args):
     assert_same_march(args)
+
+
+@st.composite
+def smooth_kernel_args(draw):
+    """A smooth field, ends that move little within a step and a short dt:
+    marches whose later stages take the series, all of them at the
+    shortest dt."""
+    n = draw(st.integers(3, 33))
+    n_steps = draw(st.integers(1, 6))
+    s = draw(st.one_of(st.sampled_from([0.5, 2.0, 3.0]),
+                       st.floats(0.3, 3.0).filter(lambda s: s != 1.0)))
+    amplitude = draw(st.floats(0.5, 2.0))
+    k = draw(st.floats(-0.3, 0.3))
+    v0 = amplitude * np.exp(1j * (k * np.arange(n) + draw(st.floats(-math.pi, math.pi))))
+    th0 = np.unwrap(np.angle(v0)) + 2.0 * math.pi * draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        pot = np.zeros(n)
+    else:
+        pot = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    cinv = -1j / draw(st.floats(0.2, 2.0))
+    kappa = -draw(st.floats(0.1, 2.0))
+    dxinv2 = draw(st.floats(1.0, 400.0))
+    dt = draw(st.sampled_from([1e-10, 1e-9, 1e-8, 1e-7]))
+    moves = st.floats(-1e-6, 1e-6)
+    bl = v0[0] * (1.0 + complex_array(draw, (n_steps, 3), moves))
+    br = v0[-1] * (1.0 + complex_array(draw, (n_steps, 3), moves))
+    return v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br
+
+
+@settings(max_examples=100, deadline=None)
+@given(smooth_kernel_args())
+def test_buffered_kernel_keeps_the_expression_form_bits_on_series_stages(args):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counter = CountingTrackedPower(monkeypatch)
+        outcome = march_outcome(_kernels.propagate_frames, args)
+    assert outcome == march_outcome(expression_form_frames, args)
+    # at dt = 1e-8, |eps| <= dt*|cinv|*(4*|kappa|*dxinv2 + max|pot|)*max|w|/min|y|
+    # <= 1e-8*5*3205*4 = 6.4e-4, within the 2**-10/sqrt(2) each part may take
+    if args[7] <= 1e-8:
+        assert counter.calls == args[8]
 
 
 def test_buffered_kernel_keeps_powers_with_numpy_shortcuts():
@@ -210,6 +289,34 @@ def test_buffered_kernel_keeps_the_expression_form_bits_at_benchmark_sizes(monke
     args = propagate_args(monkeypatch, kind, q, n, dt, 4)
     assert args[2] == s
     assert assert_same_march(args)[0] == "ok"
+    # against every stage's exact tracked power, the series moves the
+    # frames by rounding alone
+    frames = _kernels.propagate_frames(*args)
+    exact = expression_form_frames(*args, series=False)
+    assert np.max(np.abs(frames - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+def rough_args(n_steps):
+    """A random field, which no stage of a step is near enough to take the series."""
+    rng = np.random.default_rng(5)
+    n = 33
+    v0 = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    bl = np.full((n_steps, 3), v0[0])
+    br = np.full((n_steps, 3), v0[-1])
+    return v0, np.angle(v0), 0.8, -1j, -0.5, 400.0, np.zeros(n), 1e-3, n_steps, bl, br
+
+
+@pytest.mark.parametrize("smooth, per_step", [(True, 1), (False, 4)], ids=["series", "exact"])
+def test_tracked_power_runs_once_per_step_where_every_stage_takes_the_series(monkeypatch, smooth,
+                                                                            per_step):
+    n_steps = 5
+    args = (propagate_args(monkeypatch, SolutionKind.NEW, 1.05, 401, 1e-5, n_steps) if smooth
+            else rough_args(n_steps))
+    counter = CountingTrackedPower(monkeypatch)
+    frames = _kernels.propagate_frames(*args)
+    assert counter.calls == per_step * n_steps
+    monkeypatch.undo()
+    assert frames.tobytes() == expression_form_frames(*args).tobytes()
 
 
 class RecordingNumpy:
@@ -280,6 +387,48 @@ def test_failing_marches_stop_where_the_expression_form_stops():
     huge[6] = 1e308  # the Laplacian overflows, and each of the four stages widens it by a point
     assert_march_fails((huge, np.angle(huge), 1.0, -1j, -0.5, 10.0, np.ones(n), 1e-3, 5, bl, br),
                        "non-finite at step 0, index 2")
+
+    # the clean march at s = 0.8 takes the series in every later stage, so
+    # each fault below reaches the guard, which sends its stage to the
+    # tracked power
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        counter = CountingTrackedPower(monkeypatch)
+        _kernels.propagate_frames(v0, th0, 0.8, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5, bl, br)
+    assert counter.calls == 5
+
+    zero_full_stage = bl.copy()
+    zero_full_stage[3, 2] = 0.0  # the full-step stage of step 3 vanishes at its end
+    assert_march_fails((v0, th0, 0.8, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5, zero_full_stage, br),
+                       "zero at step 3, index 0")
+
+    for bad in (math.inf, complex(math.nan, 1.0)):
+        bad_stage = br.copy()
+        bad_stage[2, 1] = bad  # the half-step stages' end is inf or nan, and three stages widen it
+        assert_march_fails((v0, th0, 0.8, -1j, -0.5, 10.0, np.zeros(n), 1e-3, 5, bl, bad_stage),
+                           f"non-finite at step 2, index {n - 4}")
+
+    for bad in (math.inf, math.nan):
+        pot = np.zeros(n)
+        pot[4] = bad  # k1 is not finite at index 4, and each later stage widens it by a point
+        for s in (1.0, 0.8):
+            assert_march_fails((v0, th0, s, -1j, -0.5, 10.0, pot, 1e-3, 5, bl, br),
+                               "non-finite at step 0, index 1")
+
+
+MARCHED_POWERS = sorted({s for q in np.linspace(0.05, 1.9, 38)
+                         for s in (1.0 / q, 2.0 - q, 1.0 / (2.0 - q))} | {0.5, 2.0, 3.0})
+
+
+@pytest.mark.parametrize("s", MARCHED_POWERS)
+def test_stage_series_is_the_power_to_machine_precision_at_its_radius(s):
+    radius = _kernels.series_radius(s)
+    assert 0.0 < radius <= _kernels.SERIES_RADIUS_CAP
+    eps = radius * np.exp(1j * np.linspace(-math.pi, math.pi, 16, endpoint=False))
+    series = binomial_series(eps, s)
+    with mpmath.workdps(40):
+        for e, value in zip(eps, series):
+            exact = (1 + mpmath.mpc(e.real, e.imag)) ** s
+            assert abs(mpmath.mpc(value.real, value.imag) - exact) <= 4 * EPS * abs(exact)
 
 
 # ---------------------------------------------------------------------------
