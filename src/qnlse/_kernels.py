@@ -2,74 +2,55 @@
 RK4 time march.
 
 The state is the complex field plus, when the marched power ``s`` is
-not 1, a per-point continuous phase ``theta``.  The pointwise
-fractional power of the field is taken on the branch tracked by
-``theta`` (updated by continuity after every accepted step), not on the
-principal branch: the fields being propagated wind past |arg| = pi on
-wide grids, where a principal power would jump and inject O(1) errors
-into the stencil.  At s = 1 the power is the field itself: the RHS reads
-each stage in place, and ``theta`` is neither read nor updated.
+not 1, a per-point continuous phase ``theta``.  The pointwise power of
+the field is taken on the branch tracked by ``theta``, not on the
+principal branch: the fields wind past |arg| = pi on wide grids, where a
+principal power would jump.  At s = 1 the power is the field itself.
 
-Each call does once what every step would otherwise repeat: it
-allocates the work arrays (the four slopes, the stage, the RK4
-accumulator, the state, and the float and complex scratch of the
-tracked power, the stage series and the Laplacian), makes the slice
-views the stencil reads and the slopes' interior views, and reads the
-boundary tables into lists of rows.  Every stage, RHS and end-of-step
-operation writes into those arrays, with ``out`` passed by position.
-The operations and their order are those of the expression form
-``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)`` with
-``k = (kappa*lap(w) + pot*w) * cinv``.
+A slope is ``c*d``, with ``c = kappa*dxinv2*cinv`` and
+``d = lap(w) + (pot/(kappa*dxinv2))*w`` (the Laplacian as the difference
+of first differences, the ``pot`` term skipped where pot is all zero); a
+stage is ``y + (c*h)*d`` on the interior, and the step
+``y + (c*dt/6)*(d1 + 2*(d2 + d3) + d4)``.  Each call allocates its work
+arrays and views once; every operation writes into them with ``out``,
+and every scalar operand is a 0-d array made once, so that no ufunc
+converts a Python number per step.  A step makes 20 whole-array calls
+(ufuncs and ``count_nonzero``) at s = 1 and 76 at s != 1 where each
+power takes the series or the tracked power at once, 2 more per slope
+with a potential.  Its frames differ from the unfolded form's
+(``k = (kappa*lap + pot*w)*cinv``, ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``)
+by rounding: over the benchmark's marches by at most 2e-13 of the
+largest value, 7e-15 at s = 1.
 
-At s != 1 only the first stage of a step takes the tracked power of
-its field ``y``, with the transcendental passes (``abs``, ``arctan2``,
-the power, ``cos``, ``sin``); that power ``wy`` anchors the step.  A
-later stage ``v`` is a small relative step from ``y``, so its power is
-``wy * (1 + eps)**s`` with ``eps = (v - y)/y``: the binomial series of
-``(1 + eps)**s`` to the power ``SERIES_ORDER`` = K, summed by Horner's
-rule, has a truncation error below a quarter of machine epsilon,
-relative, wherever ``|eps| <= series_radius(s)`` (derived there).  A
-stage takes the series where every real and imaginary part of ``eps``
-lies within ``series_radius(s)/sqrt(2)``, which keeps ``|eps|`` within
-the radius.  Otherwise, and where ``eps`` has a nan or an inf (a zero,
-nan or inf stage), it takes the tracked power, with the bits and the
-failures the first stage would have.  The series continues the branch
-of ``wy``; it agrees with the stage's own tracked branch unless ``y``'s
-phase lies within ``asin(radius)`` of the cut half a turn from
-``theta``.  So at s != 1 the frames are those of the expression form
-with the same series stages, and differ from a march that takes every
-stage's tracked power by rounding; at s = 1 they are the expression
-form's bits.
+At s != 1, a power near a known one comes from a series: ``v**s`` is
+``wy*(1 + eps)**s``, ``eps = (v - y)/y``, for ``y`` of power ``wy``, and
+the binomial series of ``(1 + eps)**s`` to ``eps**SERIES_ORDER``, by
+Horner's rule, is within u/4 of it, relative (u is machine epsilon),
+where ``|eps| <= series_radius(s)``.  It is taken where each part of eps
+is within ``series_radius(s)/sqrt(2)``; elsewhere, and where eps is not
+finite, the tracked power is, with its transcendental passes.  Stages
+2-4 take it from the step's anchor ``(y, wy)``, the anchor from the
+previous step's, but every ``REANCHOR_PERIOD`` = P steps the anchor is
+the tracked power and ``theta`` moves to its phase.  A series step adds
+under 4u relative (the truncation, Horner's last add, the complex
+product), so each power is within 4Pu (1.4e-14) of the tracked power
+carried exactly, and within ``delta = (4P + 2(2 + |s*theta|))u`` of an
+all-tracked march's powers (each tracked power rounds by about
+``(2 + |s*theta|)u``).  Per step the slopes then move by at most
+``dt*|c|*(4 + max|pot/(kappa*dxinv2)|)*delta*max|w|`` and the two
+updates round by ``2u*max|y|``: over N steps of a march that does not
+amplify them, the frames stay within N times their sum of the
+all-tracked march's.  Between re-anchors the guard keeps the phase
+within P*asin(2**-10) of ``theta``, far inside the half turn the
+tracked power's wrap allows.
 
-Every scalar operand of a ufunc (2, ``dxinv2``, ``kappa``, ``cinv``,
-``dt/2``, ``dt``, ``dt/6``, the series coefficients and its guard, ``s``
-and 2*pi) is a 0-d array, made once, so that no ufunc converts a Python
-number again on every step.
-The complex ones are complex128: numpy multiplies a complex array by a
-float as by (a, 0.0), so ``np.array(a, dtype=complex128)`` gives the
-same bits (±0, inf and nan included).  ``np.power(r, s, r)`` with a 0-d
-exponent gives the bits of ``r **= s``, whose scalar-exponent shortcuts
-(sqrt at 0.5, square at 2) numpy 2's power loop matches; the oracle in
-``tests/test_kernels.py`` checks both shortcuts.  The ufuncs themselves
-are looked up once per call.
-
-The zero and finiteness checks count with ``np.count_nonzero``, which,
-like ``a == 0``, counts nan as nonzero, and skips the Python wrapper of
-``ndarray.all()``.  The state's checks run on its float view, two parts
-per point, where numpy's loops are faster than on complex values, and
-only a failing check goes back to the complex values to find the index.
-numpy's floating-point warnings are silenced for the march, which
-raises its own error instead (below).
-
-An all-zero ``pot`` is detected once per call and its ``pot*w`` term is
-skipped: that term is a signed zero, which can only change the sign of
-an exactly zero slope component, and the expression-form oracle in
-``tests/test_kernels.py``, whose draws include signed zeros, finds no
-frame that differs.
-
-``propagate_frames`` returns every frame, the initial one included, or
-raises ``PropagationError`` at the first step that leaves a zero or
-non-finite value (a stage's zero |w| is reported at index 0).
+The zero and finiteness checks of the state run once per block of
+``BLOCK_ROWS`` stored frames.  A failing block check, or a stage with a
+zero |v| (reported at index 0), first scans the block's rows in order,
+so the march raises ``PropagationError`` at the first step whose state
+has a zero or non-finite value, and its first such index, within one
+block of that step.  numpy's floating-point warnings are silenced for
+the march.
 """
 
 from __future__ import annotations
@@ -86,6 +67,8 @@ _TWO_PI.flags.writeable = False
 
 SERIES_ORDER = 4  # K, the highest power of eps in a stage's series
 SERIES_RADIUS_CAP = 2.0 ** -10
+BLOCK_ROWS = 64  # stored frames per zero and finiteness check
+REANCHOR_PERIOD = 16  # steps between the anchor's tracked powers
 
 
 def binomial_coefficients(s: float) -> list:
@@ -143,20 +126,38 @@ def _phase_step(y, theta, out, tmp):
     return out
 
 
-def _tracked_power(y, theta, s, out, r, ang, tmp):
+def _tracked_power(y, theta, s, out, r, ang, tmp, track=False):
     """``y**s`` on the branch tracked by ``theta``, into ``out``; None if
-    some |y| is zero.  ``r``, ``ang`` and ``tmp`` are scratch."""
+    some |y| is zero.  With ``track``, ``theta`` moves to y's tracked
+    phase.  ``r``, ``ang`` and ``tmp`` are scratch."""
     np.abs(y, r)
     if np.count_nonzero(r) < r.size:
         return None
     _phase_step(y, theta, ang, tmp)
-    np.add(theta, ang, ang)
-    np.multiply(s, ang, ang)
+    phase = theta if track else ang
+    np.add(theta, ang, phase)
+    np.multiply(s, phase, ang)
     np.power(r, s, r)  # with the scalar-exponent shortcuts of r**s
     np.cos(ang, out.real)
     np.sin(ang, out.imag)
     np.multiply(r, out, out)
     return out
+
+
+def _fail(reason, step, index=0):
+    raise PropagationError(f"field value became {reason} at step {step}, index {index}")
+
+
+def _raise_first_fault(frames, start, stop):
+    """Raise for the first zero or non-finite value of frames[start:stop],
+    row by row, as a check after every step would; return if none."""
+    for row in range(start, stop):
+        finite = np.isfinite(frames[row])
+        if not finite.all():
+            _fail("non-finite", row - 1, int(np.argmin(finite)))
+        zero = frames[row] == 0
+        if zero.any():
+            _fail("zero", row - 1, int(np.argmax(zero)))
 
 
 def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
@@ -169,114 +170,122 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
     frames = np.empty((n_steps + 1, n), dtype=np.complex128)
     frames[0, :] = v0
 
-    unit_power = s == 1.0
-    # pot is cast to complex once, as the product pot*w would cast it
-    pot_inner = pot[1:-1].astype(np.complex128) if np.any(pot) else None
-    two, kappa, dxinv2, cinv, half, full, sixth = (
-        np.array(a, dtype=np.complex128) for a in (2.0, kappa, dxinv2, cinv, 0.5 * dt, dt, dt / 6.0))
+    scale = kappa * dxinv2
+    c = scale * cinv
+    # pot's term of d, cast to complex once, as its product with w would cast it
+    pot_inner = (pot[1:-1] / scale).astype(np.complex128) if np.any(pot) else None
+    two, half, full, sixth = (np.array(a, dtype=np.complex128)
+                              for a in (2.0, c * (0.5 * dt), c * dt, c * dt / 6.0))
     left_rows, right_rows = bl[:n_steps].tolist(), br[:n_steps].tolist()
 
     y = v0.copy()
     stage = np.empty(n, dtype=np.complex128)
-    acc = np.empty(n, dtype=np.complex128)
-    k1, k2, k3, k4 = (np.zeros(n, dtype=np.complex128) for _ in range(4))  # ends stay 0
-    inner1, inner2, inner3, inner4 = k1[1:-1], k2[1:-1], k3[1:-1], k4[1:-1]
-    lap = np.empty(n - 2, dtype=np.complex128)
-    y_parts = y.view(np.float64)  # re, im of each point
-    part_mask = np.empty(2 * n, dtype=bool)
-    point_mask = part_mask.view(np.uint16)  # a point's two part flags as one item
+    y_inner, stage_inner = y[1:-1], stage[1:-1]
+    d1, d2, d3, d4, acc = (np.empty(n - 2, dtype=np.complex128) for _ in range(5))
+    diff = np.empty(n - 1, dtype=np.complex128)
+    diff_hi, diff_lo = diff[1:], diff[:-1]
+    block_mask = np.empty((min(n_steps, BLOCK_ROWS), 2 * n), dtype=bool)  # re, im of each point
     zero = np.array(0.0)
-    if unit_power:
-        anchor_power = stage_power = None
-        y_src, stage_src = (y[2:], y[1:-1], y[:-2]), (stage[2:], stage[1:-1], stage[:-2])
+    if s == 1.0:
+        tracked_anchor = carried_anchor = stage_power = None
+        y_src, stage_src = (y[1:], y[:-1], y_inner), (stage[1:], stage[:-1], stage_inner)
     else:
         theta = np.array(th0, dtype=np.float64)
         # Horner's coefficients, from C(s, K) down to C(s, 0) = 1
-        top, *middle, one = (np.array(c, dtype=np.complex128)
-                             for c in reversed(binomial_coefficients(s)))
+        top, *middle, one = (np.array(a, dtype=np.complex128)
+                             for a in reversed(binomial_coefficients(s)))
         limit = np.array(series_radius(s) * math.sqrt(0.5))  # on each part of eps
         s = np.array(s, dtype=np.float64)
-        wy, w, eps = (np.empty(n, dtype=np.complex128) for _ in range(3))
-        eps_parts, eps_size = eps.view(np.float64), np.empty(2 * n)
+        y_prev, wy, w, eps = (np.empty(n, dtype=np.complex128) for _ in range(4))
+        eps_parts, eps_size, part_mask = eps.view(np.float64), np.empty(2 * n), np.empty(2 * n, bool)
         r, ang, tmp = (np.empty(n, dtype=np.float64) for _ in range(3))
-        y_src, stage_src = (wy[2:], wy[1:-1], wy[:-2]), (w[2:], w[1:-1], w[:-2])
+        y_src, stage_src = (wy[1:], wy[:-1], wy[1:-1]), (w[1:], w[:-1], w[1:-1])
 
-        def anchor_power(v):
-            """wy = v**s on the tracked branch; False if some |v| is zero."""
-            return _tracked_power(v, theta, s, wy, r, ang, tmp) is not None
-
-        def stage_power(v):
-            """w = v**s: wy times the series of (1 + eps)**s where every
-            part of eps = (v - y)/y is within the limit, else the tracked
-            power; False if some |v| is zero."""
-            subtract(v, y, eps)
-            divide(eps, y, eps)
+        def series_power(v, base, base_power, out):
+            """out = base_power*(1 + eps)**s by the series, eps = (v - base)/base;
+            False, leaving out as it was, where a part of eps is beyond the limit."""
+            subtract(v, base, eps)
+            divide(eps, base, eps)
             absolute(eps_parts, eps_size)
             if count_nonzero(less_equal(eps_size, limit, part_mask)) < 2 * n:  # nan is not <= limit
-                return _tracked_power(v, theta, s, w, r, ang, tmp) is not None
+                return False
             multiply(top, eps, w)
-            for c in middle:
-                add(w, c, w)
+            for a in middle:
+                add(w, a, w)
                 multiply(w, eps, w)
             add(w, one, w)
-            multiply(w, wy, w)
+            multiply(w, base_power, out)
             return True
 
-    def rhs(v, power, src, inner):
-        """inner = (kappa*lap(w) + pot*w) * cinv on the interior, with
-        w = v**s from ``power`` (v itself at s = 1) and ``src`` its three
-        stencil views; False if some |v| is zero."""
+        def tracked_anchor(v):
+            """wy = v**s, the tracked power, with theta moved to v's phase."""
+            if _tracked_power(v, theta, s, wy, r, ang, tmp, track=True) is None:
+                return False
+            y_prev[...] = v
+            return True
+
+        def carried_anchor(v):
+            """wy = v**s by the series from the previous step's anchor, else tracked."""
+            if series_power(v, y_prev, wy, wy):
+                y_prev[...] = v
+                return True
+            return tracked_anchor(v)
+
+        def stage_power(v):
+            """w = v**s by the series from the step's anchor, else tracked."""
+            return (series_power(v, y, wy, w)
+                    or _tracked_power(v, theta, s, w, r, ang, tmp) is not None)
+
+    def rhs(v, power, src, d):
+        """d = lap(w) + (pot/(kappa*dxinv2))*w on the interior, with w = v**s
+        from ``power`` (v itself at s = 1) and ``src`` its views w[1:], w[:-1]
+        and w[1:-1]; False if some |v| is zero."""
         if power is not None and not power(v):
             return False
-        right, mid, left = src
-        multiply(two, mid, lap)
-        subtract(right, lap, lap)
-        add(lap, left, lap)
-        multiply(lap, dxinv2, lap)
-        multiply(kappa, lap, inner)
+        upper, lower, mid = src
+        subtract(upper, lower, diff)
+        subtract(diff_hi, diff_lo, d)
         if pot_inner is not None:
-            multiply(pot_inner, mid, lap)
-            add(inner, lap, inner)
-        multiply(inner, cinv, inner)
+            multiply(pot_inner, mid, acc)
+            add(d, acc, d)
         return True
 
-    def to_stage(h, k, left, right):
-        multiply(h, k, stage)
-        add(y, stage, stage)
+    def to_stage(h, d, left, right):
+        multiply(h, d, stage_inner)
+        add(y_inner, stage_inner, stage_inner)
         stage[0] = left
         stage[-1] = right
         return stage
 
-    def fail(reason, step, index=0):
-        raise PropagationError(f"field value became {reason} at step {step}, index {index}")
-
     # a failing march raises at its step, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(n_steps):
-            (l0, l1, l2), (r0, r1, r2) = left_rows[step], right_rows[step]
-            y[0] = l0
-            y[-1] = r0
-            if not (rhs(y, anchor_power, y_src, inner1)
-                    and rhs(to_stage(half, k1, l1, r1), stage_power, stage_src, inner2)
-                    and rhs(to_stage(half, k2, l1, r1), stage_power, stage_src, inner3)
-                    and rhs(to_stage(full, k3, l2, r2), stage_power, stage_src, inner4)):
-                fail("zero", step)
-            multiply(two, k2, acc)
-            add(k1, acc, acc)
-            multiply(two, k3, stage)
-            add(acc, stage, acc)
-            add(acc, k4, acc)
-            multiply(sixth, acc, acc)
-            add(y, acc, y)
-            y[0] = l2
-            y[-1] = r2
+        for first in range(0, n_steps, BLOCK_ROWS):
+            last = min(first + BLOCK_ROWS, n_steps)
+            for step in range(first, last):
+                (l0, l1, l2), (r0, r1, r2) = left_rows[step], right_rows[step]
+                y[0] = l0
+                y[-1] = r0
+                anchor = carried_anchor if step % REANCHOR_PERIOD else tracked_anchor
+                if not (rhs(y, anchor, y_src, d1)
+                        and rhs(to_stage(half, d1, l1, r1), stage_power, stage_src, d2)
+                        and rhs(to_stage(half, d2, l1, r1), stage_power, stage_src, d3)
+                        and rhs(to_stage(full, d3, l2, r2), stage_power, stage_src, d4)):
+                    _raise_first_fault(frames, first + 1, step + 1)
+                    _fail("zero", step)
+                add(d2, d3, acc)
+                multiply(two, acc, acc)
+                add(d1, acc, acc)
+                add(acc, d4, acc)
+                multiply(sixth, acc, acc)
+                add(y_inner, acc, y_inner)
+                y[0] = l2
+                y[-1] = r2
+                frames[step + 1] = y
 
-            if count_nonzero(isfinite(y_parts, part_mask)) < 2 * n:
-                fail("non-finite", step, int(np.argmin(np.isfinite(y))))
-            not_equal(y_parts, zero, part_mask)
-            if count_nonzero(point_mask) < n:  # a point is zero where both its parts are
-                fail("zero", step, int(np.argmax(y == 0)))
-            if not unit_power:
-                add(theta, _phase_step(y, theta, ang, tmp), theta)
-            frames[step + 1] = y
+            rows = frames[first + 1:last + 1].view(np.float64)
+            mask = block_mask[:last - first]
+            if (count_nonzero(isfinite(rows, mask)) < mask.size
+                    # a point is zero where both its parts are
+                    or 2 * count_nonzero(not_equal(rows, zero, mask).view(np.uint16)) < mask.size):
+                _raise_first_fault(frames, first + 1, last + 1)
     return frames

