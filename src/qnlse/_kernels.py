@@ -50,7 +50,11 @@ zero |v| (reported at index 0), first scans the block's rows in order,
 so the march raises ``PropagationError`` at the first step whose state
 has a zero or non-finite value, and its first such index, within one
 block of that step.  numpy's floating-point warnings are silenced for
-the march.
+each block's steps and check.
+
+There is one march loop.  It writes into the whole march's array, or
+into ``BLOCK_ROWS + 1`` rows that every block reuses, so that a streaming
+consumer's memory is set by the block and not by the step count.
 """
 
 from __future__ import annotations
@@ -148,27 +152,49 @@ def _fail(reason, step, index=0):
     raise PropagationError(f"field value became {reason} at step {step}, index {index}")
 
 
-def _raise_first_fault(frames, start, stop):
-    """Raise for the first zero or non-finite value of frames[start:stop],
-    row by row, as a check after every step would; return if none."""
-    for row in range(start, stop):
-        finite = np.isfinite(frames[row])
+def _raise_first_fault(rows, step):
+    """Raise for the first zero or non-finite value of ``rows``, the states
+    after steps ``step``, ``step + 1``, ..., row by row, as a check after
+    every step would; return if none."""
+    for row in rows:
+        finite = np.isfinite(row)
         if not finite.all():
-            _fail("non-finite", row - 1, int(np.argmin(finite)))
-        zero = frames[row] == 0
+            _fail("non-finite", step, int(np.argmin(finite)))
+        zero = row == 0
         if zero.any():
-            _fail("zero", row - 1, int(np.argmax(zero)))
+            _fail("zero", step, int(np.argmax(zero)))
+        step += 1
 
 
-def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
-    """Run the RK4 march and return its frames, one row per step after
-    the initial one; raises PropagationError at a failing step."""
+def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, frames=None):
+    """Run the RK4 march; raises PropagationError at a failing step.
+
+    Without ``frames``, march into one ``(n_steps + 1, n)`` array and
+    return it: row k is frame k, written once.  With ``frames``, a buffer
+    of that shape or of ``min(n_steps, BLOCK_ROWS) + 1`` rows that every
+    block reuses, return an iterator that marches into it as it is asked
+    for and yields each checked block, a view of ``frames``: the initial
+    frame and the first ``BLOCK_ROWS`` steps' frames, then each next
+    ``BLOCK_ROWS`` steps' (fewer at the end).  A reused buffer overwrites a
+    block when the march resumes after it.  A block is yielded only after
+    its check has passed, so a march that raises has yielded exactly the
+    blocks before the one that holds its failing step.
+    """
+    args = (v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br)
+    if frames is not None:
+        return _march_blocks(*args, frames)
+    frames = np.empty((n_steps + 1, v0.shape[0]), dtype=np.complex128)
+    for _ in _march_blocks(*args, frames):
+        pass
+    return frames
+
+
+def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, frames):
+    """The march loop: ``propagate_frames`` with ``frames``."""
     multiply, add, subtract, divide, absolute, less_equal, isfinite, not_equal, count_nonzero = (
         np.multiply, np.add, np.subtract, np.divide, np.absolute, np.less_equal, np.isfinite,
         np.not_equal, np.count_nonzero)
     n = v0.shape[0]
-    frames = np.empty((n_steps + 1, n), dtype=np.complex128)
-    frames[0, :] = v0
 
     scale = kappa * dxinv2
     c = scale * cinv
@@ -176,7 +202,6 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
     pot_inner = (pot[1:-1] / scale).astype(np.complex128) if np.any(pot) else None
     two, half, full, sixth = (np.array(a, dtype=np.complex128)
                               for a in (2.0, c * (0.5 * dt), c * dt, c * dt / 6.0))
-    left_rows, right_rows = bl[:n_steps].tolist(), br[:n_steps].tolist()
 
     y = v0.copy()
     stage = np.empty(n, dtype=np.complex128)
@@ -257,12 +282,17 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
         stage[-1] = right
         return stage
 
-    # a failing march raises at its step, without numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first in range(0, n_steps, BLOCK_ROWS):
-            last = min(first + BLOCK_ROWS, n_steps)
-            for step in range(first, last):
-                (l0, l1, l2), (r0, r1, r2) = left_rows[step], right_rows[step]
+    whole = frames.shape[0] > n_steps  # else every block reuses rows 1 on
+    frames[0] = v0
+    if not n_steps:
+        yield frames[:1]
+    for first in range(0, n_steps, BLOCK_ROWS):
+        last = min(first + BLOCK_ROWS, n_steps)
+        block = frames[first + 1:last + 1] if whole else frames[1:last - first + 1]
+        rows = zip(range(first, last), bl[first:last].tolist(), br[first:last].tolist())
+        # a failing march raises at its step, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for step, (l0, l1, l2), (r0, r1, r2) in rows:
                 y[0] = l0
                 y[-1] = r0
                 anchor = carried_anchor if step % REANCHOR_PERIOD else tracked_anchor
@@ -270,7 +300,7 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
                         and rhs(to_stage(half, d1, l1, r1), stage_power, stage_src, d2)
                         and rhs(to_stage(half, d2, l1, r1), stage_power, stage_src, d3)
                         and rhs(to_stage(full, d3, l2, r2), stage_power, stage_src, d4)):
-                    _raise_first_fault(frames, first + 1, step + 1)
+                    _raise_first_fault(block[:step - first], first)
                     _fail("zero", step)
                 add(d2, d3, acc)
                 multiply(two, acc, acc)
@@ -280,12 +310,13 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
                 add(y_inner, acc, y_inner)
                 y[0] = l2
                 y[-1] = r2
-                frames[step + 1] = y
+                block[step - first] = y
 
-            rows = frames[first + 1:last + 1].view(np.float64)
+            parts = block.view(np.float64)
             mask = block_mask[:last - first]
-            if (count_nonzero(isfinite(rows, mask)) < mask.size
+            if (count_nonzero(isfinite(parts, mask)) < mask.size
                     # a point is zero where both its parts are
-                    or 2 * count_nonzero(not_equal(rows, zero, mask).view(np.uint16)) < mask.size):
-                _raise_first_fault(frames, first + 1, last + 1)
-    return frames
+                    or 2 * count_nonzero(not_equal(parts, zero, mask).view(np.uint16)) < mask.size):
+                _raise_first_fault(block, first)
+        # the first block starts at the initial frame
+        yield frames[:last + 1] if first == 0 else block

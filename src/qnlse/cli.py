@@ -9,9 +9,11 @@ reads (``_SUBCOMMANDS``); any other flag is a usage error.  Only
 ``propagate`` and ``compare`` offer ``--format svg``.
 
 ``verify`` runs its suites on every usable CPU through ``_pool``, the
-pool's only user.  ``propagate`` formats its frames in this process, one
-frame at a time, and writes each CSV frame, and each JSON frame sent to
-stdout, as soon as it is formatted.
+pool's only user.  ``propagate`` streams its march (``stream_frames``),
+one checked block of frames at a time, and formats the frames in this
+process, one at a time: it writes each CSV frame, and each JSON frame
+sent to stdout, as soon as it is formatted, and keeps only the last
+frame for svg.
 
 Exit codes: 0 all checks passed, 1 a tolerance or verification check
 failed, 2 usage or configuration error.  ``QNLSE_SEED`` seeds the
@@ -21,7 +23,9 @@ randomized suites (default 42).
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -34,9 +38,9 @@ from .integrators import (
     PdeCase,
     convergence_study,
     manufactured_field,
-    propagate,
     require_interval,
     sample_field,
+    stream_frames,
 )
 from .reports import (
     field_svg_text,
@@ -230,11 +234,17 @@ def cmd_residual(args: argparse.Namespace) -> int:
 
 def _remove_stale_frames(directory: Path, last: int) -> None:
     """Delete the frames an earlier, longer run left in ``directory``:
-    the files named by ``frame_filename`` with a step above ``last``."""
-    for path in directory.glob("frame_*.csv"):
-        step = path.name[len("frame_"):-len(".csv")]
-        if step.isdecimal() and int(step) > last and path.name == frame_filename(int(step)):
-            path.unlink()
+    the files named by ``frame_filename`` with a step above ``last``.  The
+    directory is read entry by entry, keeping only the stale names."""
+
+    def stale(name):
+        step = name[len("frame_"):-len(".csv")]
+        return step.isdecimal() and int(step) > last and name == frame_filename(int(step))
+
+    with os.scandir(directory) as entries:
+        names = [entry.name for entry in entries if stale(entry.name)]
+    for name in names:
+        (directory / name).unlink()
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
@@ -242,21 +252,23 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     equation = SolutionKind(args.equation)
     exact = manufactured_field(equation, spec)
     initial = sample_field(exact, grid, 0.0)
-    traj = propagate(equation, initial, spec.q, spec.m, spec.hbar, boundary=exact)
+    frames = stream_frames(equation, initial, spec.q, spec.m, spec.hbar, boundary=exact)
+    # nothing is written before the first block of the march has passed its check
+    frames = itertools.chain([next(frames)], frames)
     xs = grid.x_values()
     if args.fmt == "svg":
-        last = traj[-1]
+        last = collections.deque(frames, maxlen=1)[0]
         write_text(args.out, field_svg_text(xs, last.t, last.values))
         return EXIT_OK
-    times = traj.times()
     if args.fmt == "csv":
         args.out.mkdir(parents=True, exist_ok=True)
         x_col = float_reprs(xs)
-        for k, (t, row) in enumerate(zip(times, traj.values)):
-            write_text(args.out / frame_filename(k), frame_csv_text(x_col, t, row))
-        _remove_stale_frames(args.out, len(traj) - 1)
+        for k, frame in enumerate(frames):
+            write_text(args.out / frame_filename(k), frame_csv_text(x_col, frame.t, frame.values))
+        _remove_stale_frames(args.out, grid.n_steps)
         return EXIT_OK
-    parts = frames_json_parts(equation.value, spec.q, xs, times, traj.values)
+    parts = frames_json_parts(equation.value, spec.q, xs,
+                              ((frame.t, frame.values) for frame in frames))
     if args.out is None:
         sys.stdout.writelines(parts)  # frame by frame: one frame's text at a time
     else:

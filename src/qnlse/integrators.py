@@ -59,9 +59,11 @@ from .solutions import (
 # warns (the RK4 imaginary-axis limit is roomier) but does not abort.
 STABILITY_SAFETY = 0.2
 
-# Work is bounded before it starts: propagate refuses a march whose frames
-# would take more than this share of physical memory, and the separated
-# integrators refuse more steps than this (each step keeps its state).
+# Work is bounded before it starts: propagate and stream_frames refuse a
+# march whose frames would take more than this share of physical memory
+# (stream_frames holds one block of them, so there it bounds the work and
+# the output), and the separated integrators refuse more steps than this
+# (each step keeps its state).
 FRAME_MEMORY_SHARE = 0.5
 MAX_SEPARATED_STEPS = 1_000_000
 
@@ -113,8 +115,9 @@ class GridSpec:
 
 class Frame(NamedTuple):
     """The field on the spatial grid at one instant: ``sample_field``'s
-    result, ``propagate``'s initial frame, or one row of a
-    ``Trajectory`` (``values`` is then a view, not a copy)."""
+    result, ``propagate``'s initial frame, one row of a ``Trajectory``
+    or a frame of ``stream_frames`` (``values`` is then a view, not a
+    copy)."""
 
     grid: GridSpec
     t: float
@@ -382,7 +385,9 @@ def _physical_memory() -> Optional[int]:
 
 def require_frame_memory(n_steps: int, n_points: int) -> None:
     """Refuse a march whose frames, ``(n_steps + 1) * n_points * 16``
-    bytes, would take more than ``FRAME_MEMORY_SHARE`` of physical memory."""
+    bytes, would take more than ``FRAME_MEMORY_SHARE`` of physical memory,
+    whether it holds them all (``propagate``) or streams them
+    (``stream_frames``, where the limit bounds the work and the output)."""
     frame_bytes = (n_steps + 1) * n_points * 16
     memory = _physical_memory()
     if memory is not None and frame_bytes > FRAME_MEMORY_SHARE * memory:
@@ -402,12 +407,47 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
 
     The boundary source supplies exact Dirichlet values at both grid
     ends for every RK4 stage time.  Returns the field after every step,
-    the initial frame included, as one ``Trajectory``.  The initial
-    frame must match the grid and be finite and nonzero everywhere, and
-    the frames, ``(n_steps + 1) * n_points * 16`` bytes, may take at most
-    ``FRAME_MEMORY_SHARE`` of physical memory.  The potential must be
-    a finite real number at every grid point.
+    the initial frame included, as one ``Trajectory`` whose ``values`` is
+    the array the kernel marched into.  The initial frame must match the
+    grid and be finite and nonzero everywhere, and the frames,
+    ``(n_steps + 1) * n_points * 16`` bytes, may take at most
+    ``FRAME_MEMORY_SHARE`` of physical memory.  The potential must be a
+    finite real number at every grid point.  ``stream_frames`` is the same
+    march, handed on one checked block at a time.
     """
+    args = _march_args(equation, initial, q, m, hbar, boundary, potential)
+    return Trajectory(initial.grid, initial.t, _kernels.propagate_frames(*args))
+
+
+def stream_frames(equation: SolutionKind, initial: Frame, q: float, m: float,
+                  hbar: float, boundary,
+                  potential: Optional[Callable[[float], float]] = None) -> Iterator[Frame]:
+    """``propagate``'s march as an iterator of its ``Frame``s, bit for bit,
+    with memory bounded for any step count.
+
+    The inputs are checked, and the step-size warning given, at the call,
+    as in ``propagate``; the frame-memory limit here bounds the work and
+    the output.  The march runs as its frames are asked for, one block of
+    ``BLOCK_ROWS`` steps at a time, into a buffer of
+    ``min(n_steps, BLOCK_ROWS) + 1`` rows.  A frame's ``values`` is a view
+    of it, which the next block overwrites: copy it to keep it (the last
+    frame's stays).  A block's frames come only after its check has
+    passed, so a march that fails raises ``PropagationError`` after the
+    frames of the whole blocks before its failing step's block.
+    """
+    args = _march_args(equation, initial, q, m, hbar, boundary, potential)
+    grid = initial.grid
+    buffer = np.empty((min(grid.n_steps, _kernels.BLOCK_ROWS) + 1, grid.n_points),
+                      dtype=np.complex128)
+    rows = itertools.chain.from_iterable(_kernels.propagate_frames(*args, buffer))
+    times = (float(initial.t + k * grid.dt) for k in itertools.count())
+    return map(Frame, itertools.repeat(grid), times, rows)
+
+
+def _march_args(equation, initial, q, m, hbar, boundary, potential) -> tuple:
+    """The kernel's arguments for the march ``propagate`` and
+    ``stream_frames`` describe: the checked inputs, the boundary tables
+    and the initial frame's continuous phase."""
     grid = initial.grid
     s, coef = marched_form(equation, q)
     m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
@@ -431,7 +471,7 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
             f"{limit:g} = {STABILITY_SAFETY}*dx^2*m/hbar; the explicit scheme "
             "may be inaccurate or unstable",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of propagate or stream_frames
         )
 
     xs = grid.x_values()
@@ -447,11 +487,8 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
     bl, br = source(float(xs[0]), tau), source(float(xs[-1]), tau)
 
     theta0 = _initial_theta(values, xs, initial.t, boundary)
-    frames = _kernels.propagate_frames(
-        values, theta0, s, -1j / (hbar * coef), -hbar * hbar / (2.0 * m),
-        1.0 / (dx * dx), pot, grid.dt, n_steps, bl, br,
-    )
-    return Trajectory(grid, initial.t, frames)
+    return (values, theta0, s, -1j / (hbar * coef), -hbar * hbar / (2.0 * m),
+            1.0 / (dx * dx), pot, grid.dt, n_steps, bl, br)
 
 
 def _potential_values(potential, xs):

@@ -100,18 +100,18 @@ def frame_csv_text(x_col: list[str], t: float, values) -> str:
     return "x,t,re,im\n" + "\n".join(rows) + "\n"
 
 
-def frames_json_parts(equation: str, q: float, xs, times, values) -> Iterator[str]:
+def frames_json_parts(equation: str, q: float, xs, frames) -> Iterator[str]:
     """A march as JSON, in consecutive parts: byte for byte
     ``json.dumps(payload, sort_keys=True, indent=2) + "\n"`` of
     ``{"equation", "q", "x", "frames": [{"t", "re", "im"}, ...]}``, with
-    frame k from ``times[k]`` and the row ``values[k]``.
+    frame k from the k-th ``(t, row)`` pair of ``frames``.
 
     The head comes first, then one part per frame, made only when it is
     asked for, then the tail, which carries ``q`` and ``x``.
     """
     yield '{\n  "equation": ' + json.dumps(equation) + ',\n  "frames": ['
     sep = "\n"
-    for t, row in zip(times, values):
+    for t, row in frames:
         yield "".join((sep, '    {\n      "im": ', _json_floats(row.imag, "        "),
                        ',\n      "re": ', _json_floats(row.real, "        "),
                        ',\n      "t": ', json.dumps(t), "\n    }"))

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -125,7 +126,7 @@ class TestExitCodes:
 
 # The functions through which the commands start real work.
 WORK_ENTRY_POINTS = (
-    "run_verification", "propagate", "scan_residual", "convergence_study",
+    "run_verification", "stream_frames", "scan_residual", "convergence_study",
     "manufactured_field", "sample_field", "classical_limit_table",
     "closed_form", "separated_space_curve",
 )
@@ -500,6 +501,68 @@ class TestFrameEmission:
         assert whole.startswith(cut)
         assert cut.endswith("\n    }") and cut.count('"t": ') == 3
 
+
+def failing_march(steps=100):
+    """NEW at q = 0.5 on 21 points, whose march turns non-finite at step
+    93, in the second block of 64 steps."""
+    return ("propagate", "--q", "0.5", "--dt", "0.002", "--steps", str(steps), "--nx", "21",
+            "--xmin", "-1", "--xmax", "1")
+
+
+FAILING_MARCH_ERROR = "error: field value became non-finite at step 93, index 10\n"
+
+
+@pytest.mark.filterwarnings("ignore:dt=0.002 exceeds:RuntimeWarning")
+class TestMarchFailingAfterItsFirstBlock:
+    """What a march that fails in a later block leaves: the output of the
+    whole checked blocks before the failing step's, then exit 1 with one
+    error line."""
+
+    def test_csv_keeps_the_files_of_the_checked_blocks(self, capsys, tmp_path):
+        out = tmp_path / "csv"
+        code, stdout, err = run(capsys, *failing_march(), "--format", "csv", "--out", str(out))
+        assert (code, stdout, err) == (1, "", FAILING_MARCH_ERROR)
+        # frame 0 and the first block's 64 steps
+        assert sorted(p.name for p in out.iterdir()) == [frame_filename(k) for k in range(65)]
+        code, _, _ = run(capsys, *failing_march(64), "--format", "csv",
+                         "--out", str(tmp_path / "clean"))
+        assert code == 0
+        assert all((out / frame_filename(k)).read_bytes()
+                   == (tmp_path / "clean" / frame_filename(k)).read_bytes() for k in range(65))
+
+    def test_json_on_stdout_stops_after_the_checked_blocks(self, capsys):
+        code, stdout, err = run(capsys, *failing_march())
+        assert (code, err) == (1, FAILING_MARCH_ERROR)
+        assert stdout.endswith("\n    }") and stdout.count('"t": ') == 65
+        whole = run(capsys, *failing_march(64))[1]  # the march to the last checked step
+        assert whole.startswith(stdout) and '"t": ' not in whole[len(stdout):]
+
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    def test_a_file_is_not_written(self, capsys, tmp_path, fmt):
+        out = tmp_path / f"frames.{fmt}"
+        code, stdout, err = run(capsys, *failing_march(), "--format", fmt, "--out", str(out))
+        assert (code, stdout, err) == (1, "", FAILING_MARCH_ERROR)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_propagate_memory_does_not_grow_with_the_steps(tmp_path, fmt):
+    # the march hands each checked block of 64 frames on; holding them all,
+    # 2,000 steps on 101 points took 3.8 MB more than 200 steps
+    def peak(steps):
+        out = tmp_path / f"{steps}.{fmt}"
+        argv = ["propagate", "--q", "1.0", "--nx", "101", "--dt", "1e-5", "--steps", str(steps),
+                "--format", fmt, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            shutil.rmtree(out, ignore_errors=True)
+
+    peak(200)  # first-call imports and caches stay outside
+    assert peak(2000) - peak(200) <= 1_000_000  # measured 0.17 to 0.36 MB
 
 def test_verify_does_not_import_orjson():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qnlse import integrators
+from qnlse import _kernels, integrators
 from qnlse.errors import DegenerateStudyError, DomainError, PropagationError
 from qnlse.integrators import (
     Frame,
@@ -25,6 +25,7 @@ from qnlse.integrators import (
     propagate,
     rk4_step,
     sample_field,
+    stream_frames,
 )
 from qnlse.solutions import (
     FreeParticleSpec,
@@ -432,6 +433,17 @@ class TestTrajectory:
             assert frame.t == traj[k].t
             assert np.array_equal(frame.values, traj.values[k])
 
+    def test_values_is_the_array_the_kernel_marched_into(self, monkeypatch):
+        marched = []
+        kernel = _kernels.propagate_frames
+
+        def record(*args):
+            marched.append(kernel(*args))
+            return marched[-1]
+
+        monkeypatch.setattr(_kernels, "propagate_frames", record)
+        assert self.march().values is marched[0]
+
     def test_frame_values_are_views_into_the_array(self):
         traj = self.march()
         for frame in (traj[0], traj[-1], *traj):
@@ -444,6 +456,93 @@ class TestTrajectory:
         assert len(list(traj)) == 1
         assert traj.times() == [self.T0]
         assert traj[0].t == traj[-1].t == self.T0
+
+
+class TestStreamFrames:
+    """``stream_frames`` hands on ``propagate``'s march one checked block
+    of ``BLOCK_ROWS`` frames at a time."""
+
+    DT = 1e-5
+
+    def inputs(self, q, n_steps, bad_from=None):
+        """NEW at q on 41 points, its initial frame, and its boundary:
+        the closed form, or, from step ``bad_from`` on, inf at both ends
+        of each step's state, so that the march fails at that step."""
+        spec = FreeParticleSpec(q=q)
+        exact = manufactured_field(SolutionKind.NEW, spec)
+        grid = GridSpec(-5.0, 5.0, 41, self.DT, n_steps)
+        initial = sample_field(exact, grid, 0.0)
+        if bad_from is None:
+            return spec, initial, exact
+
+        def boundary(x, t):
+            # a step's end is at (step + 1)*dt; its earlier stages are not poisoned
+            return complex(math.inf) if t > (bad_from + 0.75) * self.DT else exact(x, t)
+
+        return spec, initial, boundary
+
+    def streamed(self, q, n_steps, bad_from=None):
+        """The copied frames the stream handed on, and its error, if any."""
+        spec, initial, boundary = self.inputs(q, n_steps, bad_from)
+        frames = []
+        outside = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                for frame in stream_frames(SolutionKind.NEW, initial, q, spec.m, spec.hbar,
+                                           boundary=boundary):
+                    assert np.geterr() == outside  # the march's silenced errors stay inside it
+                    frames.append(Frame(frame.grid, frame.t, frame.values.copy()))
+            except PropagationError as err:
+                return frames, str(err)
+        return frames, None
+
+    @pytest.mark.parametrize("q", [1.0, 1.1], ids=["s=1", "s=1/1.1"])
+    @pytest.mark.parametrize("n_steps", [0, 1, 63, 64, 65, 128, 129])
+    def test_streamed_frames_are_propagates_bit_for_bit(self, q, n_steps):
+        spec, initial, exact = self.inputs(q, n_steps)
+        traj = quiet_propagate(SolutionKind.NEW, initial, q, spec.m, spec.hbar, boundary=exact)
+        frames, error = self.streamed(q, n_steps)
+        assert error is None
+        assert [frame.t for frame in frames] == traj.times()
+        assert np.array([frame.values for frame in frames]).tobytes() == traj.values.tobytes()
+        assert all(frame.grid == initial.grid for frame in frames)
+
+    @pytest.mark.parametrize("q", [1.0, 1.1], ids=["s=1", "s=1/1.1"])
+    @pytest.mark.parametrize("bad_step", [64, 100, 127, 128])
+    def test_a_later_failing_block_ends_the_stream_after_the_blocks_before_it(self, q,
+                                                                              bad_step):
+        spec, initial, boundary = self.inputs(q, 129, bad_from=bad_step)
+        with pytest.raises(PropagationError) as err:
+            quiet_propagate(SolutionKind.NEW, initial, q, spec.m, spec.hbar, boundary=boundary)
+        assert str(err.value) == f"field value became non-finite at step {bad_step}, index 0"
+        frames, error = self.streamed(q, 129, bad_from=bad_step)
+        assert error == str(err.value)
+        # the whole blocks before the failing step's: frame 0 and each block's steps
+        rows = _kernels.BLOCK_ROWS
+        assert len(frames) == bad_step // rows * rows + 1
+        spec, initial, exact = self.inputs(q, 129)
+        clean = quiet_propagate(SolutionKind.NEW, initial, q, spec.m, spec.hbar, boundary=exact)
+        assert np.array([f.values for f in frames]).tobytes() == \
+            clean.values[:len(frames)].tobytes()
+
+    def test_inputs_are_checked_at_the_call(self):
+        spec, initial, exact = self.inputs(1.0, 3)
+        bad = Frame(initial.grid, 0.0, initial.values[:-1])
+        with pytest.raises(DomainError, match="does not match grid"):
+            stream_frames(SolutionKind.NEW, bad, 1.0, spec.m, spec.hbar, boundary=exact)
+        with pytest.warns(RuntimeWarning, match="diffusive-scaling heuristic"):
+            stream_frames(SolutionKind.NEW, sample_field(exact, GridSpec(-5.0, 5.0, 41, 0.1, 3),
+                                                          0.0), 1.0, spec.m, spec.hbar,
+                          boundary=exact)
+
+    def test_every_frame_is_a_row_of_one_buffer_of_a_block(self):
+        spec, initial, exact = self.inputs(1.0, 200)
+        frames = list(stream_frames(SolutionKind.NEW, initial, 1.0, spec.m, spec.hbar,
+                                    boundary=exact))
+        buffer = frames[0].values.base
+        assert buffer.shape == (_kernels.BLOCK_ROWS + 1, 41)
+        assert all(frame.values.base is buffer for frame in frames)
 
 
 def no_sampling(*args, **kwargs):

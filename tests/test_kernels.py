@@ -57,6 +57,11 @@ def binomial_series(eps, s):
     return total
 
 
+# the reference marches, like the kernel, raise at a failing step without numpy's warnings
+QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@QUIET
 def expression_form_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br,
                            series=True):
     """The RK4 march written as whole-array expressions, one temporary per
@@ -143,6 +148,7 @@ def expression_form_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl
     return frames
 
 
+@QUIET
 def unfolded_form_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br):
     """The march before its folded constants: slopes
     ``k = (kappa*lap(w) + pot*w)*cinv`` with the three-point Laplacian,

@@ -67,7 +67,7 @@ def json_dumps_frames(equation, q, xs, times, values) -> str:
 @given(marches(), doubles)
 def test_frames_json_parts_match_json_dumps(march, q):
     xs, times, values = march
-    parts = list(frames_json_parts("nrt", q, xs, times, values))
+    parts = list(frames_json_parts("nrt", q, xs, zip(times, values)))
     assert len(parts) == len(times) + 2  # the head, one part a frame, the tail
     assert "".join(parts) == json_dumps_frames("nrt", q, xs, times, values)
 
@@ -84,7 +84,7 @@ def test_frame_csv_text_matches_csv_writer(march):
 def test_json_with_no_frames_matches_json_dumps():
     xs = np.array([-1.0, 0.0, 1.0])
     values = np.empty((0, 3), dtype=np.complex128)
-    assert "".join(frames_json_parts("new", 1.5, xs, [], values)) == \
+    assert "".join(frames_json_parts("new", 1.5, xs, zip([], values))) == \
         json_dumps_frames("new", 1.5, xs, [], values)
 
 
@@ -93,7 +93,7 @@ def test_numpy_scalar_times_are_written_as_floats():
     row = np.array([1 + 2j, -0.0 + 0.1j, 3e-9 - 1e22j])
     t = np.float64(0.25)
     assert frame_csv_text(float_reprs(xs), t, row) == csv_writer_frame(xs, 0.25, row)
-    assert "".join(frames_json_parts("new", 1.5, xs, [t], row[None, :])) == \
+    assert "".join(frames_json_parts("new", 1.5, xs, [(t, row)])) == \
         json_dumps_frames("new", 1.5, xs, [0.25], row[None, :])
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ def test_march_pair_suites_keep_their_worsts():
     determinism = suite_propagation_determinism()
     assert determinism.passed
     assert determinism.worst == 0.0
+
+
+def test_classical_agreement_holds_one_block_of_each_march():
+    # it marches NEW and NRT in lockstep, block by block; holding both
+    # 1,001-frame marches whole, it peaked at 13.5 MB
+    suite_pde_classical_agreement()  # first-call imports and caches stay outside
+    tracemalloc.start()
+    try:
+        result = suite_pde_classical_agreement()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 2_000_000  # measured 1.37 MB
 
 
 # ---------------------------------------------------------------------------
