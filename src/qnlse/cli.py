@@ -9,7 +9,8 @@ reads (``_SUBCOMMANDS``); any other flag is a usage error.  Only
 ``propagate`` and ``compare`` offer ``--format svg``.
 
 ``verify`` runs its suites on every usable CPU through ``_pool``, the
-pool's only user.  ``propagate`` streams its march (``stream_frames``),
+pool's only user, which reads the workers' outcomes once every task has
+been taken.  ``propagate`` streams its march (``stream_frames``),
 one checked block of frames at a time, and formats the frames in this
 process, one at a time: it writes each CSV frame, and each JSON frame
 sent to stdout, as soon as it is formatted, and keeps only the last
@@ -152,8 +153,10 @@ def _check_usage(args: argparse.Namespace) -> None:
             marched_form(SolutionKind(args.equation), args.q)
         except DomainError as err:
             raise UsageError(f"--equation {args.equation}: {err}") from err
-    if "tol" in args and args.tol <= 0:
-        raise UsageError("--tol must be positive")
+    if "tol" in args and not 0 < args.tol < float("inf"):  # nan fails both tests
+        raise UsageError("--tol must be positive and finite")
+    if "levels" in args and args.levels < 2:
+        raise UsageError("--levels must be at least 2")
     target = _NEEDS_OUT.get((args.command, args.fmt))
     if target is not None and args.out is None:
         raise UsageError(f"{args.command} --format {args.fmt} needs --out {target}")

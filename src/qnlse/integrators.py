@@ -541,7 +541,7 @@ class OdeTimeCase:
 
     def error(self, level: int) -> tuple[float, float]:
         """(dt, |RK4 - closed form| at t_end) at refinement ``level``."""
-        dt, spec = self.dt0 / 2.0**level, self.spec
+        dt, spec = math.ldexp(self.dt0, -level), self.spec
         traj = integrate_separated_time(self.kind, spec.q, spec.energy, spec.hbar,
                                         self.t_end, dt)
         return dt, abs(traj[-1][1] - separated_time_curve(self.kind, spec)(self.t_end))
@@ -558,7 +558,7 @@ class OdeSpaceCase:
 
     def error(self, level: int) -> tuple[float, float]:
         """(dx, |RK4 - closed form| at x_end) at refinement ``level``."""
-        dx, spec = self.dx0 / 2.0**level, self.spec
+        dx, spec = math.ldexp(self.dx0, -level), self.spec
         traj = integrate_separated_space(self.kind, spec.q, spec.energy, spec.m,
                                          spec.hbar, self.x_end, dx)
         return dx, abs(traj[-1][1] - separated_space_curve(self.kind, spec)(self.x_end))
@@ -590,8 +590,9 @@ class PdeCase:
 
     def error(self, level: int) -> tuple[float, float]:
         """(dx, interior max error of the last frame) at refinement ``level``."""
-        dx = self.dx0 / 2.0**level
-        spans, steps = (self.x_max - self.x_min) / dx, self.t_final / self.dt
+        dx = math.ldexp(self.dx0, -level)  # 0.0 once the level is past the float range
+        spans = (self.x_max - self.x_min) / dx if dx else math.inf
+        steps = self.t_final / self.dt
         if not (math.isfinite(spans) and math.isfinite(steps)):
             raise DomainError(f"dx={dx:g} and dt={self.dt:g} give no finite grid on "
                               f"[{self.x_min:g}, {self.x_max:g}] up to t={self.t_final:g}")
@@ -607,10 +608,16 @@ class PdeCase:
 
 
 def convergence_study(case, refinement_levels: int = 3) -> ConvergenceReport:
-    """Halve the case's discretization per level and fit the observed order."""
+    """Halve the case's discretization per level and fit the observed order.
+
+    The levels are independent, so the finest runs first: a study the
+    case refuses (too many steps or too large frames) raises before any
+    level has run.
+    """
     if refinement_levels < 2:
         raise DegenerateStudyError("a convergence study needs at least two levels")
-    resolutions, errors = zip(*map(case.error, range(refinement_levels)))
+    finest_first = [case.error(level) for level in reversed(range(refinement_levels))]
+    resolutions, errors = zip(*reversed(finest_first))
     order = fit_observed_order(resolutions, errors)
     monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     return ConvergenceReport(

@@ -9,12 +9,12 @@ the ``QNLSE_SEED`` environment variable (default 42) so reruns are
 reproducible.
 
 ``run_verification`` runs the suites on every CPU the process may use,
-through the pull queue of ``_pool``.  The seeded suites share one
-generator, which only their task builds, and stay one task, in registry
-order; every other suite is a task of its own.  The results come back
-in registry order and equal a serial run's, so the reports are
-byte-identical to one; a worker's warnings go to the same stderr, once
-per process.
+through the pull queue of ``_pool``, which returns each task's results
+in task order.  The seeded suites share one generator, which only their
+task builds, and stay one task, in registry order; every other suite is
+a task of its own.  The results are put back in registry order and equal
+a serial run's, so the reports are byte-identical to one; a worker's
+warnings go to the same stderr, once per process.
 """
 
 from __future__ import annotations
@@ -637,14 +637,13 @@ def run_verification(seed: int | None = None,
     if seed is None:
         seed = seed_from_env()
     tasks = _tasks(names)
-    done: dict[int, list[SuiteResult]] = {}
 
     def run(task: int) -> list[SuiteResult]:
         rng = (np.random.default_rng(seed),) if tasks[task][0][2] else ()
         return [func(*rng) for _, func, _ in tasks[task]]
 
-    _pool.run_tasks("verify", len(tasks), run, done.__setitem__,
-                    lambda task: f"suite {list(_SUITE_FUNCS)[tasks[task][0][0]]}")
+    outcomes = _pool.run_tasks(len(tasks), run,
+                               lambda task: f"suite {list(_SUITE_FUNCS)[tasks[task][0][0]]}")
     return [result for _, result in sorted(
-        (index, result) for task, results in done.items()
-        for (index, _, _), result in zip(tasks[task], results))]
+        (index, result) for task, results in zip(tasks, outcomes)
+        for (index, _, _), result in zip(task, results))]

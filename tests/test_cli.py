@@ -208,6 +208,18 @@ class TestFormatOutPairsFailFast:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and ("finite" in err or "exceed" in err)
 
+    @pytest.mark.parametrize("levels", ["1", "0", "-3"])
+    def test_converge_needs_two_levels(self, capsys, levels):
+        code, out, err = run(capsys, "converge", "--levels", levels)
+        assert (code, out) == (2, "")
+        assert err == "error: --levels must be at least 2\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
+    def test_residual_needs_a_positive_finite_tol(self, capsys, tol):
+        code, out, err = run(capsys, "residual", f"--tol={tol}")
+        assert (code, out) == (2, "")
+        assert err == "error: --tol must be positive and finite\n"
+
     @pytest.mark.parametrize("command, fmt, target", [
         ("propagate", "csv", "DIRECTORY"),
         ("propagate", "svg", "FILE"),

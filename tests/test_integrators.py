@@ -611,6 +611,33 @@ class TestConvergenceStudies:
         with pytest.raises(DegenerateStudyError):
             convergence_study(OdeTimeCase(SolutionKind.NEW, spec), 1)
 
+    @pytest.mark.parametrize("case_cls", [OdeTimeCase, OdeSpaceCase])
+    def test_study_over_too_many_levels_is_refused_before_any_step(self, case_cls,
+                                                                   monkeypatch):
+        # level 39 would take about 2e13 steps; the finest level runs first
+        seen = []
+
+        def spy(state, rhs, t, dt):
+            seen.append(state)
+            return rk4_step(state, rhs, t, dt)
+
+        monkeypatch.setattr(integrators, "rk4_step", spy)
+        with pytest.raises(DomainError, match=r"more than 1000000 steps"):
+            convergence_study(case_cls(SolutionKind.NEW, FreeParticleSpec(q=1.5)), 40)
+        assert seen == []
+
+    def test_pde_study_over_too_many_levels_is_refused_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(integrators, "sample_field", no_sampling)
+        with pytest.raises(DomainError, match=r"more than 0\.5 of physical memory"):
+            convergence_study(PdeCase(SolutionKind.NEW, FreeParticleSpec(q=1.1)), 40)
+
+    @pytest.mark.parametrize("case_cls", [OdeTimeCase, OdeSpaceCase, PdeCase])
+    def test_level_past_the_float_range_is_a_domain_error(self, case_cls, monkeypatch):
+        # 2.0**2000 overflows; the level's step underflows to 0 instead
+        monkeypatch.setattr(integrators, "sample_field", no_sampling)
+        with pytest.raises(DomainError):
+            convergence_study(case_cls(SolutionKind.NEW, FreeParticleSpec(q=1.1)), 2000)
+
     def test_fit_recovers_known_slope(self):
         hs = [0.1, 0.05, 0.025]
         errs = [2.0 * h**3 for h in hs]

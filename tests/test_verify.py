@@ -167,6 +167,28 @@ def test_split_run_equals_serial_run(monkeypatch, names):
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_outcomes_larger_than_a_pipe_come_back_in_task_order(monkeypatch, tmp_path, cpus):
+    # each worker takes one task and then waits on its full pipe until
+    # the parent, which runs the other tasks, has emptied the queue
+    parent, size = os.getpid(), 1 << 20
+
+    def run(task):
+        if os.getpid() != parent:
+            (tmp_path / f"worker-{os.getpid()}").touch()
+        elif task == 0:
+            deadline = time.monotonic() + 10.0
+            while len(list(tmp_path.iterdir())) < cpus - 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return os.getpid(), bytes([task]) * size
+
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
+    outcomes = _pool.run_tasks(5, run, str)
+    assert [payload for _, payload in outcomes] == [bytes([task]) * size for task in range(5)]
+    assert len({pid for pid, _ in outcomes}) == cpus
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("names,builds", [(MIXED, 1), (["non-coincidence"], 0)],
                          ids=["mixed", "unseeded"])
 def test_only_the_seeded_task_builds_a_generator(monkeypatch, names, builds):
