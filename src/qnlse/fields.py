@@ -1,8 +1,11 @@
 """Closed-form complex fields of (x, t) and curves of one variable.
 
-Every closed-form free-particle solution handled by this package is a
-product of powers of affine bases, ``A * prod_j (1 + cx_j x + ct_j t) ** s_j``,
-or a plain exponential.  Both shapes carry
+Every closed-form free-particle solution handled by this package has one
+shape, ``A * exp(kx x + kt t) * prod_j (1 + cx_j x + ct_j t) ** s_j``: the
+q-deformed forms are products of powers of affine bases (kx = kt = 0), and
+their q -> 1 limits, the plain exponentials, have no factors.  The curves
+of one variable are ``A * exp(k u) * (1 + c u) ** s`` in the same way.
+Each shape carries
 
 * exact partial derivatives (power rule, no discretization error), and
 * a globally continuous logarithm.
@@ -145,7 +148,8 @@ class AffineFactor:
 
 @_scalars_on_arrays(2)
 class PowerProductField:
-    """A * prod_j (1 + cx_j x + ct_j t) ** s_j with exact calculus.
+    """A * exp(kx*x + kt*t) * prod_j (1 + cx_j x + ct_j t) ** s_j with exact
+    calculus.
 
     The continuous-log construction assumes every base stays off the
     branch cut of the principal logarithm; for the solution families in
@@ -153,8 +157,11 @@ class PowerProductField:
     everywhere and the assumption holds on the whole plane.
     """
 
-    def __init__(self, factors, amplitude: complex = 1.0 + 0j):
+    def __init__(self, factors, amplitude: complex = 1.0 + 0j,
+                 kx: complex = 0j, kt: complex = 0j):
         self.factors = tuple(factors)
+        self.kx = complex(kx)
+        self.kt = complex(kt)
         self.amplitude = complex(amplitude)
         if self.amplitude == 0:
             raise DomainError("field amplitude must be nonzero")
@@ -168,7 +175,7 @@ class PowerProductField:
 
     @_nan_at_infinity
     def log_value(self, x, t):
-        total = np.full(np.broadcast(x, t).shape, self._log_amp)
+        total = self._log_amp + self.kx * x + self.kt * t
         for f, b in zip(self.factors, self._bases(x, t)):
             total += f.s * np.log(b)
         return total
@@ -178,8 +185,8 @@ class PowerProductField:
 
     def _log_grads(self, x, t):
         # d/dx log, d/dt log, d2/dx2 log
-        lx = 0j
-        lt = 0j
+        lx = self.kx
+        lt = self.kt
         lxx = 0j
         for f, b in zip(self.factors, self._bases(x, t)):
             lx += f.s * f.cx / b
@@ -210,53 +217,29 @@ class PowerProductField:
         return PowerProductField(
             (AffineFactor(f.cx, f.ct, f.s * s) for f in self.factors),
             amplitude=cpow_principal(self.amplitude, s),
+            kx=self.kx * s,
+            kt=self.kt * s,
         )
 
 
-@_scalars_on_arrays(2)
-class ExponentialField:
-    """A * exp(kx*x + kt*t); the q -> 1 limit of the power products."""
+class ExponentialField(PowerProductField):
+    """A * exp(kx*x + kt*t): the q -> 1 limit of the power products, one
+    with no factors."""
 
     def __init__(self, kx: complex, kt: complex, amplitude: complex = 1.0 + 0j):
-        self.kx = complex(kx)
-        self.kt = complex(kt)
-        self.amplitude = complex(amplitude)
-        if self.amplitude == 0:
-            raise DomainError("field amplitude must be nonzero")
-        self._log_amp = cmath.log(self.amplitude)
-
-    @_nan_at_infinity
-    def log_value(self, x, t):
-        return self._log_amp + self.kx * x + self.kt * t
-
-    def __call__(self, x, t):
-        return finite_exp(self.log_value(x, t), "field value", x=x, t=t)
-
-    @_field_derivative
-    def d_t(self, x, t):
-        return self.kt * self(x, t)
-
-    @_field_derivative
-    def d_x(self, x, t):
-        return self.kx * self(x, t)
-
-    @_field_derivative
-    def d_xx(self, x, t):
-        return self.kx * self.kx * self(x, t)
-
-    def pow(self, s: float) -> "ExponentialField":
-        return ExponentialField(
-            self.kx * s, self.kt * s, amplitude=cpow_principal(self.amplitude, s)
-        )
+        super().__init__((), amplitude, kx, kt)
 
 
 @_scalars_on_arrays(1)
 class PowerCurve:
-    """A * (1 + c*u) ** s, one-variable analogue of the power product."""
+    """A * exp(k*u) * (1 + c*u) ** s, one-variable analogue of the power
+    product."""
 
-    def __init__(self, c: complex, s: float, amplitude: complex = 1.0 + 0j):
+    def __init__(self, c: complex, s: float, amplitude: complex = 1.0 + 0j,
+                 k: complex = 0j):
         self.c = complex(c)
         self.s = float(s)
+        self.k = complex(k)
         self.amplitude = complex(amplitude)
         if self.amplitude == 0:
             raise DomainError("curve amplitude must be nonzero")
@@ -269,7 +252,7 @@ class PowerCurve:
 
     @_nan_at_infinity
     def log_value(self, u):
-        return self._log_amp + self.s * np.log(self._base(u))
+        return self._log_amp + self.k * u + self.s * np.log(self._base(u))
 
     def __call__(self, u):
         return finite_exp(self.log_value(u), "curve value", u=u)
@@ -280,47 +263,25 @@ class PowerCurve:
             raise DomainError(f"derivative order must be 1 or 2, got {order}")
         v = self(u)  # checks the point first
         b = self._base(u)
+        k, s, c = self.k, self.s, self.c
         if order == 1:
-            return v * self.s * self.c / b
-        return v * self.s * (self.s - 1.0) * (self.c / b) ** 2
+            return k * v + v * s * c / b
+        return (2 * k * s * c / b + k * k) * v + v * s * (s - 1.0) * (c / b) ** 2
 
     def pow(self, s: float) -> "PowerCurve":
         return PowerCurve(
-            self.c, self.s * s, amplitude=cpow_principal(self.amplitude, s)
+            self.c, self.s * s, amplitude=cpow_principal(self.amplitude, s), k=self.k * s
         )
 
 
-@_scalars_on_arrays(1)
-class ExpCurve:
-    """A * exp(k*u), the q -> 1 limit of the power curves."""
+class ExpCurve(PowerCurve):
+    """A * exp(k*u): the q -> 1 limit of the power curves, one with c = s = 0."""
 
     def __init__(self, k: complex, amplitude: complex = 1.0 + 0j):
-        self.k = complex(k)
-        self.amplitude = complex(amplitude)
-        if self.amplitude == 0:
-            raise DomainError("curve amplitude must be nonzero")
-        self._log_amp = cmath.log(self.amplitude)
-
-    @_nan_at_infinity
-    def log_value(self, u):
-        return self._log_amp + self.k * u
-
-    def __call__(self, u):
-        return finite_exp(self.log_value(u), "curve value", u=u)
-
-    @_curve_derivative
-    def deriv(self, u, order: int):
-        if order == 1:
-            return self.k * self(u)
-        if order == 2:
-            return self.k * self.k * self(u)
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
-
-    def pow(self, s: float) -> "ExpCurve":
-        return ExpCurve(self.k * s, amplitude=cpow_principal(self.amplitude, s))
+        super().__init__(0j, 0.0, amplitude, k)
 
 
-_CLOSED_FORMS = (PowerProductField, ExponentialField, PowerCurve, ExpCurve)
+_CLOSED_FORMS = (PowerProductField, PowerCurve)
 
 
 class _Pointwise:

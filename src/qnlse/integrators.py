@@ -409,8 +409,8 @@ def propagate(equation: SolutionKind, initial: Frame, q: float, m: float,
     ends for every RK4 stage time.  Returns the field after every step,
     the initial frame included, as one ``Trajectory`` whose ``values`` is
     the array the kernel marched into.  The initial frame must match the
-    grid and be finite and nonzero everywhere, and the frames,
-    ``(n_steps + 1) * n_points * 16`` bytes, may take at most
+    grid and be finite and nonzero everywhere, 1/dx^2 must be finite, and
+    the frames, ``(n_steps + 1) * n_points * 16`` bytes, may take at most
     ``FRAME_MEMORY_SHARE`` of physical memory.  The potential must be a
     finite real number at every grid point.  ``stream_frames`` is the same
     march, handed on one checked block at a time.
@@ -464,6 +464,9 @@ def _march_args(equation, initial, q, m, hbar, boundary, potential) -> tuple:
     require_frame_memory(grid.n_steps, grid.n_points)
 
     dx = grid.dx
+    inv_dx2 = 1.0 / (dx * dx) if dx * dx else math.inf
+    if not math.isfinite(inv_dx2):
+        raise DomainError(f"dx={dx:g} is too small to march: 1/dx^2 is not finite")
     limit = STABILITY_SAFETY * dx * dx * m / hbar
     if grid.n_steps > 0 and grid.dt > limit:
         warnings.warn(
@@ -488,7 +491,7 @@ def _march_args(equation, initial, q, m, hbar, boundary, potential) -> tuple:
 
     theta0 = _initial_theta(values, xs, initial.t, boundary)
     return (values, theta0, s, -1j / (hbar * coef), -hbar * hbar / (2.0 * m),
-            1.0 / (dx * dx), pot, grid.dt, n_steps, bl, br)
+            inv_dx2, pot, grid.dt, n_steps, bl, br)
 
 
 def _potential_values(potential, xs):
@@ -530,6 +533,15 @@ def interior_linf_error(frame: Frame, exact_field) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _refined_step(name: str, step0: float, level: int) -> float:
+    """``step0 / 2**level``, or DomainError once that underflows to zero."""
+    step = math.ldexp(step0, -level)
+    if step == 0.0 and step0 != 0.0:
+        raise DomainError(f"refinement level {level} takes {name}0={step0:g} down to "
+                          f"{name}=0: the step underflows")
+    return step
+
+
 @dataclass(frozen=True)
 class OdeTimeCase:
     """Separated time factor vs its closed form at t_end."""
@@ -541,7 +553,7 @@ class OdeTimeCase:
 
     def error(self, level: int) -> tuple[float, float]:
         """(dt, |RK4 - closed form| at t_end) at refinement ``level``."""
-        dt, spec = math.ldexp(self.dt0, -level), self.spec
+        dt, spec = _refined_step("dt", self.dt0, level), self.spec
         traj = integrate_separated_time(self.kind, spec.q, spec.energy, spec.hbar,
                                         self.t_end, dt)
         return dt, abs(traj[-1][1] - separated_time_curve(self.kind, spec)(self.t_end))
@@ -558,7 +570,7 @@ class OdeSpaceCase:
 
     def error(self, level: int) -> tuple[float, float]:
         """(dx, |RK4 - closed form| at x_end) at refinement ``level``."""
-        dx, spec = math.ldexp(self.dx0, -level), self.spec
+        dx, spec = _refined_step("dx", self.dx0, level), self.spec
         traj = integrate_separated_space(self.kind, spec.q, spec.energy, spec.m,
                                          spec.hbar, self.x_end, dx)
         return dx, abs(traj[-1][1] - separated_space_curve(self.kind, spec)(self.x_end))

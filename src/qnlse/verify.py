@@ -5,7 +5,8 @@ statement, a limit, an order of accuracy) with fixed tolerances and a
 seeded random-draw budget, and reports its worst observed defect; a
 nan check value fails its suite.  The CLI ``verify`` command runs all
 of them; the acceptance tests reuse them.  Randomness is seeded from
-the ``QNLSE_SEED`` environment variable (default 42) so reruns are
+the ``QNLSE_SEED`` environment variable (default 42, also for a value
+that is not an integer; a negative one is refused) so reruns are
 reproducible.
 
 ``run_verification`` runs the suites on every CPU the process may use,
@@ -636,6 +637,8 @@ def run_verification(seed: int | None = None,
         )
     if seed is None:
         seed = seed_from_env()
+    if seed < 0:
+        raise DomainError(f"the seed (QNLSE_SEED) must be a non-negative integer, got {seed}")
     tasks = _tasks(names)
 
     def run(task: int) -> list[SuiteResult]:

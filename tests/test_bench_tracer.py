@@ -14,6 +14,7 @@ from qnlse.residuals import Analytic
 from qnlse.solutions import (
     FreeParticleSpec,
     SolutionKind,
+    classical_plane_wave_field,
     product_solution_field,
     q_plane_wave_field,
     separated_space_curve,
@@ -129,3 +130,48 @@ def test_tracer_counts_one_rk4_call_per_separated_step(name, args):
     assert len(trajectory) == 31  # 30 steps of 0.01 across a span of 0.3
     assert tracer.groups["integrators.ode"][0] == 1
     assert tracer.groups["integrators.rk4_step"][0] == 30
+
+
+def test_tracer_books_each_closed_form_call_once_at_q1():
+    # the q = 1 closed forms are subclasses that inherit their calculus;
+    # every call of a method (nested ones too) is one fields.eval call
+    spec = FreeParticleSpec(q=1.0)
+    lam = {"lam": spec.energy}
+    scans = [  # (tag, sampler, a point for a scalar call, scan keywords)
+        ("new-field", classical_plane_wave_field(spec), (0.25, 0.5), {}),
+        ("new-time", separated_time_curve(SolutionKind.NEW, spec), (0.25,), lam),
+        ("new-space", separated_space_curve(SolutionKind.NEW, spec), (0.25,), lam),
+    ]
+    grid = GridSpec(-1.0, 1.0, 5, 0.1, 2)
+
+    def run_scans():
+        for tag, sampler, point, extra in scans:
+            residuals.scan_residual(tag, sampler, grid, Analytic(), q=spec.q, m=spec.m,
+                                    hbar=spec.hbar, **extra)
+            sampler(*point)
+
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        run_scans()
+    finally:
+        tracer.uninstall()
+
+    calls = [0]
+
+    def counted(method):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return method(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in {type(scan[1]) for scan in scans}:
+            for name in module.FIELD_METHODS:
+                if hasattr(cls, name):
+                    patch.setattr(cls, name, counted(getattr(cls, name)))
+        run_scans()
+
+    assert calls[0] > 0
+    assert tracer.groups["fields.eval"][0] == calls[0]

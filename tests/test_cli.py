@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qnlse import cli
+from qnlse import _pool, cli
 from qnlse.cli import main
 from qnlse.errors import (
     ConvergenceError,
@@ -230,6 +230,46 @@ class TestFormatOutPairsFailFast:
         assert code == 2
         assert out == ""
         assert f"needs --out {target}" in err
+
+
+class TestOutOfRangeInputs:
+    # dx = 2.5e-301 squares to 0 and 2.5e-161 to a subnormal whose
+    # reciprocal overflows: either grid is refused before the dt warning
+    @pytest.mark.parametrize("argv", [
+        ("propagate", "--xmin", "0", "--xmax", "1e-300", "--nx", "5"),
+        ("propagate", "--xmin", "0", "--xmax", "1e-160", "--nx", "5"),
+        ("converge", "--study", "pde", "--xmin", "0", "--xmax", "1e-300"),
+    ])
+    def test_march_grid_without_a_finite_inverse_dx_squared_exits_2(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: dx=\S+ is too small to march: 1/dx\^2 is not finite\n",
+                            err)
+
+    @pytest.mark.parametrize("argv", [
+        ("residual", "--xmin", "0", "--xmax", "1e-300", "--nx", "5"),
+        ("compare", "--xmin", "0", "--xmax", "1e-300", "--nx", "5"),
+    ])
+    def test_scans_still_take_a_grid_too_fine_to_march(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+
+    def test_negative_seed_exits_2_before_any_suite_runs(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(_pool, "run_tasks", lambda *args: ran.append(args))
+        monkeypatch.setenv("QNLSE_SEED", "-1")
+        code, out, err = run(capsys, "verify")
+        assert (code, out, ran) == (2, "", [])
+        assert err == "error: the seed (QNLSE_SEED) must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("study, step", [("ode-time", "dt"), ("ode-space", "dx")])
+    def test_converge_level_past_the_float_range_names_the_underflow(self, capsys, study, step):
+        code, out, err = run(capsys, "converge", "--study", study, "--levels", "2000")
+        assert (code, out) == (2, "")
+        assert err == (f"error: refinement level 1999 takes {step}0=0.05 down to {step}=0: "
+                       "the step underflows\n")
 
 
 def _subparsers(parser):

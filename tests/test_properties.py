@@ -1,6 +1,8 @@
 """Property tests: array evaluation of the closed forms, analytic against
 finite-difference calculus, and scans of lifted scalar callables."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -102,6 +104,28 @@ def test_curve_methods_broadcast_like_scalar_calls(curve, us):
         scalars = [method(float(u)) for u in us]
         assert all(type(v) is complex for v in scalars)
         assert_within_ulps(method(us), scalars)
+
+
+# The exponentials are power products with no factors; their calculus
+# still gives, bit for bit, the expressions of a dedicated exponential.
+@settings(max_examples=60, deadline=None)
+@given(exp_fields, coords, coords)
+def test_exponential_field_keeps_the_exponential_expressions(field, xs, ts):
+    x, t = np.meshgrid(xs, ts)
+    kx, kt, v = field.kx, field.kt, field(x, t)
+    assert np.array_equal(field.log_value(x, t), cmath.log(field.amplitude) + kx * x + kt * t)
+    assert np.array_equal(field.d_t(x, t), kt * v)
+    assert np.array_equal(field.d_x(x, t), kx * v)
+    assert np.array_equal(field.d_xx(x, t), kx * kx * v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exp_curves, coords)
+def test_exp_curve_keeps_the_exponential_expressions(curve, us):
+    k, v = curve.k, curve(us)
+    assert np.array_equal(curve.log_value(us), cmath.log(curve.amplitude) + k * us)
+    assert np.array_equal(curve.deriv(us, 1), k * v)
+    assert np.array_equal(curve.deriv(us, 2), k * k * v)
 
 
 @settings(max_examples=60, deadline=None)
