@@ -9,8 +9,8 @@ each to its end.  A worker whose pipe is full waits, and takes no more
 tasks, until then; this process runs the rest.  That cannot deadlock: a
 worker waits only on its own pipe, and every pipe is read to its end.
 
-``verify`` runs its suites on it; it is the pool's only user.  Its 17
-tasks send at most 519 bytes of outcome each, 3.3 KB in all (seed 42),
+``verify`` runs its suites on it; it is the pool's only user.  Its 22
+tasks send at most 213 bytes of outcome each, 3.6 KB in all (seed 42),
 so no worker waits on the default 64 KiB pipe.
 """
 

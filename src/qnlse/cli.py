@@ -155,6 +155,9 @@ def _check_usage(args: argparse.Namespace) -> None:
             raise UsageError(f"--equation {args.equation}: {err}") from err
     if "tol" in args and not 0 < args.tol < float("inf"):  # nan fails both tests
         raise UsageError("--tol must be positive and finite")
+    if args.command in ("converge", "limit") and args.p == 0:
+        raise UsageError(f"{args.command} needs a nonzero --p: at p = 0 every closed form "
+                         "is 1, so no order can be fitted")
     if "levels" in args and args.levels < 2:
         raise UsageError("--levels must be at least 2")
     target = _NEEDS_OUT.get((args.command, args.fmt))

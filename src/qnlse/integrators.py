@@ -101,6 +101,12 @@ class GridSpec:
             raise DomainError("dt must be positive")
         if self.n_steps < 0:
             raise DomainError("n_steps must be non-negative")
+        try:
+            span = self.dt * self.n_steps
+        except OverflowError:  # n_steps beyond any float
+            span = math.inf
+        if not math.isfinite(span):
+            raise DomainError(f"the time span dt * n_steps must be finite, got dt={self.dt!r}")
 
     @property
     def dx(self) -> float:

@@ -11,11 +11,12 @@ reproducible.
 
 ``run_verification`` runs the suites on every CPU the process may use,
 through the pull queue of ``_pool``, which returns each task's results
-in task order.  The seeded suites share one generator, which only their
-task builds, and stay one task, in registry order; every other suite is
-a task of its own.  The results are put back in registry order and equal
-a serial run's, so the reports are byte-identical to one; a worker's
-warnings go to the same stderr, once per process.
+in task order.  Every selected suite is one task, in registry order.  A
+seeded suite draws from its own generator, keyed by the seed and its
+name, so its draws depend neither on the registry order nor on which
+suites run with it: a suite run alone gives its row of the full run.
+The results equal a serial run's, so the reports are byte-identical to
+one; a worker's warnings go to the same stderr, once per process.
 """
 
 from __future__ import annotations
@@ -594,36 +595,16 @@ _SUITE_FUNCS = {
 }
 
 
-def _tasks(names: list[str] | None) -> list[list[tuple]]:
-    """The selected suites as tasks of ``(registry index, suite, wants_rng)``.
-
-    The seeded suites (those taking ``rng``) form one task, in registry
-    order, so that they draw from one generator exactly as a serial run
-    does; every other suite is a task of its own.
-    """
-    tasks: list[list[tuple]] = []
-    seeded: list[tuple] = []
-    for index, (name, func) in enumerate(_SUITE_FUNCS.items()):
-        if names is not None and name not in names:
-            continue
-        if "rng" in inspect.signature(func).parameters:
-            if not seeded:
-                tasks.append(seeded)
-            seeded.append((index, func, True))
-        else:
-            tasks.append([(index, func, False)])
-    return tasks
-
-
 def run_verification(seed: int | None = None,
                      names: list[str] | None = None) -> list[SuiteResult]:
     """Run the requested suites (all by default) and collect results.
 
-    The suites run on every CPU the process may use (``_pool``): the
-    seeded suites as one task, the only one that builds
-    ``default_rng(seed)``, and every other suite as a task of its own.
-    The results come back in registry order and equal a serial run's,
-    so the reports are unchanged.  If suites raise, the one earliest in
+    The suites run on every CPU the process may use (``_pool``), one
+    task each.  A seeded suite (one taking ``rng``) builds its own
+    ``default_rng([seed, key])``, where ``key`` is its name's UTF-8 bytes
+    read as a little-endian integer, so it draws the same numbers alone
+    as in any selection.  The results come back in registry order and
+    equal a serial run's.  If suites raise, the one earliest in
     the registry raises here, as in a serial run (an exception that does
     not pickle comes back from a worker as a ``QnlseError`` with its
     type name and message); a worker that dies before reporting raises
@@ -639,14 +620,13 @@ def run_verification(seed: int | None = None,
         seed = seed_from_env()
     if seed < 0:
         raise DomainError(f"the seed (QNLSE_SEED) must be a non-negative integer, got {seed}")
-    tasks = _tasks(names)
+    selected = [name for name in _SUITE_FUNCS if names is None or name in names]
 
-    def run(task: int) -> list[SuiteResult]:
-        rng = (np.random.default_rng(seed),) if tasks[task][0][2] else ()
-        return [func(*rng) for _, func, _ in tasks[task]]
+    def run(task: int) -> SuiteResult:
+        name = selected[task]
+        func = _SUITE_FUNCS[name]
+        if "rng" not in inspect.signature(func).parameters:
+            return func()
+        return func(np.random.default_rng([seed, int.from_bytes(name.encode(), "little")]))
 
-    outcomes = _pool.run_tasks(len(tasks), run,
-                               lambda task: f"suite {list(_SUITE_FUNCS)[tasks[task][0][0]]}")
-    return [result for _, result in sorted(
-        (index, result) for task, results in zip(tasks, outcomes)
-        for (index, _, _), result in zip(task, results))]
+    return _pool.run_tasks(len(selected), run, lambda task: f"suite {selected[task]}")

@@ -256,6 +256,32 @@ class TestOutOfRangeInputs:
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
 
+    # at p = 0 every closed form is 1: the studies ran to the end, then
+    # exited 1 because no error was positive to fit a slope to
+    @pytest.mark.parametrize("argv", [
+        ("limit", "--p", "0"),
+        ("converge", "--p", "0"),
+        ("converge", "--study", "ode-time", "--p", "-0"),
+    ])
+    def test_order_studies_refuse_zero_momentum(self, capsys, monkeypatch, argv):
+        ran = []
+        for name in ("convergence_study", "classical_limit_table"):
+            monkeypatch.setattr(cli, name, lambda *args: ran.append(args))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, ran) == (2, "", [])
+        assert err == (f"error: {argv[0]} needs a nonzero --p: at p = 0 every closed form "
+                       "is 1, so no order can be fitted\n")
+
+    # dt * n_steps = 2e308 overflowed the times with a numpy warning
+    # before the error line
+    @pytest.mark.parametrize("command, nx", [("residual", "3"), ("propagate", "5")])
+    def test_time_span_past_the_float_range_is_one_error_line(self, capsys, command, nx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "--dt", "1e308", "--steps", "2", "--nx", nx)
+        assert (code, out) == (2, "")
+        assert err == "error: the time span dt * n_steps must be finite, got dt=1e+308\n"
+
     def test_negative_seed_exits_2_before_any_suite_runs(self, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr(_pool, "run_tasks", lambda *args: ran.append(args))

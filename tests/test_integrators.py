@@ -55,7 +55,7 @@ class TestGridSpec:
     @pytest.mark.parametrize("kwargs", [
         dict(x_min=1.0, x_max=0.0), dict(n_points=2), dict(dt=0.0),
         dict(dt=-1.0), dict(n_steps=-1), dict(n_points=5.5), dict(n_points=11.0),
-        dict(n_steps=2.0),
+        dict(n_steps=2.0), dict(dt=1e308, n_steps=2), dict(n_steps=10**400),
     ])
     def test_validation(self, kwargs):
         base = dict(x_min=0.0, x_max=1.0, n_points=11, dt=0.1, n_steps=5)

@@ -2,6 +2,7 @@
 nan handling and the scheduler that runs the suites on every CPU."""
 
 import dataclasses
+import inspect
 import math
 import os
 import time
@@ -137,6 +138,8 @@ def test_nan_fails_a_scan_suite(monkeypatch, suite):
 # the scheduler: one queue, pulled by this process and forked workers
 # ---------------------------------------------------------------------------
 
+ALL_SEEDED = ["binomial-identity", "hypergeometric-ode", "hypergeometric-symmetry",
+              "power-integer-consistency", "deformed-exp-product-rule", "deformed-exp-limit"]
 SEEDED = ["binomial-identity", "power-integer-consistency",
           "deformed-exp-product-rule", "deformed-exp-limit"]
 UNSEEDED = ["classical-limit", "non-coincidence", "origin-normalization",
@@ -169,17 +172,17 @@ def test_split_run_equals_serial_run(monkeypatch, names):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_outcomes_larger_than_a_pipe_come_back_in_task_order(monkeypatch, tmp_path, cpus):
-    # each worker takes one task and then waits on its full pipe until
-    # the parent, which runs the other tasks, has emptied the queue
-    parent, size = os.getpid(), 1 << 20
+    # every process holds its first task until each of the ``cpus``
+    # processes has one, whichever tasks they pulled; then each worker
+    # waits on its full pipe until the queue is empty, so the parent
+    # runs the rest
+    size = 1 << 20
 
     def run(task):
-        if os.getpid() != parent:
-            (tmp_path / f"worker-{os.getpid()}").touch()
-        elif task == 0:
-            deadline = time.monotonic() + 10.0
-            while len(list(tmp_path.iterdir())) < cpus - 1 and time.monotonic() < deadline:
-                time.sleep(0.001)
+        (tmp_path / str(os.getpid())).touch()
+        deadline = time.monotonic() + 10.0
+        while len(list(tmp_path.iterdir())) < cpus and time.monotonic() < deadline:
+            time.sleep(0.001)
         return os.getpid(), bytes([task]) * size
 
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
@@ -189,14 +192,30 @@ def test_outcomes_larger_than_a_pipe_come_back_in_task_order(monkeypatch, tmp_pa
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("names,builds", [(MIXED, 1), (["non-coincidence"], 0)],
-                         ids=["mixed", "unseeded"])
-def test_only_the_seeded_task_builds_a_generator(monkeypatch, names, builds):
+@pytest.mark.parametrize("names", [MIXED, ["non-coincidence"]], ids=["mixed", "unseeded"])
+def test_each_seeded_suite_builds_one_generator(monkeypatch, names):
     seeds = []
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or real(seed))
     run_on(1, monkeypatch, seed=5, names=names)
-    assert seeds == [5] * builds
+    assert seeds == [[5, int.from_bytes(name.encode(), "little")]
+                     for name in ALL_SEEDED if name in names]
+
+
+def test_a_seeded_suite_alone_gives_its_row_of_the_full_run(monkeypatch):
+    assert ALL_SEEDED == [name for name, func in verify._SUITE_FUNCS.items()
+                          if "rng" in inspect.signature(func).parameters]
+    # the unseeded suites draw nothing, so stand-ins keep the full run short
+    for name in verify._SUITE_FUNCS:
+        if name not in ALL_SEEDED:
+            monkeypatch.setitem(verify._SUITE_FUNCS, name,
+                                lambda name=name: SuiteResult(name, True, 0.0, 0.0))
+    for seed in range(10):
+        full = dict(zip(verify._SUITE_FUNCS, run_verification(seed=seed)))
+        for name in ALL_SEEDED:
+            alone = run_verification(seed=seed, names=[name])
+            assert alone == [full[name]]
+            assert repr(alone) == repr([full[name]])
 
 
 A, B, C = "classical-limit", "non-coincidence", "origin-normalization"  # registry order
