@@ -178,7 +178,9 @@ class ConvergenceReport:
 
 
 def fit_observed_order(resolutions: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(resolution)."""
+    """Least-squares slope of log(error) against log(resolution), in closed
+    form: sum((x - mean x)(y - mean y)) / sum((x - mean x)^2) over the
+    ``math.log`` values, each sum and mean a ``math.fsum``."""
     res = [float(r) for r in resolutions]
     errs = [float(e) for e in errors]
     if len(res) != len(errs) or len(res) < 2:
@@ -189,8 +191,11 @@ def fit_observed_order(resolutions: Sequence[float], errors: Sequence[float]) ->
         raise DegenerateStudyError("duplicate resolutions make the fit degenerate")
     if any(e <= 0 for e in errs):
         raise DegenerateStudyError("errors must be positive to fit a log-log slope")
-    slope = np.polyfit(np.log(res), np.log(errs), 1)[0]
-    return float(slope)
+    xs, ys = [math.log(r) for r in res], [math.log(e) for e in errs]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    return (math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys))
+            / math.fsum(dx * dx for dx in dxs))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import as_sample, finite_exp, lift_sampler, require_everywhere, value_power
+from .integrators import require_frame_memory
 from .qmath import HypParams, hyp2f1, hyp2f1_deriv
 from .solutions import SolutionKind, marched_form, positive_scale, require_space, time_coefficient
 
@@ -318,7 +319,8 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     t-major, then x: ``worst_point`` is the first maximum in that order,
     ``l2`` is summed in it, and a domain error (a non-finite residual
     included) names the first offending point.  ``lam`` is required for
-    the separated tags.
+    the separated tags.  The scanned axes are bounded by
+    ``require_frame_memory``, as the frames of a march on the grid are.
     """
     if equation not in _SCANS:
         raise DomainError(
@@ -333,14 +335,16 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     args = SimpleNamespace(q=q, m=m, hbar=hbar, potential=potential, lam=lam,
                            method=method)
 
-    xs = grid.x_values()
-    ts = grid.t_values()
+    # the axes read are refused as a march's frames are, before any array
+    require_frame_memory(0 if axis == "x" else grid.n_steps, 1 if axis == "t" else grid.n_points)
     if axis == "t":
-        x, t = np.zeros_like(ts), ts
+        t = grid.t_values()
+        x = np.zeros_like(t)
     elif axis == "x":
-        x, t = xs, np.zeros_like(xs)
+        x = grid.x_values()
+        t = np.zeros_like(x)
     else:
-        x, t = np.meshgrid(xs, ts)
+        x, t = np.meshgrid(grid.x_values(), grid.t_values())
     if x.size == 0:
         raise DomainError("empty scan grid")
 

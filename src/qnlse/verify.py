@@ -12,8 +12,8 @@ reproducible.
 ``run_verification`` runs the suites on every CPU the process may use,
 through the pull queue of ``_pool``, which returns each task's results
 in task order.  Every selected suite is one task, in registry order.  A
-seeded suite draws from its own generator, keyed by the seed and its
-name, so its draws depend neither on the registry order nor on which
+seeded suite draws from its own ``random.Random``, keyed by the seed and
+its name, so its draws depend neither on the registry order nor on which
 suites run with it: a suite run alone gives its row of the full run.
 The results equal a serial run's, so the reports are byte-identical to
 one; a worker's warnings go to the same stderr, once per process.
@@ -25,6 +25,7 @@ import cmath
 import inspect
 import math
 import os
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -131,7 +132,7 @@ def _order_in_q(distance, deltas=LIMIT_DELTAS, sign: float = 1.0):
 
 
 def _draw_z(rng, radius: float = 0.9) -> complex:
-    r = radius * math.sqrt(rng.uniform())
+    r = radius * math.sqrt(rng.random())
     phi = rng.uniform(-math.pi, math.pi)
     return r * cmath.exp(1j * phi)
 
@@ -601,15 +602,14 @@ def run_verification(seed: int | None = None,
 
     The suites run on every CPU the process may use (``_pool``), one
     task each.  A seeded suite (one taking ``rng``) builds its own
-    ``default_rng([seed, key])``, where ``key`` is its name's UTF-8 bytes
-    read as a little-endian integer, so it draws the same numbers alone
-    as in any selection.  The results come back in registry order and
-    equal a serial run's.  If suites raise, the one earliest in
-    the registry raises here, as in a serial run (an exception that does
-    not pickle comes back from a worker as a ``QnlseError`` with its
-    type name and message); a worker that dies before reporting raises
-    ``QnlseError`` with its exit status.  A worker's warnings go to the
-    same stderr, once per process.
+    ``random.Random(f"{seed}:{name}")``, seeded through SHA-512 of that
+    string, so it draws the same numbers alone as in any selection.  The
+    results come back in registry order and equal a serial run's.  If
+    suites raise, the one earliest in the registry raises here, as in a
+    serial run (an exception that does not pickle comes back from a
+    worker as a ``QnlseError`` with its type name and message); a worker
+    that dies before reporting raises ``QnlseError`` with its exit
+    status.  A worker's warnings go to the same stderr, once per process.
     """
     unknown = sorted(set(names or ()) - set(_SUITE_FUNCS))
     if unknown:
@@ -627,6 +627,6 @@ def run_verification(seed: int | None = None,
         func = _SUITE_FUNCS[name]
         if "rng" not in inspect.signature(func).parameters:
             return func()
-        return func(np.random.default_rng([seed, int.from_bytes(name.encode(), "little")]))
+        return func(random.Random(f"{seed}:{name}"))
 
     return _pool.run_tasks(len(selected), run, lambda task: f"suite {selected[task]}")

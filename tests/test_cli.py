@@ -282,6 +282,14 @@ class TestOutOfRangeInputs:
         assert (code, out) == (2, "")
         assert err == "error: the time span dt * n_steps must be finite, got dt=1e+308\n"
 
+    # numpy refused the times of 10**300 steps: a ValueError traceback, exit 1
+    def test_residual_mesh_over_the_memory_share_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "residual", "--nx", "3", "--dt", "1e-300",
+                             "--steps", str(10**300))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {10**300} steps on 3 points need ")
+        assert err.count("\n") == 1
+
     def test_negative_seed_exits_2_before_any_suite_runs(self, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr(_pool, "run_tasks", lambda *args: ran.append(args))

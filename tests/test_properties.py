@@ -176,6 +176,8 @@ SMALL_GRID = GridSpec(-0.5, 0.5, 11, 0.05, 4)
 class OnePoint:
     """A scan grid holding the single point (x, t)."""
 
+    n_points, n_steps = 1, 0  # read by the scan's memory bound
+
     def __init__(self, point):
         self.point = point
 

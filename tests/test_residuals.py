@@ -346,3 +346,17 @@ class TestScan:
         grid = GridSpec(0.0, 1.0, 3, 0.1, 1)
         with pytest.raises(DomainError, match=r"x=0\.5"):
             scan_residual("new-field", hole, grid, FD, q=1.5)
+
+    def test_scan_bounds_only_the_axes_it_reads(self):
+        # the times of 10**300 steps were built for every tag, and numpy
+        # refused them with a ValueError
+        spec = FreeParticleSpec(q=1.5)
+        grid = GridSpec(-1.0, 1.0, 3, 1e-300, 10**300)
+        for tag, sampler, points in [
+                ("new-field", q_plane_wave_field(spec), 3),
+                ("new-time", separated_time_curve(SolutionKind.NEW, spec), 1)]:
+            with pytest.raises(DomainError, match=f"^{10**300} steps on {points} points need "):
+                scan_residual(tag, sampler, grid, AN, q=spec.q, lam=spec.energy)
+        rep = scan_residual("new-space", separated_space_curve(SolutionKind.NEW, spec), grid,
+                            AN, q=spec.q, lam=spec.energy)
+        assert rep.n_samples == 3

@@ -5,14 +5,21 @@ import dataclasses
 import inspect
 import math
 import os
+import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qnlse import _pool, verify
+from qnlse import _pool, integrators, verify
+from qnlse.cli import main
 from qnlse.errors import DomainError, QnlseError
+from qnlse.integrators import fit_observed_order
 from qnlse.verify import (
     DEFAULT_SEED,
     SuiteResult,
@@ -96,6 +103,97 @@ def test_classical_agreement_holds_one_block_of_each_march():
 
 
 # ---------------------------------------------------------------------------
+# what verify loads: no numpy.random, no LAPACK
+# ---------------------------------------------------------------------------
+
+ORDER_FIT_SUITES = ["deformed-exp-limit", "classical-limit", "non-coincidence",
+                    "ode-order", "pde-spatial-order"]  # registry order
+
+# Reads the peak RSS of ``python -c "import qnlse.cli"`` and of ``python -m
+# qnlse verify``, and its own.  A spawned child's ru_maxrss starts at its
+# parent's high-water mark, so the readings come from this small process.
+PEAKS = """
+import os, sys
+
+def peak(*argv):
+    pid = os.posix_spawn(sys.executable, [sys.executable, *argv], os.environ,
+                         file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, argv
+    return usage.ru_maxrss / 1024
+
+with open("/proc/self/status") as status:
+    own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+print(own, peak("-c", "import qnlse.cli"), peak("-m", "qnlse", "verify"))
+"""
+
+
+def child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]),
+                PYTHONDONTWRITEBYTECODE="1", QNLSE_SEED="42")
+
+
+def test_a_serial_run_never_imports_numpy_random():
+    # numpy.random costs 5.2 MB and 10-15 ms of import, for scalar draws
+    script = ("import sys\n"
+              "from qnlse import _pool, verify\n"
+              "_pool._usable_cpus = lambda: 1\n"
+              "assert all(r.passed for r in verify.run_verification(42))\n"
+              "print('numpy.random' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=300)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+def test_order_fits_call_no_least_squares_solver(monkeypatch):
+    # np.polyfit starts OpenBLAS (1.3 MB) to fit lines through 3 or 4 points
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    # np.polyfit calls the name it imported
+    monkeypatch.setitem(getattr(np.polyfit, "__wrapped__", np.polyfit).__globals__,
+                        "lstsq", refuse)
+    assert fit_observed_order([0.1, 0.05, 0.025], [4e-3, 1e-3, 2.5e-4]) == pytest.approx(2.0)
+    results = run_on(1, monkeypatch, seed=42, names=ORDER_FIT_SUITES)
+    assert [(r.name, r.passed) for r in results] == [(name, True) for name in ORDER_FIT_SUITES]
+
+
+def test_order_fits_equal_numpy_polyfit(monkeypatch, capsys):
+    fits = []
+
+    def recorded(resolutions, errors):
+        fits.append((resolutions, errors))
+        return fit_observed_order(resolutions, errors)
+
+    monkeypatch.setattr(integrators, "fit_observed_order", recorded)
+    monkeypatch.setattr(verify, "fit_observed_order", recorded)
+    run_on(1, monkeypatch, seed=42, names=ORDER_FIT_SUITES)
+    assert main(["limit"]) == 0
+    for study in ("pde", "ode-time", "ode-space"):
+        for equation in ("new", "nrt"):
+            assert main(["converge", "--study", study, "--equation", equation]) == 0
+    capsys.readouterr()
+    assert len(fits) == 19
+    for resolutions, errors in fits:
+        reference = np.polyfit(np.log(resolutions), np.log(errors), 1)[0]
+        # measured: at most 1.9e-15, 14 ulps (converge --study pde)
+        assert fit_observed_order(resolutions, errors) == pytest.approx(reference, rel=1e-14)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc, KiB ru_maxrss")
+def test_verify_peaks_within_3_mb_of_the_import():
+    # measured on 2 CPUs: 30.2 MB for the import, 31.1 MB for verify;
+    # numpy.random and LAPACK would add 7.7-8.6 MB
+    done = subprocess.run([sys.executable, "-c", PEAKS], capture_output=True, text=True,
+                          env=child_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    own, imported, verified = map(float, done.stdout.split())
+    assert own < 15.0
+    assert verified - imported <= 3.0
+
+
+# ---------------------------------------------------------------------------
 # a nan check value fails its suite
 # ---------------------------------------------------------------------------
 
@@ -119,7 +217,7 @@ def nan_on_first_call(real):
 def test_nan_fails_a_max_suite(monkeypatch):
     monkeypatch.setattr(verify, "check_binomial_identity",
                         nan_on_first_call(verify.check_binomial_identity))
-    result = suite_binomial_identity(np.random.default_rng(DEFAULT_SEED))
+    result = suite_binomial_identity(random.Random(DEFAULT_SEED))
     assert not result.passed
     assert math.isnan(result.worst)
 
@@ -195,11 +293,10 @@ def test_outcomes_larger_than_a_pipe_come_back_in_task_order(monkeypatch, tmp_pa
 @pytest.mark.parametrize("names", [MIXED, ["non-coincidence"]], ids=["mixed", "unseeded"])
 def test_each_seeded_suite_builds_one_generator(monkeypatch, names):
     seeds = []
-    real = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or real(seed))
+    monkeypatch.setattr(verify, "random", SimpleNamespace(
+        Random=lambda seed: seeds.append(seed) or random.Random(seed)))
     run_on(1, monkeypatch, seed=5, names=names)
-    assert seeds == [[5, int.from_bytes(name.encode(), "little")]
-                     for name in ALL_SEEDED if name in names]
+    assert seeds == [f"5:{name}" for name in ALL_SEEDED if name in names]
 
 
 def test_a_seeded_suite_alone_gives_its_row_of_the_full_run(monkeypatch):
