@@ -3,15 +3,17 @@
 ``run_tasks`` runs tasks ``0 .. n-1`` in this process and in
 ``min(CPUs, n) - 1`` workers forked with ``os.fork``.  All of them pull
 task numbers, in order, from one pipe, so a process that runs slower
-takes fewer tasks.  A worker writes each task's outcome, pickled, to its
-own pipe; this process reads the pipes only once the queue is empty,
-each to its end.  A worker whose pipe is full waits, and takes no more
-tasks, until then; this process runs the rest.  That cannot deadlock: a
-worker waits only on its own pipe, and every pipe is read to its end.
+takes fewer tasks.  A worker writes each task's outcome to its own pipe
+as one pickle of ``(task, (value, error))``, which its STOP opcode ends:
+nothing else delimits the messages.  This process reads the pipes only
+once the queue is empty, each to its end.  A worker whose pipe is full
+waits, and takes no more tasks, until then; this process runs the rest.
+That cannot deadlock: a worker waits only on its own pipe, and every
+pipe is read to its end.
 
 ``verify`` runs its suites on it; it is the pool's only user.  Its 22
-tasks send at most 213 bytes of outcome each, 3.6 KB in all (seed 42),
-so no worker waits on the default 64 KiB pipe.
+tasks send messages of at most 217 bytes, 3.7 KB in all (seed 42), so
+no worker waits on the default 64 KiB pipe.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import QnlseError
 # buffer Linux gives out (one 4 KiB page), at 4 bytes each.
 MAX_TASKS = 1024
 _TASK = struct.Struct("<I")
-_HEADER = struct.Struct("<IQ")  # task number, length of the pickled outcome
 
 
 def _usable_cpus() -> int:
@@ -65,37 +66,20 @@ def _send(out: int, task: int, value, error: Exception | None) -> None:
             pickle.loads(pickle.dumps(error))
         except Exception:  # an exception that does not pickle travels as its text
             error = QnlseError(f"{type(error).__name__}: {error}")
-    payload = pickle.dumps((value, error), pickle.HIGHEST_PROTOCOL)
-    for data in (_HEADER.pack(task, len(payload)), payload):
-        view = memoryview(data)
-        while view:
-            view = view[os.write(out, view):]
+    view = memoryview(pickle.dumps((task, (value, error)), pickle.HIGHEST_PROTOCOL))
+    while view:
+        view = view[os.write(out, view):]
 
 
-def _read_exact(fd: int, size: int) -> bytearray | None:
-    """``size`` bytes from ``fd``, or None if it ends first."""
-    buf = bytearray(size)
-    view, got = memoryview(buf), 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if n == 0:
-            return None
-        got += n
-    return buf
-
-
-def _receive(fd: int):
-    """The next ``(task, (value, error))`` a worker sent on ``fd``, or
-    None once the worker has closed it (or died in the middle of a
-    message)."""
-    header = _read_exact(fd, _HEADER.size)
-    if header is None:
-        return None
-    task, size = _HEADER.unpack(header)
-    payload = _read_exact(fd, size)
-    if payload is None:
-        return None
-    return task, pickle.loads(payload)
+def _messages(fd: int):
+    """Each ``(task, (value, error))`` a worker sent on ``fd``, up to its
+    end or to a message cut short by the worker's death."""
+    with os.fdopen(fd, "rb", closefd=False) as stream:
+        while True:
+            try:
+                yield pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):
+                return
 
 
 def _worker(queue: int, out: int, run: Callable[[int], Any]) -> None:
@@ -176,9 +160,7 @@ def run_tasks(n_tasks: int, run: Callable[[int], Any],
             if outcomes[task][1] is not None:
                 _drain(queue)
         for reader in workers:
-            while (message := _receive(reader)) is not None:
-                task, outcome = message
-                outcomes[task] = outcome
+            outcomes.update(_messages(reader))
     finally:
         _drain(queue)
         os.close(queue)

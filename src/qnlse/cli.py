@@ -203,27 +203,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def _residual_tag(args: argparse.Namespace) -> str:
-    eq = args.equation
-    if args.form == "phi":
-        if eq != "new":
-            raise UsageError("--form phi applies to --equation new only")
-        return "new-phi"
-    if args.form == "field":
-        return f"{eq}-field"
-    return f"{eq}-{args.form}"
-
-
 def cmd_residual(args: argparse.Namespace) -> int:
     spec, grid = _particle(args), _grid(args)
     solution = args.solution or args.equation
-    tag = _residual_tag(args)
+    if args.form == "phi" and args.equation != "new":
+        raise UsageError("--form phi applies to --equation new only")
     if solution == "plane" and args.form in ("time", "space"):
         raise UsageError("--solution plane has no separated factors; pick new or nrt")
     sampler = closed_form(solution, args.form, spec)
     method = Analytic() if args.method == "analytic" else FiniteDifference()
     rep = scan_residual(
-        tag, sampler, grid, method,
+        f"{args.equation}-{args.form}", sampler, grid, method,
         q=spec.q, m=spec.m, hbar=spec.hbar, lam=spec.energy,
     )
     passed = rep.max_abs <= args.tol

@@ -18,4 +18,5 @@ class PropagationError(QnlseError, RuntimeError):
 
 
 class DegenerateStudyError(QnlseError, ValueError):
-    """A convergence study cannot be fitted (duplicate resolutions or zero errors)."""
+    """A convergence study cannot be fitted (resolutions or errors that are
+    not positive, or resolutions whose logs coincide)."""

@@ -187,11 +187,12 @@ def fit_observed_order(resolutions: Sequence[float], errors: Sequence[float]) ->
         raise DegenerateStudyError("need at least two (resolution, error) pairs")
     if not all(map(math.isfinite, res + errs)):
         raise DegenerateStudyError("resolutions and errors must be finite to fit a slope")
-    if len(set(res)) != len(res):
-        raise DegenerateStudyError("duplicate resolutions make the fit degenerate")
-    if any(e <= 0 for e in errs):
-        raise DegenerateStudyError("errors must be positive to fit a log-log slope")
+    if any(v <= 0 for v in res + errs):
+        raise DegenerateStudyError("resolutions and errors must be positive to fit a "
+                                   "log-log slope")
     xs, ys = [math.log(r) for r in res], [math.log(e) for e in errs]
+    if len(set(xs)) != len(xs):
+        raise DegenerateStudyError("resolutions whose logs coincide make the fit degenerate")
     x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
     dxs = [x - x_mean for x in xs]
     return (math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys))
@@ -394,17 +395,25 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
-def require_frame_memory(n_steps: int, n_points: int) -> None:
+def _count(n: int) -> str:
+    """``n`` in full up to 16 digits, else as ``1.23e+45`` (truncated)."""
+    digits = str(n)
+    return digits if len(digits) <= 16 else f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+
+
+def require_frame_memory(n_steps: int, n_points: int, what: str = "frames") -> None:
     """Refuse a march whose frames, ``(n_steps + 1) * n_points * 16``
     bytes, would take more than ``FRAME_MEMORY_SHARE`` of physical memory,
     whether it holds them all (``propagate``) or streams them
-    (``stream_frames``, where the limit bounds the work and the output)."""
+    (``stream_frames``, where the limit bounds the work and the output).
+    The message names ``what`` those bytes would hold."""
     frame_bytes = (n_steps + 1) * n_points * 16
     memory = _physical_memory()
     if memory is not None and frame_bytes > FRAME_MEMORY_SHARE * memory:
         raise DomainError(
-            f"{n_steps} steps on {n_points} points need {frame_bytes} bytes of "
-            f"frames, more than {FRAME_MEMORY_SHARE:g} of physical memory ({memory} bytes)"
+            f"{_count(n_steps)} steps on {_count(n_points)} points need {_count(frame_bytes)} "
+            f"bytes of {what}, more than {FRAME_MEMORY_SHARE:g} of physical memory "
+            f"({memory} bytes)"
         )
 
 
@@ -490,9 +499,6 @@ def _march_args(equation, initial, q, m, hbar, boundary, potential) -> tuple:
 
     xs = grid.x_values()
     pot = np.zeros(grid.n_points) if potential is None else _potential_values(potential, xs)
-    finite = np.isfinite(pot)
-    if not finite.all():
-        raise DomainError(f"potential is not finite at x={float(xs[np.argmin(finite)])!r}")
     n_steps = grid.n_steps
     # boundary values at every stage time (t_k, t_k + dt/2, t_k + dt)
     t_k = initial.t + np.arange(n_steps) * grid.dt
@@ -507,12 +513,14 @@ def _march_args(equation, initial, q, m, hbar, boundary, potential) -> tuple:
 
 def _potential_values(potential, xs):
     """The potential at each grid point, as floats; DomainError at the
-    first point where it is not a real number."""
+    first point where it is not a finite real number."""
     values = []
     for x in xs.tolist():
         value = potential(x)
         if not isinstance(value, numbers.Real):
             raise DomainError(f"potential is not a real number at x={x!r}")
+        if not math.isfinite(value):
+            raise DomainError(f"potential is not finite at x={x!r}")
         values.append(float(value))
     return np.array(values)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import as_sample, finite_exp, lift_sampler, require_everywhere, value_power
-from .integrators import require_frame_memory
+from .integrators import _potential_values, require_frame_memory
 from .qmath import HypParams, hyp2f1, hyp2f1_deriv
 from .solutions import SolutionKind, marched_form, positive_scale, require_space, time_coefficient
 
@@ -319,7 +319,9 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     t-major, then x: ``worst_point`` is the first maximum in that order,
     ``l2`` is summed in it, and a domain error (a non-finite residual
     included) names the first offending point.  ``lam`` is required for
-    the separated tags.  The scanned axes are bounded by
+    the separated tags.  Only ``new-phi`` and ``nrt-field`` take a
+    potential, and it must be a finite real number at every grid x, as
+    in ``propagate``.  The scanned axes are bounded by
     ``require_frame_memory``, as the frames of a march on the grid are.
     """
     if equation not in _SCANS:
@@ -329,14 +331,18 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     axis, point_residual = _SCANS[equation]
     if axis != "xt" and lam is None:
         raise DomainError(f"equation {equation!r} needs the separation constant lam")
+    if potential is not None and equation not in ("new-phi", "nrt-field"):
+        raise DomainError(f"equation {equation!r} has no potential term")
     m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
+
+    # the axes read are refused as a march's frames are, before any array
+    require_frame_memory(0 if axis == "x" else grid.n_steps, 1 if axis == "t" else grid.n_points,
+                         "scan mesh")
     if potential is not None:
+        _potential_values(potential, grid.x_values())  # refused where propagate refuses it
         potential = lift_sampler(potential)
     args = SimpleNamespace(q=q, m=m, hbar=hbar, potential=potential, lam=lam,
                            method=method)
-
-    # the axes read are refused as a march's frames are, before any array
-    require_frame_memory(0 if axis == "x" else grid.n_steps, 1 if axis == "t" else grid.n_points)
     if axis == "t":
         t = grid.t_values()
         x = np.zeros_like(t)

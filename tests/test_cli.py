@@ -1,7 +1,6 @@
 """Command-line contract: exit codes, formats, round-trips, determinism."""
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qnlse import _pool, cli
+from qnlse import _pool, cli, residuals
 from qnlse.cli import main
 from qnlse.errors import (
     ConvergenceError,
@@ -96,9 +95,8 @@ class TestExitCodes:
         assert json.loads(out)["max_abs"] <= 1e-5
 
     def test_non_finite_residual_is_one_error_line(self, capsys, monkeypatch):
-        # no flag sets a potential: a nan one stands for any non-finite residual
-        monkeypatch.setattr(cli, "scan_residual",
-                            functools.partial(cli.scan_residual, potential=lambda x: math.nan))
+        # no flag makes the residual non-finite: a nan one stands for any
+        monkeypatch.setattr(residuals, "nrt_residual", lambda *args: math.nan)
         code, out, err = run(capsys, "residual", "--equation", "nrt", "--q", "1.1",
                              "--nx", "11", "--steps", "3")
         assert (code, out) == (2, "")
@@ -287,8 +285,20 @@ class TestOutOfRangeInputs:
         code, out, err = run(capsys, "residual", "--nx", "3", "--dt", "1e-300",
                              "--steps", str(10**300))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {10**300} steps on 3 points need ")
+        assert err.startswith("error: 1.00e+300 steps on 3 points need 4.80e+301 bytes of "
+                              "scan mesh, ")
         assert err.count("\n") == 1
+
+    # the counts were printed in full, two 300-digit integers in a line of
+    # 703 characters, and a scan spoke of frames
+    @pytest.mark.parametrize("command, nx", [("residual", "3"), ("propagate", "5")])
+    def test_memory_refusal_of_a_huge_step_count_is_one_short_line(self, capsys, command, nx):
+        code, out, err = run(capsys, command, "--nx", nx, "--dt", "1e-300",
+                             "--steps", str(10**300))
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert len(line) <= 200
+        assert ("frames" in line) == (command == "propagate")
 
     def test_negative_seed_exits_2_before_any_suite_runs(self, capsys, monkeypatch):
         ran = []
@@ -359,6 +369,13 @@ class TestSeparatedForms:
     def test_phi_is_new_only(self, capsys):
         code, _, _ = run(capsys, "residual", "--form", "phi", "--equation", "nrt")
         assert code == 2
+
+    def test_phi_form_scans_the_normalized_equation(self, capsys):
+        code, out, err = run(capsys, "residual", "--form", "phi", "--equation", "new",
+                             "--solution", "plane")
+        report = json.loads(out)
+        assert (code, err, report["equation"], report["passed"]) == (0, "", "new-phi", 1)
+        assert report["max_abs"] <= 1e-14
 
 
 class TestRoundTrip:

@@ -222,6 +222,14 @@ def test_curve_at_an_infinite_coordinate_raises_without_warnings(curve, call, u)
             method(*args)
 
 
+def test_curve_refuses_a_zero_amplitude_and_a_third_derivative():
+    with pytest.raises(DomainError, match="^curve amplitude must be nonzero$"):
+        PowerCurve(0.5j, 1.5, amplitude=0)
+    for curve in CURVES.values():
+        with pytest.raises(DomainError, match="^derivative order must be 1 or 2, got 3$"):
+            curve.deriv(0.5, 3)
+
+
 @pytest.mark.parametrize("p", [1e308, -1e308])
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
 def test_closed_forms_of_a_huge_momentum_raise_without_warnings(q, p):

@@ -189,6 +189,13 @@ class TestSeparatedIntegration:
         with pytest.raises(DomainError, match="hbar"):
             integrate_separated_space(SolutionKind.NRT, 1.5, 1.0, 0.5, hbar, 1.0, 0.1)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3])
+    def test_step_that_is_not_positive_is_rejected(self, step):
+        with pytest.raises(DomainError, match="^step size must be positive$"):
+            integrate_separated_time(SolutionKind.NEW, 1.5, 1.0, 1.0, 1.0, step)
+        with pytest.raises(DomainError, match="^step size must be positive$"):
+            integrate_separated_space(SolutionKind.NRT, 1.5, 1.0, 0.5, 1.0, -1.0, step)
+
     @pytest.mark.parametrize("step", [1e-12, 5e-324])
     def test_step_count_is_bounded_before_any_step(self, step):
         # 1e12 steps would run for hours; 1/5e-324 is inf steps
@@ -588,10 +595,12 @@ class TestConvergenceStudies:
     @pytest.mark.parametrize("dx0", [1e-9, 1e-300])
     def test_pde_case_over_the_memory_share_is_refused_before_sampling(self, dx0,
                                                                       monkeypatch):
-        # 1e-9 would sample 1e10 points: the frames' memory rule refuses it first
+        # 1e-9 would sample 1e10 points: the frames' memory rule refuses it first;
+        # 1e-300 gives counts past 16 digits, which read as 9.99e+300
+        count = r"(\d{1,16}|\d\.\d\de\+\d+)"
         monkeypatch.setattr(integrators, "sample_field", no_sampling)
-        with pytest.raises(DomainError, match=r"^20 steps on \d+ points need \d+ bytes of "
-                                              r"frames, more than 0\.5 of physical memory"):
+        with pytest.raises(DomainError, match=rf"^20 steps on {count} points need {count} "
+                                              r"bytes of frames, more than 0\.5 of physical memory"):
             PdeCase(SolutionKind.NEW, FreeParticleSpec(q=1.1), dx0=dx0).error(0)
 
     def test_fit_guards(self):
@@ -605,6 +614,14 @@ class TestConvergenceStudies:
             fit_observed_order([1.0, 2.0], [math.nan, 1.0])
         with pytest.raises(DegenerateStudyError, match="finite"):
             fit_observed_order([1.0, math.inf], [0.5, 1.0])
+
+    # a bare ValueError (math domain error) or ZeroDivisionError escaped
+    @pytest.mark.parametrize("resolutions, reason", [
+        ([-1.0, 2.0], "positive"), ([0.0, 1.0], "positive"),
+        ([1e300, math.nextafter(1e300, math.inf)], "logs coincide")])
+    def test_fit_refuses_resolutions_whose_logs_are_not_distinct(self, resolutions, reason):
+        with pytest.raises(DegenerateStudyError, match=reason):
+            fit_observed_order(resolutions, [1.0, 2.0])
 
     def test_study_needs_two_levels(self):
         spec = FreeParticleSpec(q=1.5)

@@ -110,6 +110,9 @@ class TestDeformedExponential:
         assert q_exp_real_cutoff(0.5, -3.0) == pytest.approx(6.25)
         assert q_exp_real_cutoff(1.0001, 0.0) == pytest.approx(1.0)
 
+    def test_real_cutoff_within_eps_of_one_is_the_exponential(self):
+        assert q_exp_real_cutoff(1 + 1e-13, 0.7) == math.exp(-0.7)
+
     def test_real_cutoff_overflow_is_typed(self):
         with pytest.raises(DomainError):
             q_exp_real_cutoff(0.999, -1e7)
@@ -189,6 +192,20 @@ class TestHyp2f1:
             with pytest.raises(DomainError):
                 HypParams(0.5, 0.5, gamma, 0.1)
         HypParams(0.5, 0.5, -1.5, 0.1)  # non-integer negatives are fine
+
+    def test_series_rejects_a_gamma_pole(self):
+        with pytest.raises(DomainError, match=r"^gamma=-2\.0 is a pole "):
+            hyp2f1_series(0.5, 0.5, -2.0, 0.1)
+
+    @pytest.mark.parametrize("params, message", [
+        ((math.nan, 0.5, 1.5, 0.1), "parameter alpha"),
+        ((0.5, math.inf, 1.5, 0.1), "parameter beta"),
+        ((0.5, 0.5, math.nan, 0.1), "parameter gamma"),
+        ((0.5, 0.5, 1.5, math.inf), "argument z"),
+        ((0.5, 0.5, 1.5, complex(0.1, -math.inf)), "argument z")])
+    def test_non_finite_parameters_rejected(self, params, message):
+        with pytest.raises(DomainError, match=f"^non-finite hypergeometric {message}$"):
+            HypParams(*params)
 
     def test_series_domain_limit(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from qnlse.errors import DomainError
 from qnlse.fields import AffineFactor, ExponentialField, PowerProductField
-from qnlse.integrators import GridSpec
+from qnlse.integrators import Frame, GridSpec, propagate
 from qnlse.qmath import HypParams
 from qnlse.residuals import (
     Analytic,
@@ -327,18 +328,60 @@ class TestScan:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_residual_raises_naming_the_scan(self, bad):
-        # a potential that is not finite at x = 0 leaves every closed form
+        # a d_xx that is not finite at x = 0 leaves the field's values
         # finite but the residual not; t-major order meets (0.0, 0.0) first
         spec = FreeParticleSpec(q=1.1)
         grid = GridSpec(-1.0, 1.0, 11, 0.1, 3)
-        potential = lambda x: bad if x == 0.0 else 0.0
+        field = product_solution_field(SolutionKind.NRT, spec)
+
+        class BadCurvatureAtOrigin:
+            def __call__(self, x, t):
+                return field(x, t)
+
+            def __getattr__(self, name):
+                return getattr(field, name)
+
+            def d_xx(self, x, t):
+                return bad if x == 0.0 else field.d_xx(x, t)
+
         # and it raises only its own error: numpy warns about nothing on the way
         with warnings.catch_warnings(), pytest.raises(
                 DomainError, match=r"^residual not finite at \(x=0\.0, t=0\.0\): "
                                    r"(nan|inf) \[while scanning nrt-field\]$"):
             warnings.simplefilter("error")
-            scan_residual("nrt-field", product_solution_field(SolutionKind.NRT, spec), grid,
-                          AN, q=spec.q, m=spec.m, hbar=spec.hbar, potential=potential)
+            scan_residual("nrt-field", BadCurvatureAtOrigin(), grid,
+                          AN, q=spec.q, m=spec.m, hbar=spec.hbar)
+
+    # a scan read a potential by its own rule: a complex one was taken
+    # (max_abs 1.0), a str one ended in a bare ValueError, and the tags
+    # without a potential term dropped one silently
+    @pytest.mark.parametrize("value, message", [
+        (1j, "potential is not a real number at x=-1.0"),
+        ("a", "potential is not a real number at x=-1.0"),
+        (math.nan, "potential is not finite at x=-1.0"),
+        (math.inf, "potential is not finite at x=-1.0")], ids=["complex", "str", "nan", "inf"])
+    @pytest.mark.parametrize("tag", ["new-phi", "nrt-field"])
+    def test_potential_is_refused_as_propagate_refuses_it(self, tag, value, message):
+        spec = FreeParticleSpec(q=1.1)
+        grid = GridSpec(-1.0, 1.0, 5, 0.01, 1)
+        kind = SolutionKind.NEW if tag == "new-phi" else SolutionKind.NRT
+        ran = []
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            scan_residual(tag, lambda x, t: ran.append((x, t)) or 1.0 + 0j, grid, AN,
+                          q=spec.q, m=spec.m, hbar=spec.hbar, potential=lambda x: value)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            propagate(kind, Frame(grid, 0.0, np.ones(5, dtype=complex)), spec.q, spec.m,
+                      spec.hbar, boundary=lambda x, t: 1.0 + 0j, potential=lambda x: value)
+        assert ran == []
+
+    @pytest.mark.parametrize("tag", ["new-field", "new-time", "nrt-time", "new-space",
+                                     "nrt-space"])
+    def test_tag_without_a_potential_term_refuses_one(self, tag):
+        spec = FreeParticleSpec(q=1.5)
+        grid = GridSpec(-1.0, 1.0, 5, 0.1, 1)
+        with pytest.raises(DomainError, match=f"^equation '{tag}' has no potential term$"):
+            scan_residual(tag, lambda *point: 1.0 + 0j, grid, AN, q=spec.q, lam=spec.energy,
+                          potential=lambda x: 5.0)
 
     def test_domain_error_carries_location(self):
         # a field with a zero at an interior grid point aborts with coordinates
@@ -355,7 +398,8 @@ class TestScan:
         for tag, sampler, points in [
                 ("new-field", q_plane_wave_field(spec), 3),
                 ("new-time", separated_time_curve(SolutionKind.NEW, spec), 1)]:
-            with pytest.raises(DomainError, match=f"^{10**300} steps on {points} points need "):
+            with pytest.raises(DomainError, match=rf"^1\.00e\+300 steps on {points} points need "
+                                                  r"\S+ bytes of scan mesh, "):
                 scan_residual(tag, sampler, grid, AN, q=spec.q, lam=spec.energy)
         rep = scan_residual("new-space", separated_space_curve(SolutionKind.NEW, spec), grid,
                             AN, q=spec.q, lam=spec.energy)

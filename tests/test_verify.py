@@ -3,8 +3,10 @@ nan handling and the scheduler that runs the suites on every CPU."""
 
 import dataclasses
 import inspect
+import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -451,3 +453,62 @@ def test_exception_that_does_not_pickle_keeps_its_text(fake_suites):
         run_verification(seed=1, names=[A, B, C])
     assert where()[A] == "worker"
     assert_no_child_left()
+
+
+def test_worker_cut_off_in_its_third_message_reports_the_first_two(monkeypatch, tmp_path):
+    # the worker pulls tasks 0, 1 and 2 while the parent waits, sends two
+    # whole messages and half the third, and dies
+    parent = os.getpid()
+    cut = tmp_path / "cut"
+    real_send, real_pull, real_messages = _pool._send, _pool._pull, _pool._messages
+
+    def send(out, task, value, error):
+        if task < 2:
+            return real_send(out, task, value, error)
+        data = pickle.dumps((task, (value, error)), pickle.HIGHEST_PROTOCOL)
+        os.write(out, data[:len(data) // 2])
+        cut.touch()
+        os._exit(3)
+
+    def pull(queue):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 10.0
+            while not cut.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return real_pull(queue)
+
+    received = []
+
+    def messages(fd):
+        for message in real_messages(fd):
+            received.append(message)
+            yield message
+
+    monkeypatch.setattr(_pool, "_send", send)
+    monkeypatch.setattr(_pool, "_pull", pull)
+    monkeypatch.setattr(_pool, "_messages", messages)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
+    with pytest.raises(QnlseError, match=r"^task 2 was not reported: "
+                                         r"verify worker \d+ exited with status 3$"):
+        _pool.run_tasks(4, lambda task: f"value {task}", lambda task: f"task {task}")
+    assert received == [(0, ("value 0", None)), (1, ("value 1", None))]
+    assert_no_child_left()
+
+
+def test_a_message_cut_at_any_byte_loads_only_the_whole_ones_before_it():
+    sent = [(0, (SuiteResult("binomial-identity", True, 1e-15, 1e-12), None)),
+            (1, (None, DomainError("x" * 5000))),
+            (2, (bytes(range(256)), None))]
+    stream = b"".join(pickle.dumps(message, pickle.HIGHEST_PROTOCOL) for message in sent)
+    ends = list(itertools.accumulate(
+        len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL)) for message in sent))
+    for cut in range(len(stream) + 1):
+        reader, writer = os.pipe()
+        try:
+            os.write(writer, stream[:cut])
+            os.close(writer)
+            received = list(_pool._messages(reader))
+        finally:
+            os.close(reader)
+        whole = sum(end <= cut for end in ends)
+        assert repr(received) == repr(sent[:whole]), cut
