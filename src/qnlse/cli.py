@@ -38,7 +38,6 @@ from .integrators import (
     OdeTimeCase,
     PdeCase,
     convergence_study,
-    manufactured_field,
     require_interval,
     sample_field,
     stream_frames,
@@ -59,6 +58,7 @@ from .solutions import (
     FreeParticleSpec,
     SolutionKind,
     closed_form,
+    manufactured_field,
     marched_form,
     separated_space_curve,
 )

@@ -1,17 +1,10 @@
 """Numerical integration: RK4 for the separated factors and a
 method-of-lines propagator for the two deformed field equations.
 
-The separated equations are recast as explicit first-order systems:
-
-* q-power time factor: i*hbar d/dt[f^q] = lam*f becomes
-  f' = lam * f^(2-q) / (i*hbar*q);
-* NRT time factor is already explicit, f' = lam * f^(2-q) / (i*hbar*(2-q));
-* q-power space factor integrates (g, g') with g'' = -(2m*lam/hbar^2) g^q;
-* NRT space factor substitutes u = g^(2-q), integrates
-  u'' = -(2m*lam/hbar^2) u^(1/(2-q)) and recovers g = u^(1/(2-q)).
-
-Their RK4 steps complex scalars: one for a time factor, the pair
-(u, u') for a space factor.
+The separated equations are those of ``solutions.separated_form``,
+recast as explicit first-order systems: f' = lam*f^(2-q)/(i*hbar*c) for
+a time factor, and (u, u') with u = g^a for a space factor.  Their RK4
+steps complex scalars: one for a time factor, the pair for a space one.
 
 The propagator applies a second-order central Laplacian on the
 interior, the pointwise fractional power of the field on its tracked
@@ -45,10 +38,10 @@ from .fields import lift_sampler
 from .solutions import (
     FreeParticleSpec,
     SolutionKind,
+    manufactured_field,
     marched_form,
     positive_scale,
-    product_solution_field,
-    q_plane_wave_field,
+    separated_form,
     separated_space_curve,
     separated_time_curve,
     space_root,
@@ -288,29 +281,49 @@ def _step_count(span: float, step: float) -> int:
     return max(1, round(steps))
 
 
-def integrate_separated_time(kind: SolutionKind, q: float, lam: float,
-                             hbar: float, t_end: float, dt: float
-                             ) -> list[tuple[float, complex]]:
-    """RK4 trajectory of the separated time factor from f(0) = 1."""
-    q, lam = float(q), float(lam)
-    hbar = positive_scale("hbar", hbar)
-    coef = time_coefficient(kind, q)
-    n = _step_count(t_end, dt)
+def _separated_trajectory(axis: str, state, scale: complex, power: float, back: float,
+                          span: float, step: float) -> list[tuple[float, complex]]:
+    """RK4 trajectory [(0, 1), (h, y(h)), ...] of one separated factor
+    across ``span`` in steps of about ``step``.  In time ("t") the state
+    is f, with f' = scale * f^power; in space ("x") it is the pair
+    (u, u'), with u'' = scale * u^power.  Each point maps its f or u back
+    to the factor as f^back or u^back, on the tracked branch."""
+    name = "time" if axis == "t" else "space"
+    n = _step_count(span, step)
     trajectory = [(0.0, 1.0 + 0j)]
     if n == 0:
         return trajectory
-    h = t_end / n
-    scale, s_power = lam / (1j * hbar * coef), 2.0 - q
-    f = 1.0 + 0j
-    tracker = _TrackedPower(f)
-    rhs = lambda _t, y: scale * tracker(y, s_power)
+    h = span / n
+    tracker = _TrackedPower(1.0 + 0j)
+    if axis == "t":
+        rhs = lambda _t, y: scale * tracker(y, power)
+    else:
+        rhs = lambda _x, y: (y[1], scale * tracker(y[0], power))
     for k in range(n):
-        f = rk4_step(f, rhs, k * h, h)
-        if f == 0:
-            raise DomainError(f"time factor reached zero at t={(k + 1) * h}")
-        tracker.advance(f)
-        trajectory.append(((k + 1) * h, f))
+        state = rk4_step(state, rhs, k * h, h)
+        y = state if axis == "t" else state[0]
+        if y == 0:
+            raise DomainError(f"{name} factor reached zero at {axis}={(k + 1) * h}")
+        tracker.advance(y)
+        try:
+            trajectory.append(((k + 1) * h, tracker(y, back)))
+        except OverflowError as err:
+            raise PropagationError(f"{name} factor overflowed at {axis}={(k + 1) * h}: "
+                                   f"{err}") from err
     return trajectory
+
+
+def integrate_separated_time(kind: SolutionKind, q: float, lam: float,
+                             hbar: float, t_end: float, dt: float
+                             ) -> list[tuple[float, complex]]:
+    """RK4 trajectory of the separated time factor from f(0) = 1, as
+    f' = lam * f^(2-q) / (i*hbar*time_coefficient), which is each
+    equation's ``separated_form`` along "t" solved for f'."""
+    q, lam = float(q), float(lam)
+    hbar = positive_scale("hbar", hbar)
+    coef = time_coefficient(kind, q)
+    return _separated_trajectory("t", 1.0 + 0j, lam / (1j * hbar * coef), 2.0 - q, 1.0,
+                                 t_end, dt)
 
 
 def integrate_separated_space(kind: SolutionKind, q: float, lam: float,
@@ -318,49 +331,21 @@ def integrate_separated_space(kind: SolutionKind, q: float, lam: float,
                               ) -> list[tuple[float, complex]]:
     """RK4 trajectory of the separated space factor from g(0) = 1.
 
-    The state is the pair (u, u') of complex numbers.  Initial slope
-    comes from the closed form's exact derivative at the origin; the
-    NRT branch integrates u = g^(2-q) (the variable whose second
-    derivative the equation constrains) and maps back.
+    For the ``separated_form`` (coef, a, b) along "x" it integrates the
+    pair (u, u') of u = g^a (a = 1 where g itself is differentiated), with
+    u'' = -(2m*lam/(hbar^2*coef)) u^(b/a), from u'(0) = a*g'(0) of the
+    closed form, and maps back g = u^(1/a).
     """
     q, lam = float(q), float(lam)
     m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
     if lam <= 0:
         raise DomainError("the separated space integration needs lam > 0")
-    p = math.sqrt(2.0 * m * lam)
-    curvature = -2.0 * m * lam / (hbar * hbar)
-    g_slope0 = 2j * p / (hbar * space_root(kind, q))
-    if kind is SolutionKind.NEW:
-        slope0, s_power = g_slope0, q
-    else:
-        slope0, s_power = (2.0 - q) * g_slope0, 1.0 / (2.0 - q)
-    state = (1.0 + 0j, slope0)
-
-    n = _step_count(x_end, dx)
-    tracker = _TrackedPower(state[0])
-
-    def to_g(u: complex) -> complex:
-        return u if kind is SolutionKind.NEW else tracker(u, s_power)
-
-    trajectory = [(0.0, 1.0 + 0j)]
-    if n == 0:
-        return trajectory
-    h = x_end / n
-
-    def rhs(_x, y):
-        return (y[1], curvature * tracker(y[0], s_power))
-
-    for k in range(n):
-        state = rk4_step(state, rhs, k * h, h)
-        if state[0] == 0:
-            raise DomainError(f"space factor reached zero at x={(k + 1) * h}")
-        tracker.advance(state[0])
-        try:
-            g = to_g(state[0])
-        except OverflowError as err:
-            raise PropagationError(f"space factor overflowed at x={(k + 1) * h}: {err}") from err
-        trajectory.append(((k + 1) * h, g))
-    return trajectory
+    coef, a, b = separated_form(kind, "x", q)
+    a = 1.0 if a is None else a
+    g_slope0 = 2j * math.sqrt(2.0 * m * lam) / (hbar * space_root(kind, q))
+    return _separated_trajectory("x", (1.0 + 0j, a * g_slope0),
+                                 -2.0 * m * lam / (hbar * hbar * coef), b / a, 1.0 / a,
+                                 x_end, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +504,14 @@ def _potential_values(potential, xs):
         value = potential(x)
         if not isinstance(value, numbers.Real):
             raise DomainError(f"potential is not a real number at x={x!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond every float
+            value = math.inf
         if not math.isfinite(value):
             raise DomainError(f"potential is not finite at x={x!r}")
-        values.append(float(value))
+        values.append(value)
     return np.array(values)
-
-
-def manufactured_field(equation: SolutionKind, spec: FreeParticleSpec):
-    """The closed form each propagator should reproduce exactly.
-
-    The q-power equation evolves phi = (q-plane wave)^q; the NRT
-    equation evolves its separated product solution directly.
-    """
-    if equation is SolutionKind.NEW:
-        return q_plane_wave_field(spec).pow(spec.q)
-    return product_solution_field(SolutionKind.NRT, spec)
 
 
 def sample_field(field, grid: GridSpec, t: float) -> Frame:

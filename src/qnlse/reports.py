@@ -141,14 +141,14 @@ _W, _H = 720, 420
 _ML, _MR, _MT, _MB = 60, 20, 30, 40
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi == lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
-def svg_line_plot(xs, series, title: str, xlabel: str = "x") -> str:
-    """Polyline plot of one or more real-valued series against xs."""
+def svg_line_plot(xs, series, title: str) -> str:
+    """Polyline plot of one or more real-valued series against xs, labelled x."""
     xs = [float(x) for x in xs]
     lo_x, hi_x = min(xs), max(xs)
     values = [float(v) for _, ys in series for v in ys]
@@ -189,7 +189,7 @@ def svg_line_plot(xs, series, title: str, xlabel: str = "x") -> str:
         )
     parts.append(
         f'<text x="{_W / 2:.1f}" y="{_H - 8}" text-anchor="middle" '
-        f'font-family="monospace" font-size="11">{xlabel}</text>'
+        f'font-family="monospace" font-size="11">x</text>'
     )
     for i, (label, ys) in enumerate(series):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]

@@ -30,7 +30,7 @@ from .errors import DomainError
 from .fields import as_sample, finite_exp, lift_sampler, require_everywhere, value_power
 from .integrators import _potential_values, require_frame_memory
 from .qmath import HypParams, hyp2f1, hyp2f1_deriv
-from .solutions import SolutionKind, marched_form, positive_scale, require_space, time_coefficient
+from .solutions import SolutionKind, marched_form, positive_scale, separated_form
 
 _EPS = np.finfo(float).eps
 
@@ -238,46 +238,35 @@ def nrt_residual(sampler_psi, q: float, m: float, hbar: float,
                                       point, method)
 
 
+def _separated_residual(kind: SolutionKind, axis: str, y, q: float, lam: float,
+                        m: Optional[float], hbar: float, u, method: DerivativeMethod):
+    """lead*coef*D[y^a] - lam*y^b at u, scaled, for the ``separated_form``
+    (coef, a, b) of ``kind`` along ``axis``: D = d/dt and lead = i*hbar
+    in time ("t"), D = d^2/dx^2 and lead = -hbar^2/2m in space ("x")."""
+    coef, a, b = separated_form(kind, axis, q)
+    value = y(u)
+    require_everywhere(value != 0, f"{'time' if axis == 't' else 'space'} factor vanished",
+                       **{axis: u})
+    order, lead = (1, 1j * hbar) if axis == "t" else (2, -hbar * hbar / (2.0 * m))
+    d = (method.partial(y, (u,), axis, order) if a is None
+         else method.powered(y, (u,), axis, a, order))
+    resid = lead * coef * d - lam * value_power(y, value, b, u)
+    return _scaled(resid, value)
+
+
 def separated_time_residual(kind: SolutionKind, f, q: float, lam: float,
                             hbar: float, t, method: DerivativeMethod) -> complex:
-    """Residual of the separated time equation at one time (or an array of them).
-
-    q-power form: i*hbar d/dt[f^q] - lam*f.
-    NRT form:     i*hbar(2-q) f' - lam*f^(2-q).
-    """
-    coef = time_coefficient(kind, q)
-    value = f(t)
-    require_everywhere(value != 0, "time factor vanished", t=t)
-    if kind is SolutionKind.NEW:
-        dfq = method.powered(f, (t,), "t", q, 1)
-        resid = 1j * hbar * dfq - lam * value
-    else:
-        d1 = method.partial(f, (t,), "t", 1)
-        powered = value_power(f, value, 2.0 - q, t)
-        resid = 1j * hbar * coef * d1 - lam * powered
-    return _scaled(resid, value)
+    """Residual of the separated time equation (``separated_form`` along
+    "t") at one time (or an array of them)."""
+    return _separated_residual(kind, "t", f, q, lam, None, hbar, t, method)
 
 
 def separated_space_residual(kind: SolutionKind, g, q: float, lam: float,
                              m: float, hbar: float, x,
                              method: DerivativeMethod) -> complex:
-    """Residual of the separated space equation at one position (or an array).
-
-    q-power form: -(hbar^2/2m) g'' - lam*g^q.
-    NRT form:     -(hbar^2/2m) (g^(2-q))'' - lam*g.
-    """
-    require_space(kind, q)
-    value = g(x)
-    require_everywhere(value != 0, "space factor vanished", x=x)
-    kinetic = -hbar * hbar / (2.0 * m)
-    if kind is SolutionKind.NEW:
-        d2 = method.partial(g, (x,), "x", 2)
-        powered = value_power(g, value, q, x)
-        resid = kinetic * d2 - lam * powered
-    else:
-        d2 = method.powered(g, (x,), "x", 2.0 - q, 2)
-        resid = kinetic * d2 - lam * value
-    return _scaled(resid, value)
+    """Residual of the separated space equation (``separated_form`` along
+    "x") at one position (or an array of them)."""
+    return _separated_residual(kind, "x", g, q, lam, m, hbar, x, method)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +306,8 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     the point residual is called once, on the whole mesh; a bare scalar
     sampler (or potential) is first lifted onto arrays.  Scan order is
     t-major, then x: ``worst_point`` is the first maximum in that order,
-    ``l2`` is summed in it, and a domain error (a non-finite residual
+    ``l2`` is summed in it (scaled by ``max_abs`` only where the plain
+    sum of squares overflows), and a domain error (a non-finite residual
     included) names the first offending point.  ``lam`` is required for
     the separated tags.  Only ``new-phi`` and ``nrt-field`` take a
     potential, and it must be a finite real number at every grid x, as
@@ -367,10 +357,15 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
         raise DomainError(f"residual not finite at (x={float(x.flat[k])!r}, "
                           f"t={float(t.flat[k])!r}): {r[k]} [while scanning {equation}]")
     worst = int(np.argmax(r))
+    with np.errstate(over="ignore"):
+        sum_sq = np.cumsum(r * r)[-1]
+    # where the squares overflow, they are summed scaled by the largest
+    l2 = (math.sqrt(sum_sq) if math.isfinite(sum_sq)
+          else float(r[worst]) * math.sqrt(np.cumsum((r / r[worst]) ** 2)[-1]))
     return ResidualReport(
         equation=equation,
         max_abs=float(r[worst]),
-        l2=math.sqrt(np.cumsum(r * r)[-1]),
+        l2=l2,
         worst_point=(float(x.flat[worst]), float(t.flat[worst])),
         n_samples=r.size,
     )

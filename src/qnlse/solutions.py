@@ -9,8 +9,9 @@ and their closed-form free-particle solutions.
 
 This module is the one place that knows each equation's admissible q
 (``admits_time``, ``admits_space``, with the single pole threshold
-``EPS_Q_ONE``), its separated time coefficient, its space root and its
-normalized marched form (s, coef); every other layer asks it.
+``EPS_Q_ONE``), its separated forms (``separated_form``), its separated
+time coefficient, its space root, its normalized marched form (s, coef)
+and the closed form a march of it reproduces; every other layer asks it.
 
 The closed forms are the traveling q-plane wave
 ``[1 + i(1-q)(px - Et)/hbar]^(1/(1-q))``, its evaluation through the
@@ -126,11 +127,32 @@ def space_root(kind: SolutionKind, q: float) -> float:
     return math.sqrt(2.0 * (2.0 - q) * (3.0 - q))
 
 
+def separated_form(kind: SolutionKind, axis: str, q: float) -> tuple:
+    """(coef, a, b) of the separated equation of ``kind`` along ``axis``:
+    i*hbar*coef d/dt[f^a] = lam*f^b ("t") or -(hbar^2/2m)*coef (g^a)'' =
+    lam*g^b ("x"), where a None differentiates the factor itself, not a
+    power of it.  The q-power equation reads (1, q, 1) in time and
+    (1, None, q) in space, NRT (2-q, None, 2-q) and (1, 2-q, 1)."""
+    if axis == "t":
+        c = time_coefficient(kind, q)
+        return (1.0, q, 1.0) if kind is SolutionKind.NEW else (c, None, c)
+    require_space(kind, q)
+    return (1.0, None, q) if kind is SolutionKind.NEW else (1.0, 2.0 - q, 1.0)
+
+
 def marched_form(kind: SolutionKind, q: float) -> tuple[float, float]:
     """(s, coef) of the normalized marched form i*hbar*coef dchi/dt = H[chi^s]:
     (1/q, 1) for the q-power equation in phi, (2-q, 2-q) for NRT."""
     c = time_coefficient(kind, q)
     return (1.0 / c, 1.0) if kind is SolutionKind.NEW else (c, c)
+
+
+def manufactured_field(kind: SolutionKind, spec: FreeParticleSpec):
+    """The closed form a march of ``kind`` reproduces exactly: the q-power
+    equation evolves phi = (q-plane wave)^q, NRT its separated product."""
+    if kind is SolutionKind.NEW:
+        return q_plane_wave_field(spec).pow(spec.q)
+    return product_solution_field(kind, spec)
 
 
 # ---------------------------------------------------------------------------

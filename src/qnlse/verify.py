@@ -41,7 +41,6 @@ from .integrators import (
     convergence_study,
     fit_observed_order,
     interior_linf_error,
-    manufactured_field,
     propagate,
     sample_field,
     stream_frames,
@@ -71,6 +70,7 @@ from .solutions import (
     admits_time,
     classical_plane_wave_field,
     closed_form,
+    manufactured_field,
     product_solution_field,
     q_plane_wave_field,
     q_plane_wave_hypergeometric,

@@ -7,8 +7,9 @@ on purpose records the new digests here, from
     QNLSE_SEED=42 qnlse verify | sha256sum
     QNLSE_SEED=42 qnlse verify --format csv | sha256sum
 
-and, for the marches, from ``march_digests(seed)`` below; and it says
-which moved, and by how much.
+for the marches, from ``march_digests(seed)`` below, and for the CLI
+reports from ``cli_runs()`` below; and it says which moved, and by how
+much.
 
 With another numpy the test skips: numpy's ``log``, ``exp`` and complex
 arithmetic are not correctly rounded, and may round a last bit
@@ -71,6 +72,188 @@ MARCH_DIGESTS = {
 }
 
 
+# sha256 of the --out file of each CLI row, run at every q of CLI_QS
+# (limit takes no q) and in both report formats: (q, json), (q, csv), ...
+# in CLI_QS order.  The rows cover every residual tag on its own closed
+# form, one cross pairing, the separated-ODE studies of both equations,
+# compare and limit.
+CLI_QS = ("0.7", "1.0", "1.5")
+CLI_DIGESTS = {
+    "residual --equation new --form field --method analytic": (
+        "ec628e72ee413242d62028acb61f0fcbe2e6b5a0f6ce84e00f41e237b6cd5523",
+        "a4d1c3292b4b3106598d9d91023bd42babfdd56c04937e731123a7dc015cf7ac",
+        "607339fe220314699ac7784445c645b42bff6b3fde6a9d8a90cd02619cdffd89",
+        "57bf64fe4db39890dd517c2d58a6abc3d99e827654f63c6c4b600ed83b49fa91",
+        "948ef741c09af1c10c792fa6fe2e5441ac54872c55cd87610c74079378a608f8",
+        "06446a9c690743af592e4819c7c930682848f2a116d3c4bcfc948be2e6263efb",
+    ),
+    "residual --equation new --form field --method fd": (
+        "e114a76d94bbc9c3f8844128f37d1f3b061cf8a833d3eda507996e0df577c09d",
+        "04fa9d230d71d30f26cd53e2e7307770d4d979816f9739a09d0fec2b0b10b5db",
+        "ec0fd5e9ca1f6c98d51ebbc43c0359ed6ef0e3a5c00268aba16fcda5afd14c63",
+        "d48c56f420d09c28a2aa018fd895aed2ae8194efd6ee91508abfd29785b2eca4",
+        "1d0cd6fb3e9ad72bf580e2fabe4efbdbf20ee0d47519a68588bfe8af1f98aca7",
+        "412df314f2d8b75a44144214179075f137651388d8a525b1adb28458aab4983d",
+    ),
+    "residual --equation new --form phi --method analytic": (
+        "add966c3fc795aa8ee86992aaa2d6f0ca2d7a428ac24edc82f4d26759ede01ff",
+        "e60a788f787597db9c1bb4339e48065409e1be3d80f2cdf9ff980450e2452f31",
+        "b29fc425aad05e402ad4aee6461a525df0d1a101841b3c712b8908c5638d2054",
+        "f8c5f9891dec06c8ea9afb4093cd65e00690e54731d4824008bca1c0bfa18dd9",
+        "6a492b6122c9ba6166452b927baf709b38e04a6f3c8b9c61092f08ebc884bf2b",
+        "85b8f9b0bd249fe40b4384006ed4b3931afb7aa8553cb3a6c29a6565e4b60fd8",
+    ),
+    "residual --equation new --form phi --method fd": (
+        "20d9480fc8c6de4347acc071686ab525c6ac4b231efece91fc7752ceb2140fc3",
+        "a52b9750513abe533ff8a7cdd856e33ebf7438daf5a9f1c16f01433a139bf7c0",
+        "7f075d9b0c349b6388087ac29ee22b97a298f3013547a2be9c5e61dfcd8400f2",
+        "07c166c7825673e69e406de141aebd1403ea3aa2f8180621f8f16d4d6217e920",
+        "a41d8cbb8ce15eafcb59cb1172c1be69f27eb1466bf4607d4fea1c02d44dc6db",
+        "b6f0b040a568e63635cff7f5f35785337b5ed7c9103234e11a30d8898eb65270",
+    ),
+    "residual --equation nrt --form field --method analytic": (
+        "61f93391b88e55646e7baa9368e1645c99bda59143a545b0c6884da29c1c15de",
+        "c19b6b7d4fbb14954809542d059cbe5e473dd297f03d24c1dee1764b0d4302fe",
+        "60b01e3a93c5036c11ef4e14a0bd3343edf97118271484e1a3f8b752e9811309",
+        "088ee2e5a70ab871c4747dc483a42f424b4b4ad19e1feeb04a1c8972fd95de06",
+        "04f01ca0e35f0892510b72e158ecd434839f415572226bb3ab234d51192c99d7",
+        "e5ee4fbd0467eddc3a0e4c3b130b86aeeb5cb974d02f3bff93eac3922b90a222",
+    ),
+    "residual --equation nrt --form field --method fd": (
+        "1502d6e22a89c6ead4c8b145aea366ddf888859b0b3746d8d361de417a224cd9",
+        "710cbd162db37758c27f7823ba270e95a2609fbbada52938ff7fdddb776a9aaa",
+        "04773d365902670508a9cf65ffcf7672a14f82f80e26de9ed5b2ae52bd40ec0e",
+        "0e55482a4c9c4f3608c1ad87f88e5609d7cf56c6bccefb74ebb657077769118a",
+        "aff0161c507a2b3b9796df4a41fe96fe272d6abf187cfa4f263712a95c25a823",
+        "fd364fd57e8d44508e8c1e02c7080841e74f71f22db7ee7c252c44cc793cd5a7",
+    ),
+    "residual --equation new --form time --method analytic": (
+        "9fdd553557e02c065f4b8e42f88cd1ecd8e0da1055b5ad808360b938ec824cd8",
+        "c466224d96d421f399b83f1a9b4f6aef30ac33f04460f230031a94d63c0b0c17",
+        "15d95c5e8220671af6085efadfef4d3c7d7234961bc987a40240eb18b988da9b",
+        "bdc2fd89fc9df4ef210519b3e4a7812fccda7fb0f22cfed5e4cf4357dced1a7e",
+        "4856c1016e5734dc4ead79560a153f7a524f0e8342852837aa418b7960998d52",
+        "cb57f19325143a3660f6cb9585820f322d4d4f0f9890a105ef6251d39aff0e22",
+    ),
+    "residual --equation new --form time --method fd": (
+        "7ea9177747efcbd19016c4192f50b66263680d70e90537b993ff33968d15e68f",
+        "37b89bb3fb62ce6e909a52ffdfaf1f88c93560ddb26c79113e0d21b290a71eda",
+        "989f8687d565c805815aadb59663a1531b6dd7fd675b20af4baefa56f43b901b",
+        "e36af40f1b22913b9bc6445392e95039ffe71d7ab9470f245feca149f8e17e0c",
+        "9a8ead4709e44b19520a1d4fa84f1c799a55411be85617665314f8bcd75b74fc",
+        "1c6bec36bed671fa1e36f15c7ef9466478e4d80a61a4453eae2d7a5d30b3963f",
+    ),
+    "residual --equation nrt --form time --method analytic": (
+        "4fcd7cb3c46111b2ae82a97c77b4927fb18dfe35e56439d10b3695d7cc5a950f",
+        "496a9535ff2f7742da6fe31e6832972494bacaf4668835e1756770fcbbe48d06",
+        "62987c0e122516625f3ca575bf8764c5c0eebd3eb1faacfcdfd55b137c70e8bf",
+        "8d4872a81b766b12709721c454245d692fdcec0cf1837624eb4272119927e52d",
+        "a9e20ddb6d3e75bd2c31e1e74c636596b3d13f53c82a642fc375df6b31d16ffd",
+        "f72c05139cc24658415a8df1db8ee5519bcdcb82754df78ced74992a1d62db4a",
+    ),
+    "residual --equation nrt --form time --method fd": (
+        "74fce460d6d63b1ada914141b1955fbdec015ecb73d228f54e922494b5b53287",
+        "3d706294ce9334e8844310a8c8cd2331d99fdb0d6d5c39cd19e7711d92a0cb64",
+        "8d5cd5276b600c6d98de0c15bc14ef8db2cfe98f7230d49c23c7cd98e1e4b250",
+        "54714b1c49801d9b0824b22a1cfcb21da401926113014cb0de0879da844aa0f1",
+        "7f50cd8258178a6f1aad29861314fbba5197f84a678ac8c97a36bf4aa1f30000",
+        "c2ce9117b87b0411317ea4711e527b3e2379997ea2a7a3484489b3ed24563083",
+    ),
+    "residual --equation new --form space --method analytic": (
+        "5846e3b3faf632c20c8eb8abf7b0bfe713698dec60816298836f2f0210b14439",
+        "12e0264ca7001275ef99bddfd8f78bd04599a8637a31b1053a2e15444fce3bae",
+        "ab9b50e2b26308c338ed93937131ed71951cfeabb298add7a7c4965760c5c51d",
+        "8c7206f90ed57cb85caef6e120bb7d75f98f5622111efc3b6c2362f9e9ebb7a9",
+        "c91afaba94bfda718169a7aded589a39ec6b8e09726f53c94d47e76d4706804f",
+        "33237b213fbdb39fc7f663df8609aa0990416f12cc26faba48bd6dfd10be0211",
+    ),
+    "residual --equation new --form space --method fd": (
+        "4a79c3704046a442b1d98ebd933b32cc2837bbb52f1c822b54c8301b4e3763e0",
+        "312d949d9a6f50558806fe5e38ddbc26258d59d85561e74616b49dad29100756",
+        "15698eae9441c2051fe3551ba49a26517cf86c0d5e928a15d7a5f9bbb4579eba",
+        "6d502f1c8f61736101ad13615ea1ed1187f30e85548d67bb8fb4c6fb3d37a4c1",
+        "5546abb9d57af38a37ad5a8e2f1263a72cd583f92c3b3251312071fe71922ec4",
+        "55275186fd1170e874d609cb7e3d3f932496f0a0f60818772726a12fdc68bf89",
+    ),
+    "residual --equation nrt --form space --method analytic": (
+        "45ff53a3c753982c41e450c064e225ec82e663c89eb2499e4246d7edfc9f47ed",
+        "f083666214a9209a590fda52b710c08d354b12d24df686a7432a740f540e656d",
+        "c875e5b7e5fb0048b1f34485ee928428f251a32bf5af35a33f5f0ad14403a40b",
+        "c6b32fbadeee7236a7bb4748799731adfb39503c788cb51871b8494e8641728d",
+        "07e5489cedf4f28960f8893433abaff5373ff850cd20218868223d61e971b42e",
+        "433723f3af8a588d9acbb6dd5adb8534729ea4db9d412849da7656987044c616",
+    ),
+    "residual --equation nrt --form space --method fd": (
+        "b2c26927c1d9557f2912892f78d801c74bd0fa03900911907cb7fe0cd52e3579",
+        "803ed60956c24e6e16970798e20d0018e0858f96cbc083d89559e5a6a95b0986",
+        "88d965ca02471a0cf8863cb7b827555c3275965db4932364ccb6fe28c19c4c25",
+        "7522a060d8dbd41b905020b210d416dd1fdf10fbc6f335ed888b2e0c94ba1b24",
+        "dd4697bbeb92cbf93ecc4b788626ebff2fe95194b4f951edeb5ade9b961d48a6",
+        "b4a2570eae5eb629dde6ac8434b7aa0017579d4656bcd1fdb440a51737389f67",
+    ),
+    "residual --equation new --form space --solution nrt --method analytic": (
+        "63ed9eddb355d24887c655a5691c228acd9fe79f43a427276f1185f2e0eab094",
+        "5ac10de89b4a91172b3415e8e44db2fa055d8804555a20644f3ab6e14caf91cb",
+        "0be5fc7e9b3f9607ea765bd27aad568e125545507e5c0ec487730d304d1f5286",
+        "5f2895d8c510621f1010964009759f09bddb755bd619df66a52336f618c084e1",
+        "e54ddef733c2d2eb10eec7a8e7469f62f75f0a6d610dcbeb9b9d32756846ddd8",
+        "338f33fab916b3b30f269938b690fb7e7aa54f6efca03ca37ba4754facfece65",
+    ),
+    "residual --equation new --form space --solution nrt --method fd": (
+        "888b8b64ad46935ef9eb3637d90f1412a8063045871f4294b36b9f789f9def71",
+        "4d73b2c5c154c08a4e971a8ea5102734554d95da3d1209aba5af619886b21d67",
+        "d1e6f78bef5614b792cbecba8dac2f59b7c3a317da9702d610dd4d70c70ae44e",
+        "a5c94fad67723e5b2d2344d2e6f1f52e93a68359cd6b06d2531e53dd888e5350",
+        "29641fef5461aa6aeadaf716495c2fd28a0a11044dedd4798f633d5fddf63970",
+        "e605177599cfeef14cc5c4e136338d8428f6d758a075e12e14d8f705b73d35a9",
+    ),
+    "converge --study ode-time --equation new": (
+        "d36de92e014ca81bbc13601045c45e167c547d45873e1f4eb2e6d5a827a66323",
+        "af69e15bd0477639c0f3ebcf675aa337a31c3f68ac73f413346461d599a10c6f",
+        "fc2fa6e9f92dbb93ca10f0b807e3d32886db39c193c7cc9cc45eaa19b64a4361",
+        "d179749b61a3642f4ae828e56a3be1e1fc8b8a80b2330e65663dbd95dfe6f830",
+        "0c6b45460e13aa80df73bb7e1b3fd423ca3ef481ab148ec4b6d6a08aec01541f",
+        "073de822c0166ae4b460c7cf6d4b39ddc05b7f476a31202c1f0dc5bf0c063920",
+    ),
+    "converge --study ode-time --equation nrt": (
+        "b094f0035c71e5af70cb8ddb443bf648acf3c3646d4c41ea26de5e08bc5b1792",
+        "455081f517ccc9d6e9c07c3c1ba574eebedf7bcfd907b8d73d4c08fa44f7cdbe",
+        "97ec03d09d94145d6251c9052c5c441fb397a09d8960a89bb296698308ad20f1",
+        "c8d2bc1647d0b1b6d82fc03c147154dd965032ee3b9b487165d480c152c5e8bd",
+        "fcbcf10cec665a727f8c70d7ba34b591a654fac45b232eac05ba596e21724343",
+        "417461a1ae1645e11d6f36a504d034975832bbec70b84286d7f65e900c6f990e",
+    ),
+    "converge --study ode-space --equation new": (
+        "01a04a8fc940350a93922109347d517d1d43d91f08fdc098f0fae2bae6e41ae9",
+        "722e039488c07a0724f3f9995644eb6c97eb7920b9d7156bd36414a9b9819be8",
+        "e6ebf7711973b6d4f9594e801052eb7ca32efd6914061f3a6755565e4b900b07",
+        "6f9314882a61c63ff8bde1eae9f60ba3e148527098fbcb15a48131397acb0653",
+        "0b521ad516e7e6b60f4dfb98e5af0ff8789a439e2691bbaf881f0b68942352e6",
+        "196017018f4dee55132bbc50a12af87b82bff0b60d17d2a854e71c5b8bb17adf",
+    ),
+    "converge --study ode-space --equation nrt": (
+        "57e82fae566f0fc96df4208f95c9ad7ea4e41274e5523dde1c30fcb7c87a13ea",
+        "4350d6e8ab5bbd915fb37cb4ced556b136fbf679b350c50d468a441bfaa61172",
+        "73d175f3a0bd86ae1af9c97f46534317e4b9e0c847c45e52c742d72c233a1db1",
+        "8a2b208cbad32bf026f8ca0be83a500609ad5db4a499e85475ed5da5c6ce0641",
+        "d61f5092ecc08f2eea35915982fe2769b90439821fc57e06e555b2499221de3c",
+        "1638639779408d1daac24721dcd9c94e33766c50c48b09335e556f5f9888dae2",
+    ),
+    "compare": (
+        "bb10031306fa368b90f1e45484ed6ab5333c0166d28ce85ec53460dc807bfd8f",
+        "958cfbf687358a36ee803982835626114eb47b7f91e648ce6dd4b84bfbf0c04d",
+        "f60269b64d72c6d5ce0b57ae09e9d269212018e2c1dbf47b2007999b195a3efc",
+        "fa8a4cc3ad3b6050c7c6463cde9e84bba054a1507e9cf1b828a80f403b77332a",
+        "351c66591930ec1af85c7e098642bff894ee6f1cd586dff17e900adbdd32d16d",
+        "3b2224b7ee1565dc40eba836478b9b579d27a74e6f441846aabecbd857920ddf",
+    ),
+    "limit": (
+        "8ce1c1b66b9c8c9fa1501d68119f96a42ea41cfea76b30cf9f8b16fb4a80ee02",
+        "ffe9114e2f2084994210168bd1364f0d67ec8db8c7579f772375f958e2008c3a",
+    ),
+}
+
+
 @pytest.fixture(autouse=True)
 def recorded_numpy():
     if np.__version__ != NUMPY_VERSION:
@@ -103,3 +286,22 @@ def march_digests(seed: int) -> list:
 def test_march_plan_frames(monkeypatch, seed):
     monkeypatch.syspath_prepend(str(BENCH))
     assert march_digests(seed) == MARCH_DIGESTS[seed]
+
+
+def cli_runs() -> list:
+    """(argv, recorded digest) of every CLI run of ``CLI_DIGESTS``."""
+    runs = []
+    for row, digests in CLI_DIGESTS.items():
+        qs = [[]] if row == "limit" else [["--q", q] for q in CLI_QS]
+        argvs = [row.split() + q + ["--format", fmt] for q in qs for fmt in ("json", "csv")]
+        runs += zip(argvs, digests, strict=True)
+    return runs
+
+
+@pytest.mark.parametrize("argv, digest",
+                         [pytest.param(argv, digest, id=" ".join(argv))
+                          for argv, digest in cli_runs()])
+def test_cli_report(tmp_path, argv, digest):
+    out = tmp_path / "report"
+    main([*argv, "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

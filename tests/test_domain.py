@@ -3,6 +3,7 @@ exactly as the rule in ``solutions`` that it depends on."""
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -133,6 +134,26 @@ def test_entry_point_follows_its_rule(capsys, call, admits, kind, q):
                 call(kind, q)
 
 
+# how solutions words the refusal of each separated equation's inadmissible q
+SEPARATED_REFUSALS = {
+    "time": [(NEW, 0.0, "the q-power time equation requires q != 0, got q=0.0"),
+             (NRT, 2.0, "the NRT time equation requires q != 2, got q=2.0")],
+    "space": [(NEW, -1.0, "the q-power space equation requires q > -1, got q=-1.0"),
+              (NRT, 2.5, "the NRT space equation requires q != 2 and (2-q)(3-q) > 0, "
+                         "got q=2.5")],
+}
+
+
+@pytest.mark.parametrize("call, kind, q, message", [
+    pytest.param(call, kind, q, message, id=f"{call.__name__}-{kind.value}")
+    for call, axis in [(ode_time, "time"), (time_residual, "time"),
+                       (ode_space, "space"), (space_residual, "space")]
+    for kind, q, message in SEPARATED_REFUSALS[axis]])
+def test_separated_entry_point_refuses_q_in_the_words_of_solutions(call, kind, q, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(kind, q)
+
+
 @pytest.mark.parametrize("q", NON_FINITE_Q)
 @pytest.mark.parametrize("kind", list(SolutionKind))
 def test_non_finite_q_is_refused_as_not_finite(kind, q):
@@ -153,9 +174,11 @@ def test_propagate_cli_refuses_a_non_finite_q_on_one_error_line(capsys, kind, q)
     assert captured.err.splitlines() == [f"error: --equation {kind}: q must be finite, got q={q}"]
 
 
-@pytest.mark.parametrize("bad", NON_FINITE_Q)
+@pytest.mark.parametrize("bad", [*NON_FINITE_Q, 10**400],
+                         ids=["inf", "-inf", "nan", "int-beyond-float"])
 def test_non_finite_potential_is_refused_before_the_march(monkeypatch, bad):
-    # it was a march failure: "field value became non-finite at step 0, index 1"
+    # it was a march failure: "field value became non-finite at step 0, index 1";
+    # an int beyond every float escaped as float()'s OverflowError
     def no_march(*args):
         raise AssertionError("the kernel ran")
 

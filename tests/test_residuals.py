@@ -232,6 +232,16 @@ class TestSeparatedResiduals:
         assert r1.max_abs > 1e-3
         assert r2.max_abs > 1e-3
 
+    @pytest.mark.parametrize("kind", list(SolutionKind))
+    @pytest.mark.parametrize("residual, message", [
+        (lambda kind, y: separated_time_residual(kind, y, 1.5, 1.0, 1.0, 0.25, AN),
+         r"^time factor vanished at \(t=0\.25\)$"),
+        (lambda kind, y: separated_space_residual(kind, y, 1.5, 1.0, 0.5, 1.0, 0.25, AN),
+         r"^space factor vanished at \(x=0\.25\)$")], ids=["time", "space"])
+    def test_vanished_factor_is_named_with_its_coordinate(self, kind, residual, message):
+        with pytest.raises(DomainError, match=message):
+            residual(kind, lambda u: 0j)
+
     def test_nrt_q2_rejected(self):
         f = separated_time_curve(SolutionKind.NEW, FreeParticleSpec(q=2.0))
         with pytest.raises(DomainError):
@@ -270,6 +280,18 @@ class TestScan:
         assert rep.n_samples == 101 * 11
         assert rep.l2 <= rep.max_abs * math.sqrt(rep.n_samples) + 1e-30
         assert rep.max_abs >= 0
+
+    def test_l2_of_residuals_whose_squares_overflow_is_finite(self):
+        # a 1e200 potential makes every residual about 1e200: l2 was inf,
+        # with numpy's overflow warning
+        spec = FreeParticleSpec(q=1.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = scan_residual("nrt-field", product_solution_field(SolutionKind.NRT, spec),
+                                GridSpec(-1.0, 1.0, 5, 0.01, 1), AN, q=spec.q, m=spec.m,
+                                hbar=spec.hbar, potential=lambda x: 1e200)
+        assert rep.max_abs > 1e199
+        assert rep.max_abs <= rep.l2 <= rep.max_abs * math.sqrt(rep.n_samples)
 
     def test_constant_field_scan_is_exactly_zero(self):
         # a constant field solves the free q-power equation with zero
@@ -359,7 +381,9 @@ class TestScan:
         (1j, "potential is not a real number at x=-1.0"),
         ("a", "potential is not a real number at x=-1.0"),
         (math.nan, "potential is not finite at x=-1.0"),
-        (math.inf, "potential is not finite at x=-1.0")], ids=["complex", "str", "nan", "inf"])
+        (math.inf, "potential is not finite at x=-1.0"),
+        (10**400, "potential is not finite at x=-1.0")],
+        ids=["complex", "str", "nan", "inf", "int-beyond-float"])
     @pytest.mark.parametrize("tag", ["new-phi", "nrt-field"])
     def test_potential_is_refused_as_propagate_refuses_it(self, tag, value, message):
         spec = FreeParticleSpec(q=1.1)
