@@ -3,9 +3,10 @@
 Every closed-form free-particle solution handled by this package has one
 shape, ``A * exp(kx x + kt t) * prod_j (1 + cx_j x + ct_j t) ** s_j``: the
 q-deformed forms are products of powers of affine bases (kx = kt = 0), and
-their q -> 1 limits, the plain exponentials, have no factors.  The curves
-of one variable are ``A * exp(k u) * (1 + c u) ** s`` in the same way.
-Each shape carries
+their q -> 1 limits, the plain exponentials, have no factors.  A curve
+of one variable, ``A * exp(k u) * (1 + c u) ** s``, is the power product
+of one coordinate: one factor with ct = 0 and kt = 0, its u read as x at
+t = 0.  So one class, ``PowerProductField``, carries for every shape
 
 * exact partial derivatives (power rule, no discretization error), and
 * a globally continuous logarithm.
@@ -19,10 +20,12 @@ principal log of each *base* is itself continuous and their weighted
 sum is the continuation anchored at log 1 = 0.
 
 Every method (``__call__``, ``log_value``, ``d_t``, ``d_x``, ``d_xx``,
-``deriv``) broadcasts: coordinates may be floats or ndarrays, and a
-scalar call returns a Python ``complex``, the value an array call gives
-at that point, bit for bit.  A vanished base or a non-finite value
-raises ``DomainError`` naming the first offending point in C order.
+and a curve's ``deriv``) takes the class's coordinates, (x, t) for a
+field and (u,) for a curve, and broadcasts: coordinates may be floats
+or ndarrays, and a scalar call returns a Python ``complex``, the value
+an array call gives at that point, bit for bit.  A vanished base or a
+non-finite value raises ``DomainError`` naming the first offending
+point in C order.
 
 A "sampler" in the rest of the package is any callable (x, t) -> complex.
 Bare scalar callables are still accepted: ``lift_sampler`` applies them
@@ -77,61 +80,42 @@ def finite_exp(log, what: str, **coords):
     return require_finite(value, what, **coords)
 
 
-# Decorates each log_value: an infinite coordinate makes the log nan
-# (0 * inf), and the value's finiteness check then names the point, so
-# numpy need not warn as well.
-_nan_at_infinity = np.errstate(invalid="ignore")
+def _closed_form(cls):
+    """Class decorator: ``__call__``, ``log_value``, ``d_t``, ``d_x`` and
+    ``d_xx`` take the coordinates named by the instance's class
+    (``coords``).
 
-_CALCULUS = ("log_value", "d_t", "d_x", "d_xx", "deriv")
-
-
-def _finite_derivative(what: str, *names: str):
-    """Method decorator: the derivative of a checked value can still
-    overflow (a finite phase times a huge wavenumber), so it is computed
-    without numpy's overflow and invalid-value warnings and raises
-    ``DomainError("<what> derivative is not finite at (...)")`` at the
-    first point where it is not finite."""
-
-    def decorate(method):
-        @functools.wraps(method)
-        @np.errstate(over="ignore", invalid="ignore")
-        def checked(self, *args):
-            coords = dict(zip(names, args))
-            return require_finite(method(self, *args), f"{what} derivative", **coords)
-
-        return checked
-
-    return decorate
-
-
-_field_derivative = _finite_derivative("field", "x", "t")
-_curve_derivative = _finite_derivative("curve", "u")
-
-
-def _scalars_on_arrays(n_coords: int):
-    """Class decorator: a call of ``__call__`` or a calculus method whose
-    ``n_coords`` coordinates are all scalars runs on one-point arrays and
+    A call whose coordinates are all scalars runs on one-point arrays and
     returns that point's value as a Python complex, since numpy's array
     loops round complex products and quotients differently from scalar
-    arithmetic (Python's and numpy's alike)."""
+    arithmetic (Python's and numpy's alike).  Each call runs without
+    numpy's overflow and invalid-value warnings: an infinite coordinate
+    makes the log nan (0 * inf), and the value's finiteness check then
+    names the point.  A derivative of a checked value can still overflow
+    (a finite phase times a huge wavenumber), so it raises
+    ``DomainError("<noun> derivative is not finite at (...)")`` at the
+    first point where it is not finite."""
 
     def wrap(method):
+        derivative = method.__name__.startswith("d_")
+
         @functools.wraps(method)
-        def call(self, *args):
-            coords = args[:n_coords]
-            if any(map(np.ndim, coords)):
-                return method(self, *args)
-            return complex(method(self, *map(np.atleast_1d, coords), *args[n_coords:])[0])
+        def call(self, *coords):
+            if len(coords) != len(self.coords):
+                raise TypeError(f"{method.__name__}() takes the coordinates {self.coords}")
+            if not any(map(np.ndim, coords)):
+                return complex(call(self, *map(np.atleast_1d, coords))[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = method(self, *coords)
+            if not derivative:
+                return value
+            return require_finite(value, f"{self.noun} derivative", **self._named(coords))
 
         return call
 
-    def decorate(cls):
-        for name in ("__call__",) + _CALCULUS:
-            if name in vars(cls):
-                setattr(cls, name, wrap(vars(cls)[name]))
-        return cls
-
-    return decorate
+    for name in ("__call__", "log_value", "d_t", "d_x", "d_xx"):
+        setattr(cls, name, wrap(vars(cls)[name]))
+    return cls
 
 
 @dataclass(frozen=True)
@@ -146,7 +130,7 @@ class AffineFactor:
         return 1.0 + self.cx * x + self.ct * t
 
 
-@_scalars_on_arrays(2)
+@_closed_form
 class PowerProductField:
     """A * exp(kx*x + kt*t) * prod_j (1 + cx_j x + ct_j t) ** s_j with exact
     calculus.
@@ -157,6 +141,9 @@ class PowerProductField:
     everywhere and the assumption holds on the whole plane.
     """
 
+    coords = ("x", "t")
+    noun = "field"
+
     def __init__(self, factors, amplitude: complex = 1.0 + 0j,
                  kx: complex = 0j, kt: complex = 0j):
         self.factors = tuple(factors)
@@ -164,31 +151,36 @@ class PowerProductField:
         self.kt = complex(kt)
         self.amplitude = complex(amplitude)
         if self.amplitude == 0:
-            raise DomainError("field amplitude must be nonzero")
+            raise DomainError(f"{self.noun} amplitude must be nonzero")
         self._log_amp = cmath.log(self.amplitude)
 
-    def _bases(self, x, t):
+    def _named(self, coords) -> dict:
+        return dict(zip(self.coords, coords))
+
+    def _bases(self, coords):
+        """(x, t, the factors' bases) at the class's coordinates."""
+        x, t = coords if len(coords) == 2 else (coords[0], 0.0)  # a curve's u is x at t = 0
         bases = [f.base(x, t) for f in self.factors]
         for b in bases:
-            require_everywhere(b != 0, "field base vanished", x=x, t=t)
-        return bases
+            require_everywhere(b != 0, f"{self.noun} base vanished", **self._named(coords))
+        return x, t, bases
 
-    @_nan_at_infinity
-    def log_value(self, x, t):
+    def log_value(self, *coords):
+        x, t, bases = self._bases(coords)
         total = self._log_amp + self.kx * x + self.kt * t
-        for f, b in zip(self.factors, self._bases(x, t)):
+        for f, b in zip(self.factors, bases):
             total += f.s * np.log(b)
         return total
 
-    def __call__(self, x, t):
-        return finite_exp(self.log_value(x, t), "field value", x=x, t=t)
+    def __call__(self, *coords):
+        return finite_exp(self.log_value(*coords), f"{self.noun} value", **self._named(coords))
 
-    def _log_grads(self, x, t):
+    def _log_grads(self, coords):
         # d/dx log, d/dt log, d2/dx2 log
         lx = self.kx
         lt = self.kt
         lxx = 0j
-        for f, b in zip(self.factors, self._bases(x, t)):
+        for f, b in zip(self.factors, self._bases(coords)[2]):
             lx += f.s * f.cx / b
             lt += f.s * f.ct / b
             lxx -= f.s * (f.cx / b) ** 2
@@ -196,20 +188,17 @@ class PowerProductField:
 
     # each derivative takes the value first, which checks the point
 
-    @_field_derivative
-    def d_t(self, x, t):
-        value = self(x, t)
-        return value * self._log_grads(x, t)[1]
+    def d_t(self, *coords):
+        value = self(*coords)
+        return value * self._log_grads(coords)[1]
 
-    @_field_derivative
-    def d_x(self, x, t):
-        value = self(x, t)
-        return value * self._log_grads(x, t)[0]
+    def d_x(self, *coords):
+        value = self(*coords)
+        return value * self._log_grads(coords)[0]
 
-    @_field_derivative
-    def d_xx(self, x, t):
-        value = self(x, t)
-        lx, _, lxx = self._log_grads(x, t)
+    def d_xx(self, *coords):
+        value = self(*coords)
+        lx, _, lxx = self._log_grads(coords)
         return value * (lx * lx + lxx)
 
     def pow(self, s: float) -> "PowerProductField":
@@ -230,43 +219,24 @@ class ExponentialField(PowerProductField):
         super().__init__((), amplitude, kx, kt)
 
 
-@_scalars_on_arrays(1)
-class PowerCurve:
-    """A * exp(k*u) * (1 + c*u) ** s, one-variable analogue of the power
-    product."""
+class PowerCurve(PowerProductField):
+    """A * exp(k*u) * (1 + c*u) ** s: the power product of the one factor
+    (1 + c*x) ** s with kx = k, whose one coordinate u is x at t = 0."""
+
+    coords = ("u",)
+    noun = "curve"
 
     def __init__(self, c: complex, s: float, amplitude: complex = 1.0 + 0j,
                  k: complex = 0j):
         self.c = complex(c)
         self.s = float(s)
         self.k = complex(k)
-        self.amplitude = complex(amplitude)
-        if self.amplitude == 0:
-            raise DomainError("curve amplitude must be nonzero")
-        self._log_amp = cmath.log(self.amplitude)
+        super().__init__((AffineFactor(self.c, 0j, self.s),), amplitude, self.k)
 
-    def _base(self, u):
-        b = 1.0 + self.c * u
-        require_everywhere(b != 0, "curve base vanished", u=u)
-        return b
-
-    @_nan_at_infinity
-    def log_value(self, u):
-        return self._log_amp + self.k * u + self.s * np.log(self._base(u))
-
-    def __call__(self, u):
-        return finite_exp(self.log_value(u), "curve value", u=u)
-
-    @_curve_derivative
     def deriv(self, u, order: int):
         if order not in (1, 2):
             raise DomainError(f"derivative order must be 1 or 2, got {order}")
-        v = self(u)  # checks the point first
-        b = self._base(u)
-        k, s, c = self.k, self.s, self.c
-        if order == 1:
-            return k * v + v * s * c / b
-        return (2 * k * s * c / b + k * k) * v + v * s * (s - 1.0) * (c / b) ** 2
+        return self.d_x(u) if order == 1 else self.d_xx(u)
 
     def pow(self, s: float) -> "PowerCurve":
         return PowerCurve(
@@ -281,7 +251,7 @@ class ExpCurve(PowerCurve):
         super().__init__(0j, 0.0, amplitude, k)
 
 
-_CLOSED_FORMS = (PowerProductField, PowerCurve)
+_CALCULUS = ("log_value", "d_t", "d_x", "d_xx", "deriv")
 
 
 class _Pointwise:
@@ -304,7 +274,7 @@ class _Pointwise:
 def lift_sampler(sampler):
     """``sampler`` itself if it is one of this module's closed forms (they
     broadcast), else a wrapper that applies it point by point."""
-    return sampler if isinstance(sampler, _CLOSED_FORMS) else _Pointwise(sampler)
+    return sampler if isinstance(sampler, PowerProductField) else _Pointwise(sampler)
 
 
 def value_power(sampler, value, s: float, *point):

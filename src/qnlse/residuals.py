@@ -183,6 +183,7 @@ def new_nlse_residual(sampler, q: float, m: float, hbar: float,
                       point: tuple[float, float],
                       method: DerivativeMethod) -> complex:
     """i*hbar*q dF/dt - F^(1-q) * (-hbar^2/2m) d2F/dx2, scaled."""
+    m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
     x, t = point
     value = sampler(x, t)
     require_everywhere(value != 0, "field vanished", x=x, t=t)
@@ -198,6 +199,7 @@ def _normalized_power_residual(sampler, s: float, coef: float, m: float,
                                point: tuple[float, float],
                                method: DerivativeMethod) -> complex:
     """i*hbar*coef d/dt[u_n] - H[(u_n)^s], u_n = u/u(0,0), scaled."""
+    m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
     x, t = point
     value = sampler(x, t)
     require_everywhere(value != 0, "field vanished", x=x, t=t)
@@ -244,6 +246,9 @@ def _separated_residual(kind: SolutionKind, axis: str, y, q: float, lam: float,
     (coef, a, b) of ``kind`` along ``axis``: D = d/dt and lead = i*hbar
     in time ("t"), D = d^2/dx^2 and lead = -hbar^2/2m in space ("x")."""
     coef, a, b = separated_form(kind, axis, q)
+    hbar = positive_scale("hbar", hbar)
+    if axis == "x":
+        m = positive_scale("m", m)
     value = y(u)
     require_everywhere(value != 0, f"{'time' if axis == 't' else 'space'} factor vanished",
                        **{axis: u})

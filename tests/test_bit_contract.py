@@ -1,14 +1,16 @@
 """The bit contract: outputs whose bytes must not move unnoticed.
 
 Each digest is the sha256 of one output, recorded on Linux x86-64 with
-the numpy named by ``NUMPY_VERSION``.  A change that moves these bytes
-on purpose records the new digests here, from
+the numpy named by ``NUMPY_VERSION``: the seed-42 ``qnlse verify``
+report as JSON and CSV, the frames of every march of the benchmark's
+``march_plan``, and the ``--out`` file (or csv frame directory) of every
+CLI row of ``CLI_DIGESTS``.  A change that moves these bytes on purpose
+prints the current digests of all three, in this file's own literal
+format, with
 
-    QNLSE_SEED=42 qnlse verify | sha256sum
-    QNLSE_SEED=42 qnlse verify --format csv | sha256sum
+    PYTHONPATH=src python tests/test_bit_contract.py
 
-for the marches, from ``march_digests(seed)`` below, and for the CLI
-reports from ``cli_runs()`` below; and it says which moved, and by how
+pastes them over the recorded ones, and says which moved, and by how
 much.
 
 With another numpy the test skips: numpy's ``log``, ``exp`` and complex
@@ -20,6 +22,10 @@ recording for that numpy.
 
 import hashlib
 import importlib
+import json
+import os
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -72,11 +78,14 @@ MARCH_DIGESTS = {
 }
 
 
-# sha256 of the --out file of each CLI row, run at every q of CLI_QS
-# (limit takes no q) and in both report formats: (q, json), (q, csv), ...
-# in CLI_QS order.  The rows cover every residual tag on its own closed
-# form, one cross pairing, the separated-ODE studies of both equations,
-# compare and limit.
+# sha256 of the --out file of each CLI row (of a csv frame directory: its
+# file names and bytes in name order), run at every q of CLI_QS (a row
+# that names its --q, and limit, take no other) and in every format:
+# (q, json), (q, csv), ... in CLI_QS order, and svg after csv for
+# propagate.  The rows cover every residual tag on its own closed form,
+# one cross pairing, the ODE and PDE convergence studies of both
+# equations, compare, limit, a short march of both equations and the
+# benchmark's frames-out inputs (q = 1.03, 401 points, 300 steps).
 CLI_QS = ("0.7", "1.0", "1.5")
 CLI_DIGESTS = {
     "residual --equation new --form field --method analytic": (
@@ -128,12 +137,12 @@ CLI_DIGESTS = {
         "fd364fd57e8d44508e8c1e02c7080841e74f71f22db7ee7c252c44cc793cd5a7",
     ),
     "residual --equation new --form time --method analytic": (
-        "9fdd553557e02c065f4b8e42f88cd1ecd8e0da1055b5ad808360b938ec824cd8",
-        "c466224d96d421f399b83f1a9b4f6aef30ac33f04460f230031a94d63c0b0c17",
+        "4b92befb14fc7d7788a12aa83c5e7d17061a5146c045728d8afe1a91439d5edd",
+        "16bf675f44fdd62f7746204531d374136dd45d2781ff279d3fb787c6019661df",
         "15d95c5e8220671af6085efadfef4d3c7d7234961bc987a40240eb18b988da9b",
         "bdc2fd89fc9df4ef210519b3e4a7812fccda7fb0f22cfed5e4cf4357dced1a7e",
-        "4856c1016e5734dc4ead79560a153f7a524f0e8342852837aa418b7960998d52",
-        "cb57f19325143a3660f6cb9585820f322d4d4f0f9890a105ef6251d39aff0e22",
+        "71a87be032574a4abd8c6005fe3d7a6bc5ff6861313a87ea8015c87918397153",
+        "7ce4577b7f68e87eab2adcc0c2ce7db2b43e6aa657e16ab849d37478c3d66e59",
     ),
     "residual --equation new --form time --method fd": (
         "7ea9177747efcbd19016c4192f50b66263680d70e90537b993ff33968d15e68f",
@@ -144,12 +153,12 @@ CLI_DIGESTS = {
         "1c6bec36bed671fa1e36f15c7ef9466478e4d80a61a4453eae2d7a5d30b3963f",
     ),
     "residual --equation nrt --form time --method analytic": (
-        "4fcd7cb3c46111b2ae82a97c77b4927fb18dfe35e56439d10b3695d7cc5a950f",
-        "496a9535ff2f7742da6fe31e6832972494bacaf4668835e1756770fcbbe48d06",
+        "cd8c8edcb0eb8c342cb604de5d5577c495eb3c49e72ac1aaceb8c796f01b863c",
+        "96c1637b54d0997e2321f976a70b0a54bb667fed95bc82ce7d39ae3ea932e518",
         "62987c0e122516625f3ca575bf8764c5c0eebd3eb1faacfcdfd55b137c70e8bf",
         "8d4872a81b766b12709721c454245d692fdcec0cf1837624eb4272119927e52d",
-        "a9e20ddb6d3e75bd2c31e1e74c636596b3d13f53c82a642fc375df6b31d16ffd",
-        "f72c05139cc24658415a8df1db8ee5519bcdcb82754df78ced74992a1d62db4a",
+        "8ed731ccdc970a41e3642ae61f7e61c880537bd7d09a2ea51018e3cc3d49b118",
+        "463d2d666b47c06f05bb04f07d2955de5d39c60a60f35cb18b9650cf610875f1",
     ),
     "residual --equation nrt --form time --method fd": (
         "74fce460d6d63b1ada914141b1955fbdec015ecb73d228f54e922494b5b53287",
@@ -160,12 +169,12 @@ CLI_DIGESTS = {
         "c2ce9117b87b0411317ea4711e527b3e2379997ea2a7a3484489b3ed24563083",
     ),
     "residual --equation new --form space --method analytic": (
-        "5846e3b3faf632c20c8eb8abf7b0bfe713698dec60816298836f2f0210b14439",
-        "12e0264ca7001275ef99bddfd8f78bd04599a8637a31b1053a2e15444fce3bae",
+        "3a6915b8b0555bffc3a8c51919a9e541bab6062456fe72227350c8b985e79d2a",
+        "205e7fa07cd390365a852aaf4fb499851bdc7f82d5f1f696af2b2a168c3d1cf1",
         "ab9b50e2b26308c338ed93937131ed71951cfeabb298add7a7c4965760c5c51d",
         "8c7206f90ed57cb85caef6e120bb7d75f98f5622111efc3b6c2362f9e9ebb7a9",
-        "c91afaba94bfda718169a7aded589a39ec6b8e09726f53c94d47e76d4706804f",
-        "33237b213fbdb39fc7f663df8609aa0990416f12cc26faba48bd6dfd10be0211",
+        "4ee45e96eea52768a13714b3dfd458e4be906f6b823fcfc5d7bdadf492aa9138",
+        "1709c0cc00336ae4ef5e18b45cdc9158b8e38292257f841b7161d92d7f15dcaa",
     ),
     "residual --equation new --form space --method fd": (
         "4a79c3704046a442b1d98ebd933b32cc2837bbb52f1c822b54c8301b4e3763e0",
@@ -176,12 +185,12 @@ CLI_DIGESTS = {
         "55275186fd1170e874d609cb7e3d3f932496f0a0f60818772726a12fdc68bf89",
     ),
     "residual --equation nrt --form space --method analytic": (
-        "45ff53a3c753982c41e450c064e225ec82e663c89eb2499e4246d7edfc9f47ed",
-        "f083666214a9209a590fda52b710c08d354b12d24df686a7432a740f540e656d",
+        "d8de34a76b0ec086ac4cb84dcfea1d55c8ba40c01766181e196cc6dec4b98ee4",
+        "7d2b8a3ccdebcc96f3c5e0b34c55614d02313993fbba49bff4359c7464b7693e",
         "c875e5b7e5fb0048b1f34485ee928428f251a32bf5af35a33f5f0ad14403a40b",
         "c6b32fbadeee7236a7bb4748799731adfb39503c788cb51871b8494e8641728d",
-        "07e5489cedf4f28960f8893433abaff5373ff850cd20218868223d61e971b42e",
-        "433723f3af8a588d9acbb6dd5adb8534729ea4db9d412849da7656987044c616",
+        "0e2a6a98d681fefb443329e0f61a1d845d16cf59bfe225a1db301d32e7fe905a",
+        "14c6405dc270c0a311ac6b1823ad49b5a3b8f9bed82b873fcd16b5a7e1969c47",
     ),
     "residual --equation nrt --form space --method fd": (
         "b2c26927c1d9557f2912892f78d801c74bd0fa03900911907cb7fe0cd52e3579",
@@ -192,8 +201,8 @@ CLI_DIGESTS = {
         "b4a2570eae5eb629dde6ac8434b7aa0017579d4656bcd1fdb440a51737389f67",
     ),
     "residual --equation new --form space --solution nrt --method analytic": (
-        "63ed9eddb355d24887c655a5691c228acd9fe79f43a427276f1185f2e0eab094",
-        "5ac10de89b4a91172b3415e8e44db2fa055d8804555a20644f3ab6e14caf91cb",
+        "bfa6928facf39fb48f9c2de09580f866f5aa39d25c940ccc3f95bd4811aab08a",
+        "ce2940165f8ef32a68065fa27746b4a9a33e01c04189808bb9c9fc9d7bdb85a9",
         "0be5fc7e9b3f9607ea765bd27aad568e125545507e5c0ec487730d304d1f5286",
         "5f2895d8c510621f1010964009759f09bddb755bd619df66a52336f618c084e1",
         "e54ddef733c2d2eb10eec7a8e7469f62f75f0a6d610dcbeb9b9d32756846ddd8",
@@ -238,6 +247,54 @@ CLI_DIGESTS = {
         "8a2b208cbad32bf026f8ca0be83a500609ad5db4a499e85475ed5da5c6ce0641",
         "d61f5092ecc08f2eea35915982fe2769b90439821fc57e06e555b2499221de3c",
         "1638639779408d1daac24721dcd9c94e33766c50c48b09335e556f5f9888dae2",
+    ),
+    "converge --study pde --equation new": (
+        "f4179ccaba653c517f31773eca5d23bc203033089de8ce1daf7adac6735a3721",
+        "e79364cf028d313e12c58270b8d06d7ad2d45180a0d2a38d3d066958569e9278",
+        "d64bb0929ce2ea043883ea441aa52db05df5b433f1c23f84a4cc3babfb82427e",
+        "a2507e7c9537ea33fcac4bfd3c560f98a2008663145b7ca7aa309dbc968b0f7b",
+        "083d8b3f2b8456c9b15ecf86fe9e4c2a026ae9a03150db45361d9b2ef869b04a",
+        "ed79e91e87d23214dbf86d0dd4b85499dee2f89c9e20e3e5cfa06a7cf4e39678",
+    ),
+    "converge --study pde --equation nrt": (
+        "75b3f75bd350bf2f939e34ee60076d83dadc17dd577675238e93f6953a2502c8",
+        "60d4775c4e9943fc3b94394a0e50da6c14329918f515b827f7469e584380fee6",
+        "df8f7ac1796ddd42ed6a31fb666033827d7ced497e7881d54d4620d879101518",
+        "fb6857a4bfb5d0885e9ad9d7224fb6d9e1f8c8f4f54c83052c2e7a029a89ee9d",
+        "c980c6a1f3f50a0140369239e9b9d5d0d0b3abe4077b33201600b0707d9f731e",
+        "e05c718f081cb8f04245894a14e542cf008be09fe6c92d858c01513d3290824c",
+    ),
+    "propagate --equation new --nx 41 --dt 1e-4 --steps 20": (
+        "972ea90cb90428ca4cc325f84feec5eda008ba53c37b5052f75d8a79489d3b1f",
+        "598aff8dda70fa83cce0352784a658a8af36e5811eaaecdce55af1fe24eea08e",
+        "7e370e2b839d0e279783c4cdd110c7ab523a652a41c9dda90d3704c5ecb4c8ce",
+        "6bff34797d9aa3f97fb286b13b7856ce9a833f4b39ef82b782adbd03f26f4737",
+        "86379983aff7661d5ca9fdb4881430e45ac044444a4a931397cd13f1f2216090",
+        "e7ae83423e28f49c1c84373f18e1d3e38b51f6b9a77727e816438e7cca93dc88",
+        "0c6de1ca79417c74fec731d3d2ee0a7ab418332f584a16cb0232394603cb9766",
+        "f307dd0390fed0728803191bbfef3c45ae614aea6c65757a3a3de8c846fa2f0e",
+        "b6c54e61d311cdf6283a83b9f8dc06ece2f13e9053502de140d85d4bb7c7f2cb",
+    ),
+    "propagate --equation nrt --nx 41 --dt 1e-4 --steps 20": (
+        "dc4517dcf81f5e95e7bdbf2eec12b36e6bb9c5994509f86aab0a3705cccd176c",
+        "995a89b89b4a390f57dae0f9b7f3b9c89be900497bab6747f53ed2b57af0c774",
+        "5576af321edf8f9231bd7e177679c1d9bd7dd6d7846371b33f1bd2a2df9c645f",
+        "968df3a0cec8890ace51cffb054798b11ecdef1da98efdd52fc6a3e5f036720f",
+        "86379983aff7661d5ca9fdb4881430e45ac044444a4a931397cd13f1f2216090",
+        "e7ae83423e28f49c1c84373f18e1d3e38b51f6b9a77727e816438e7cca93dc88",
+        "136b467aec476759a25b7fbc6e653892067f4a5502f473c22b014506a4b2bf45",
+        "f6198d8ba9e545e1aa31cd64ac422429453f7e28bc08a7d326eafad107125240",
+        "3a100ad781dfd05d0bed4eafd85bdc4e0dad957892d4ec602dbaa73a0d96e2a7",
+    ),
+    "propagate --equation new --q 1.03 --nx 401 --dt 1e-05 --steps 300": (
+        "818df3cff88d9d10cc76d14bc05b9bb7a5cda98e91ef4efad0ca6d2bf5b5b5a8",
+        "2987e779037b93271f492e5a7d96a5a2af2c5bce4b362d6df4567f6c7e680a20",
+        "bfaf75013e815cd23f73f9ec0d11e701ae2fafecd17cee61fef96464985a6bc4",
+    ),
+    "propagate --equation nrt --q 1.03 --nx 401 --dt 1e-05 --steps 300": (
+        "06681365391d2e035c666fe288fb2582def2e82fbdee69a84148b750cc857fab",
+        "bd21f5b42c2310810c0339c49d7542d1f372b9e82960c4708f75d0befc33c62e",
+        "682decdd03d037a2845c0a0c20abe9bda8d07afdc8840fa1cd5b1afd58a6b6c8",
     ),
     "compare": (
         "bb10031306fa368b90f1e45484ed6ab5333c0166d28ce85ec53460dc807bfd8f",
@@ -288,20 +345,69 @@ def test_march_plan_frames(monkeypatch, seed):
     assert march_digests(seed) == MARCH_DIGESTS[seed]
 
 
+def cli_argvs(row: str) -> list:
+    """The argv of each run of one ``CLI_DIGESTS`` row, in digest order."""
+    words = row.split()
+    qs = [[]] if words[0] == "limit" or "--q" in words else [["--q", q] for q in CLI_QS]
+    fmts = ("json", "csv", "svg") if words[0] == "propagate" else ("json", "csv")
+    return [words + q + ["--format", fmt] for q in qs for fmt in fmts]
+
+
 def cli_runs() -> list:
     """(argv, recorded digest) of every CLI run of ``CLI_DIGESTS``."""
-    runs = []
-    for row, digests in CLI_DIGESTS.items():
-        qs = [[]] if row == "limit" else [["--q", q] for q in CLI_QS]
-        argvs = [row.split() + q + ["--format", fmt] for q in qs for fmt in ("json", "csv")]
-        runs += zip(argvs, digests, strict=True)
-    return runs
+    return [run for row, digests in CLI_DIGESTS.items()
+            for run in zip(cli_argvs(row), digests, strict=True)]
+
+
+def output_digest(argv, out: Path) -> str:
+    """Run the CLI with ``--out out``: the sha256 of that file, or of a
+    directory's file names and bytes in name order."""
+    main([*argv, "--out", str(out)])
+    if not out.is_dir():
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("argv, digest",
                          [pytest.param(argv, digest, id=" ".join(argv))
                           for argv, digest in cli_runs()])
 def test_cli_report(tmp_path, argv, digest):
-    out = tmp_path / "report"
-    main([*argv, "--out", str(out)])
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert output_digest(argv, tmp_path / "report") == digest
+
+
+def _literal(name: str, table: dict, brackets: str = "") -> str:
+    """``name = {...}`` as written above: each value one digest, or a list
+    (``brackets="[]"``) or tuple (``"()"``) of them."""
+    lines = [f"{name} = {{"]
+    for key, value in table.items():
+        if not brackets:
+            lines.append(f"    {json.dumps(key)}: {json.dumps(value)},")
+            continue
+        lines.append(f"    {json.dumps(key)}: {brackets[0]}")
+        lines += [f"        {json.dumps(d)}," for d in value]
+        lines.append(f"    {brackets[1]},")
+    return "\n".join(lines + ["}"])
+
+
+def current_digests(tmp: Path) -> str:
+    """The three digest tables of this tree, in this file's literal format."""
+    os.environ["QNLSE_SEED"] = "42"
+    verify = {fmt: output_digest(["verify", "--format", fmt], tmp / f"verify.{fmt}")
+              for fmt in VERIFY_DIGESTS}
+    sys.path.insert(0, str(BENCH))
+    marches = {seed: march_digests(seed) for seed in MARCH_DIGESTS}
+    cli = {row: [output_digest(argv, tmp / f"{row} {i}") for i, argv in enumerate(cli_argvs(row))]
+           for row in CLI_DIGESTS}
+    return "\n\n".join([f"NUMPY_VERSION = {json.dumps(np.__version__)}",
+                         _literal("VERIFY_DIGESTS", verify),
+                         _literal("MARCH_DIGESTS", marches, "[]"),
+                         _literal("CLI_DIGESTS", cli, "()")])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print(current_digests(Path(tmp)))

@@ -253,6 +253,16 @@ def test_curve_refuses_a_zero_amplitude_and_a_third_derivative():
             curve.deriv(0.5, 3)
 
 
+def test_closed_forms_take_exactly_their_class_coordinates():
+    # a curve is a one-coordinate power product: a field must not read a
+    # missing t as the curve's t = 0
+    cases = [(f, (0.3,)) for f in FIELDS.values()] + [(c, (0.3, 0.1)) for c in CURVES.values()]
+    for sampler, wrong in cases:
+        for name in ("__call__", "log_value", "d_t", "d_x", "d_xx"):
+            with pytest.raises(TypeError):
+                getattr(sampler, name)(*wrong)
+
+
 @pytest.mark.parametrize("p", [1e308, -1e308])
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
 def test_closed_forms_of_a_huge_momentum_raise_without_warnings(q, p):

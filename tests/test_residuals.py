@@ -3,11 +3,13 @@
 import cmath
 import math
 import re
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import qnlse
 from qnlse.errors import DomainError
 from qnlse.fields import AffineFactor, ExponentialField, PowerProductField
 from qnlse.integrators import Frame, GridSpec, propagate
@@ -272,6 +274,26 @@ class TestMethodsAgree:
             separated_space_residual(kind, bare, 1.5, 1.0, 0.5, 1.0, 0.3, AN)
 
 
+def unread(*point):
+    raise AssertionError("the sampler was evaluated")
+
+
+# each entry point that takes m or hbar, called with a sampler that must
+# not be read before they are checked (the time equation has no m)
+SCALED_CALLS = {
+    "scan": lambda m, hbar: scan_residual("new-field", lambda x, t: 1j, GRID, AN, q=1.5,
+                                          m=m, hbar=hbar),
+    "new-field": lambda m, hbar: new_nlse_residual(unread, 1.5, m, hbar, (0.3, 0.1), AN),
+    "new-phi": lambda m, hbar: new_nlse_phi_residual(unread, 1.5, m, hbar, None, (0.3, 0.1),
+                                                     AN),
+    "nrt-field": lambda m, hbar: nrt_residual(unread, 1.5, m, hbar, None, (0.3, 0.1), AN),
+    "time": lambda m, hbar: separated_time_residual(SolutionKind.NRT, unread, 1.5, 1.0, hbar,
+                                                    0.3, AN),
+    "space": lambda m, hbar: separated_space_residual(SolutionKind.NEW, unread, 1.5, 1.0, m,
+                                                      hbar, 0.3, AN),
+}
+
+
 class TestScan:
     def test_report_norm_inequality(self):
         spec = FreeParticleSpec(q=1.5)
@@ -310,10 +332,14 @@ class TestScan:
                          spec.m, spec.hbar, None, (x, t), AN)
         assert abs(r) == pytest.approx(rep.max_abs, rel=1e-12)
 
-    @pytest.mark.parametrize("m, hbar", [(0.5, 0.0), (0.0, 1.0), (-1.0, 1.0), (0.5, math.nan)])
-    def test_validates_mass_and_hbar(self, m, hbar):
+    @pytest.mark.parametrize("m, hbar, call", [
+        pytest.param(m, hbar, call, id=f"{m}-{hbar}" + ("" if call == "scan" else f"-{call}"))
+        for call in SCALED_CALLS
+        for m, hbar in [(0.5, 0.0), (0.0, 1.0), (-1.0, 1.0), (0.5, math.nan), (0.5, math.inf)]
+        if call != "time" or m == 0.5])
+    def test_validates_mass_and_hbar(self, m, hbar, call):
         with pytest.raises(DomainError, match=r"mass|hbar"):
-            scan_residual("new-field", lambda x, t: 1j, GRID, AN, q=1.5, m=m, hbar=hbar)
+            SCALED_CALLS[call](m, hbar)
 
     def test_unknown_tag(self):
         with pytest.raises(DomainError):
@@ -428,3 +454,11 @@ class TestScan:
         rep = scan_residual("new-space", separated_space_curve(SolutionKind.NEW, spec), grid,
                             AN, q=spec.q, lam=spec.energy)
         assert rep.n_samples == 3
+
+
+def test_all_lists_every_public_name_the_package_binds():
+    # the two separated residuals were imported but not listed, so a star
+    # import left them unbound
+    bound = [name for name, value in vars(qnlse).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(qnlse.__all__) == sorted(bound)
