@@ -28,9 +28,10 @@ the binomial series of ``(1 + eps)**s`` to ``eps**SERIES_ORDER``, by
 Horner's rule, is within u/4 of it, relative (u is machine epsilon),
 where ``|eps| <= series_radius(s)``.  It is taken where each part of eps
 is within ``series_radius(s)/sqrt(2)``; elsewhere, and where eps is not
-finite, the tracked power is, with its transcendental passes.  Stages
-2-4 take it from the step's anchor ``(y, wy)``, the anchor from the
-previous step's, but every ``REANCHOR_PERIOD`` = P steps the anchor is
+finite, the tracked power is, with its transcendental passes.  Every
+series is taken about the one anchor ``(y_prev, wy)``: stage 1 moves it
+from the previous step's state to this step's, and stages 2-4 take
+theirs from it; but every ``REANCHOR_PERIOD`` = P steps the anchor is
 the tracked power and ``theta`` moves to its phase.  A series step adds
 under 4u relative (the truncation, Horner's last add, the complex
 product), so each power is within 4Pu (1.4e-14) of the tracked power
@@ -226,11 +227,11 @@ def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, fra
         r, ang, tmp = (np.empty(n, dtype=np.float64) for _ in range(3))
         y_src, stage_src = (wy[1:], wy[:-1], wy[1:-1]), (w[1:], w[:-1], w[1:-1])
 
-        def series_power(v, base, base_power, out):
-            """out = base_power*(1 + eps)**s by the series, eps = (v - base)/base;
+        def series_power(v, out):
+            """out = wy*(1 + eps)**s by the series, eps = (v - y_prev)/y_prev;
             False, leaving out as it was, where a part of eps is beyond the limit."""
-            subtract(v, base, eps)
-            divide(eps, base, eps)
+            subtract(v, y_prev, eps)
+            divide(eps, y_prev, eps)
             absolute(eps_parts, eps_size)
             if count_nonzero(less_equal(eps_size, limit, part_mask)) < 2 * n:  # nan is not <= limit
                 return False
@@ -239,7 +240,7 @@ def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, fra
                 add(w, a, w)
                 multiply(w, eps, w)
             add(w, one, w)
-            multiply(w, base_power, out)
+            multiply(w, wy, out)
             return True
 
         def tracked_anchor(v):
@@ -251,14 +252,14 @@ def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, fra
 
         def carried_anchor(v):
             """wy = v**s by the series from the previous step's anchor, else tracked."""
-            if series_power(v, y_prev, wy, wy):
+            if series_power(v, wy):
                 y_prev[...] = v
                 return True
             return tracked_anchor(v)
 
         def stage_power(v):
             """w = v**s by the series from the step's anchor, else tracked."""
-            return (series_power(v, y, wy, w)
+            return (series_power(v, w)
                     or _tracked_power(v, theta, s, w, r, ang, tmp) is not None)
 
     def rhs(v, power, src, d):

@@ -4,9 +4,10 @@ Subcommands: ``verify`` (run every verification suite), ``residual``
 (scan one equation against one closed form), ``propagate`` (march a
 manufactured field and emit frames), ``converge`` (order-of-accuracy
 study), ``limit`` (classical-limit order table), ``compare`` (the two
-space factors side by side).  Each subcommand takes only the flags it
-reads (``_SUBCOMMANDS``); any other flag is a usage error.  Only
-``propagate`` and ``compare`` offer ``--format svg``.
+space factors side by side).  ``_SUBCOMMANDS`` lists, per subcommand,
+the flags it reads, and its formats, each with what ``--out`` must name
+where the output cannot go to stdout; any other flag is a usage error.
+Only ``propagate`` and ``compare`` offer ``--format svg``.
 
 ``verify`` runs its suites on every usable CPU through ``_pool``, the
 pool's only user, which reads the workers' outcomes once every task has
@@ -102,21 +103,23 @@ _FLAGS = {
 
 _PARTICLE = ("--q", "--p", "--mass", "--hbar", "--equation")
 _MARCH = _PARTICLE + ("--xmin", "--xmax", "--nx", "--dt", "--steps")
-_REPORT = ("json", "csv")
+_REPORT = {"json": None, "csv": None}
 
 # command -> (help, the flags it reads before --format and --out, which
-# every command takes, and its --format choices)
+# every command takes, and its --format choices, each mapped to what --out
+# must name, or None where the output may go to stdout)
 _SUBCOMMANDS = {
     "verify": ("run every verification suite", (), _REPORT),
     "residual": ("scan one equation's residual over the grid",
                  _MARCH + ("--method", "--tol", "--solution", "--form"), _REPORT),
-    "propagate": ("march a manufactured field and emit frames", _MARCH, _REPORT + ("svg",)),
+    "propagate": ("march a manufactured field and emit frames", _MARCH,
+                  {"json": None, "csv": "DIRECTORY", "svg": "FILE"}),
     "converge": ("order-of-accuracy study",
                  _PARTICLE + ("--xmin", "--xmax", "--study", "--levels"), _REPORT),
     "limit": ("classical-limit distances and fitted orders",
               ("--p", "--mass", "--hbar"), _REPORT),
     "compare": ("compare the two separated space factors",
-                ("--q", "--p", "--hbar", "--xmin", "--xmax", "--nx"), _REPORT + ("svg",)),
+                ("--q", "--p", "--hbar", "--xmin", "--xmax", "--nx"), {**_REPORT, "svg": "FILE"}),
 }
 
 
@@ -138,14 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# (command, format) pairs that cannot go to stdout, with what --out must name.
-_NEEDS_OUT = {
-    ("propagate", "csv"): "DIRECTORY",
-    ("propagate", "svg"): "FILE",
-    ("compare", "svg"): "FILE",
-}
-
-
 def _check_usage(args: argparse.Namespace) -> None:
     """The checks that reject a configuration before any command runs."""
     if "equation" in args:
@@ -160,7 +155,7 @@ def _check_usage(args: argparse.Namespace) -> None:
                          "is 1, so no order can be fitted")
     if "levels" in args and args.levels < 2:
         raise UsageError("--levels must be at least 2")
-    target = _NEEDS_OUT.get((args.command, args.fmt))
+    target = _SUBCOMMANDS[args.command][2][args.fmt]
     if target is not None and args.out is None:
         raise UsageError(f"{args.command} --format {args.fmt} needs --out {target}")
     if "xmin" in args:

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConvergenceError", "DegenerateStudyError", "DomainError", "PropagationError", "QnlseError"
+]
+
 
 class QnlseError(Exception):
     """Base class for all package-specific errors."""

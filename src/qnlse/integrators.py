@@ -48,6 +48,13 @@ from .solutions import (
     time_coefficient,
 )
 
+__all__ = [
+    "ConvergenceReport", "Frame", "GridSpec", "OdeSpaceCase", "OdeTimeCase", "PdeCase",
+    "Trajectory", "convergence_study", "fit_observed_order", "integrate_separated_space",
+    "integrate_separated_time", "interior_linf_error", "propagate", "rk4_step", "sample_field",
+    "stream_frames"
+]
+
 # Explicit diffusive-scaling heuristic for the time step; exceeding it
 # warns (the RK4 imaginary-axis limit is roomier) but does not abort.
 STABILITY_SAFETY = 0.2
@@ -237,12 +244,16 @@ class _TrackedPower:
     """Continuous-branch power of a scalar trajectory value.
 
     ``theta`` holds the unwrapped argument of the previous accepted
-    state; stage values are unwrapped relative to it (the phase step
-    ``d`` below, wrapped into [-pi, pi]).
+    state; stage values are unwrapped relative to it (``_phase_step``).
     """
 
     def __init__(self, initial: complex):
         self.theta = cmath.phase(initial)
+
+    def _phase_step(self, value: complex) -> float:
+        """Argument of ``value`` relative to ``theta``, wrapped into [-pi, pi]."""
+        d = cmath.phase(value) - self.theta
+        return d - TWO_PI * round(d / TWO_PI)
 
     def __call__(self, value: complex, s: float) -> complex:
         r = abs(value)
@@ -253,16 +264,11 @@ class _TrackedPower:
         if not math.isfinite(r):
             # an earlier stage overflowed; its phase is meaningless
             raise OverflowError(f"trajectory value {value} is not finite")
-        theta = self.theta
-        d = cmath.phase(value) - theta
-        d -= TWO_PI * round(d / TWO_PI)
-        ang = s * (theta + d)
+        ang = s * (self.theta + self._phase_step(value))
         return r**s * complex(math.cos(ang), math.sin(ang))
 
     def advance(self, value: complex) -> None:
-        d = cmath.phase(value) - self.theta
-        d -= TWO_PI * round(d / TWO_PI)
-        self.theta += d
+        self.theta += self._phase_step(value)
 
 
 def _step_count(span: float, step: float) -> int:

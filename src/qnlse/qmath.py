@@ -15,6 +15,11 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
+__all__ = [
+    "HypParams", "check_binomial_identity", "cpow_principal", "hyp2f1", "hyp2f1_deriv",
+    "hyp2f1_series", "q_exp", "q_exp_real_cutoff"
+]
+
 # Below this |q - 1| the fractional-power form of the deformed
 # exponential has lost all precision (exponent 1/(1-q) -> inf) and the
 # exact q -> 1 limit is used instead.
@@ -50,44 +55,65 @@ def cpow_principal(base: complex, exponent: complex) -> complex:
         )
     if b.imag == 0.0:
         b = complex(b.real, 0.0)
+    return _exp_power(b, e, e * cmath.log(b))
+
+
+def _exp_power(base: complex, exponent: complex, log_power: complex) -> complex:
+    """``base ** exponent`` as exp(``log_power``), its logarithm."""
     try:
-        out = cmath.exp(e * cmath.log(b))
+        out = cmath.exp(log_power)
     except OverflowError as err:
-        raise DomainError(f"complex power overflowed ({b!r} ** {e!r})") from err
+        raise DomainError(f"complex power overflowed ({base!r} ** {exponent!r})") from err
     return _require_finite(out, "complex power")
+
+
+def _log1p(w: complex) -> complex:
+    """Principal Log(1 + w), with a negative real 1 + w on the upper side
+    of the cut.  Where |w| < 1/2 it is 0.5*log1p(2x + x^2 + y^2) +
+    i*atan2(y, 1 + x), for w = x + iy: it keeps its relative accuracy as
+    w -> 0, where Log(1 + w) would lose the digits of w that 1 + w rounds
+    away, and |1 + w| >= 1/2 keeps log1p's argument from cancelling."""
+    x, y = w.real, w.imag + 0.0  # -0.0 + 0.0 is 0.0
+    if abs(w) < 0.5:
+        return complex(0.5 * math.log1p(x * (2.0 + x) + y * y), math.atan2(y, 1.0 + x))
+    return cmath.log(complex(1.0 + x, y))
 
 
 def q_exp(q: float, z: complex) -> complex:
     """Deformed exponential [1 + (q-1)z]^(1/(1-q)) on the principal branch.
 
-    For |q - 1| below ``EPS_Q_ONE`` the exact limit exp(-z) is returned:
-    the deformed form tends to exp(-z) as q -> 1 (its base carries q-1
+    It is exp(Log(1 + (q-1)z)/(1-q)), with the logarithm taken by a
+    complex log1p, so that it stays accurate as q -> 1.  For |q - 1|
+    below ``EPS_Q_ONE`` the exact limit exp(-z) is returned: the
+    deformed form tends to exp(-z) as q -> 1 (its base carries q-1
     while its exponent carries 1/(1-q)).
     """
     zc = complex(z)
     if abs(q - 1.0) < EPS_Q_ONE:
         return _require_finite(cmath.exp(-zc), "q_exp")
-    base = 1.0 + (q - 1.0) * zc
+    w = (q - 1.0) * zc
+    base = complex(1.0 + w.real, w.imag + 0.0)  # as cpow_principal normalizes it
     if base == 0:
         raise DomainError(f"q_exp pole: 1 + (q-1)z vanished for q={q}, z={zc}")
-    return cpow_principal(base, 1.0 / (1.0 - q))
+    return _exp_power(base, complex(1.0 / (1.0 - q)), _log1p(w) / (1.0 - q))
 
 
 def q_exp_real_cutoff(q: float, x: float) -> float:
     """Real deformed exponential with the standard cutoff.
 
     Returns [1 + (q-1)x]^(1/(1-q)) where the bracket is positive and 0
-    otherwise; total on the finite reals.
+    otherwise; total on the finite reals.  It is taken as
+    exp(log1p((q-1)x)/(1-q)), which stays accurate as q -> 1.
     """
     if not (math.isfinite(q) and math.isfinite(x)):
         raise DomainError(f"non-finite deformed exponential argument (q={q}, x={x})")
     if abs(q - 1.0) < EPS_Q_ONE:
         return math.exp(-x)
-    base = 1.0 + (q - 1.0) * x
-    if base <= 0.0:
+    t = (q - 1.0) * x
+    if 1.0 + t <= 0.0:
         return 0.0
     try:
-        return base ** (1.0 / (1.0 - q))
+        return math.exp(math.log1p(t) / (1.0 - q))
     except OverflowError as err:
         raise DomainError(
             f"deformed exponential overflowed (q={q}, x={x})"

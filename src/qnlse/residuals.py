@@ -32,6 +32,12 @@ from .integrators import _potential_values, require_frame_memory
 from .qmath import HypParams, hyp2f1, hyp2f1_deriv
 from .solutions import SolutionKind, marched_form, positive_scale, separated_form
 
+__all__ = [
+    "Analytic", "DerivativeMethod", "FiniteDifference", "ResidualReport", "fd_partial",
+    "hypergeom_ode_residual", "new_nlse_phi_residual", "new_nlse_residual", "nrt_residual",
+    "scan_residual", "separated_space_residual", "separated_time_residual"
+]
+
 _EPS = np.finfo(float).eps
 
 Potential = Optional[Callable[[float], float]]

@@ -31,6 +31,12 @@ from .errors import DomainError
 from .fields import AffineFactor, ExpCurve, ExponentialField, PowerCurve, PowerProductField
 from .qmath import EPS_Q_ONE, HypParams, hyp2f1
 
+__all__ = [
+    "FreeParticleSpec", "SolutionKind", "classical_plane_wave_field", "manufactured_field",
+    "product_solution_field", "q_plane_wave_field", "q_plane_wave_hypergeometric",
+    "separated_space_curve", "separated_time_curve"
+]
+
 
 def positive_scale(name: str, value: float) -> float:
     """``value`` as a float, or DomainError unless it is finite and

@@ -3,10 +3,11 @@
 Each digest is the sha256 of one output, recorded on Linux x86-64 with
 the numpy named by ``NUMPY_VERSION``: the seed-42 ``qnlse verify``
 report as JSON and CSV, the frames of every march of the benchmark's
-``march_plan``, and the ``--out`` file (or csv frame directory) of every
-CLI row of ``CLI_DIGESTS``.  A change that moves these bytes on purpose
-prints the current digests of all three, in this file's own literal
-format, with
+``march_plan``, the ``--out`` file (or csv frame directory) of every
+CLI row of ``CLI_DIGESTS``, and the stdout of every row of
+``STDOUT_DIGESTS``.  A change that moves these bytes on purpose prints
+the current digests of all four, in this file's own literal format,
+with
 
     PYTHONPATH=src python tests/test_bit_contract.py
 
@@ -20,8 +21,10 @@ would not show that this program changed, only that the digest needs
 recording for that numpy.
 """
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import sys
@@ -40,8 +43,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 NUMPY_VERSION = "2.4.6"
 
 VERIFY_DIGESTS = {
-    "json": "e655f1c18e35bcfd447f7352c6a4b55c77b3078f1f8a471071aab574ba4138aa",
-    "csv": "aad260db68a66fa9971453a0624119d6ac3fe67d78e66b662fa241b1ca662ed3",
+    "json": "bdc2bf7706a8b78cc94c9d05ba96fa8b8ab660080323c382ce6e25ad5dbb631a",
+    "csv": "0a987178d4005e24229c4c9b0e836ca8e2167b226cda61e514208127137fb7c2",
 }
 
 # sha256 of ``Trajectory.values.tobytes()`` for each march of the
@@ -311,6 +314,15 @@ CLI_DIGESTS = {
 }
 
 
+# sha256 of the stdout of each row, run with no --out: the JSON frames
+# that ``propagate`` streams with ``writelines``, one frame's text at a
+# time, for the benchmark's frames-out inputs
+STDOUT_DIGESTS = {
+    "propagate --equation new --q 1.03 --nx 401 --dt 1e-05 --steps 300 --format json": "818df3cff88d9d10cc76d14bc05b9bb7a5cda98e91ef4efad0ca6d2bf5b5b5a8",
+    "propagate --equation nrt --q 1.03 --nx 401 --dt 1e-05 --steps 300 --format json": "06681365391d2e035c666fe288fb2582def2e82fbdee69a84148b750cc857fab",
+}
+
+
 @pytest.fixture(autouse=True)
 def recorded_numpy():
     if np.__version__ != NUMPY_VERSION:
@@ -379,6 +391,19 @@ def test_cli_report(tmp_path, argv, digest):
     assert output_digest(argv, tmp_path / "report") == digest
 
 
+def stdout_digest(argv) -> str:
+    """Run the CLI with no ``--out``: the sha256 of its stdout as UTF-8."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        main(argv)
+    return hashlib.sha256(text.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("row", list(STDOUT_DIGESTS))
+def test_cli_stdout(row):
+    assert stdout_digest(row.split()) == STDOUT_DIGESTS[row]
+
+
 def _literal(name: str, table: dict, brackets: str = "") -> str:
     """``name = {...}`` as written above: each value one digest, or a list
     (``brackets="[]"``) or tuple (``"()"``) of them."""
@@ -394,7 +419,7 @@ def _literal(name: str, table: dict, brackets: str = "") -> str:
 
 
 def current_digests(tmp: Path) -> str:
-    """The three digest tables of this tree, in this file's literal format."""
+    """The four digest tables of this tree, in this file's literal format."""
     os.environ["QNLSE_SEED"] = "42"
     verify = {fmt: output_digest(["verify", "--format", fmt], tmp / f"verify.{fmt}")
               for fmt in VERIFY_DIGESTS}
@@ -402,10 +427,12 @@ def current_digests(tmp: Path) -> str:
     marches = {seed: march_digests(seed) for seed in MARCH_DIGESTS}
     cli = {row: [output_digest(argv, tmp / f"{row} {i}") for i, argv in enumerate(cli_argvs(row))]
            for row in CLI_DIGESTS}
+    stdout = {row: stdout_digest(row.split()) for row in STDOUT_DIGESTS}
     return "\n\n".join([f"NUMPY_VERSION = {json.dumps(np.__version__)}",
                          _literal("VERIFY_DIGESTS", verify),
                          _literal("MARCH_DIGESTS", marches, "[]"),
-                         _literal("CLI_DIGESTS", cli, "()")])
+                         _literal("CLI_DIGESTS", cli, "()"),
+                         _literal("STDOUT_DIGESTS", stdout)])
 
 
 if __name__ == "__main__":

@@ -72,6 +72,14 @@ def test_result_dict_shape():
     assert d["passed"] == 1
 
 
+@pytest.mark.parametrize("seed", [252, 385])
+def test_product_rule_passes_where_the_power_form_rounded_the_bracket(seed):
+    # [1 + (q-1)x]**(1/(1-q)) failed these seeds at 1.33e-12 and 2.48e-12;
+    # exp(log1p((q-1)x)/(1-q)) meets the 1e-12 tolerance on both
+    (result,) = run_verification(seed=seed, names=["deformed-exp-product-rule"])
+    assert result.passed, result.worst
+
+
 def test_all_suites_pass_with_default_seed():
     results = run_verification()
     failed = [r.name for r in results if not r.passed]
