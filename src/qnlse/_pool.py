@@ -53,11 +53,17 @@ def _drain(queue: int) -> None:
         pass
 
 
-def _attempt(run: Callable[[int], Any], task: int) -> tuple[Any, Exception | None]:
-    try:
-        return run(task), None
-    except Exception as exc:
-        return None, exc
+def _serve(queue: int, run: Callable[[int], Any], report: Callable[[int, tuple], Any]) -> None:
+    """Run each task pulled from ``queue`` and ``report(task, (value, error))``;
+    drain the queue once one raises, since every task still queued comes later."""
+    while (task := _pull(queue)) is not None:
+        try:
+            outcome = run(task), None
+        except Exception as exc:
+            outcome = None, exc
+        report(task, outcome)
+        if outcome[1] is not None:
+            _drain(queue)
 
 
 def _send(out: int, task: int, value, error: Exception | None) -> None:
@@ -84,16 +90,10 @@ def _messages(fd: int):
 
 def _worker(queue: int, out: int, run: Callable[[int], Any]) -> None:
     """A forked worker's whole life: pull tasks, write each outcome to
-    ``out``, and leave with ``os._exit``; it never returns.  After a task
-    raises it drains the queue, since every task still queued comes
-    later."""
+    ``out``, and leave with ``os._exit``; it never returns."""
     status = 1
     try:
-        while (task := _pull(queue)) is not None:
-            value, error = _attempt(run, task)
-            _send(out, task, value, error)
-            if error is not None:
-                _drain(queue)
+        _serve(queue, run, lambda task, outcome: _send(out, task, *outcome))
         status = 0
     finally:
         _flush_stdio()
@@ -155,10 +155,7 @@ def run_tasks(n_tasks: int, run: Callable[[int], Any],
                 _worker(queue, writer, run)
             os.close(writer)
             workers[reader] = pid
-        while (task := _pull(queue)) is not None:
-            outcomes[task] = _attempt(run, task)
-            if outcomes[task][1] is not None:
-                _drain(queue)
+        _serve(queue, run, outcomes.__setitem__)
         for reader in workers:
             outcomes.update(_messages(reader))
     finally:

@@ -48,6 +48,7 @@ from .reports import (
     float_reprs,
     frame_csv_text,
     frame_filename,
+    frame_step,
     frames_json_parts,
     report_csv_text,
     report_json_text,
@@ -225,15 +226,10 @@ def cmd_residual(args: argparse.Namespace) -> int:
 
 def _remove_stale_frames(directory: Path, last: int) -> None:
     """Delete the frames an earlier, longer run left in ``directory``:
-    the files named by ``frame_filename`` with a step above ``last``.  The
-    directory is read entry by entry, keeping only the stale names."""
-
-    def stale(name):
-        step = name[len("frame_"):-len(".csv")]
-        return step.isdecimal() and int(step) > last and name == frame_filename(int(step))
-
+    the files whose ``frame_step`` is above ``last``.  The directory is
+    read entry by entry, keeping only the stale names."""
     with os.scandir(directory) as entries:
-        names = [entry.name for entry in entries if stale(entry.name)]
+        names = [entry.name for entry in entries if (frame_step(entry.name) or 0) > last]
     for name in names:
         (directory / name).unlink()
 

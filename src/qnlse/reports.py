@@ -132,6 +132,12 @@ def frame_filename(step: int) -> str:
     return f"frame_{step:06d}.csv"
 
 
+def frame_step(name: str) -> int | None:
+    """The step whose ``frame_filename`` is ``name``, or None if there is none."""
+    step = name.removeprefix("frame_").removesuffix(".csv")
+    return int(step) if step.isdecimal() and name == frame_filename(int(step)) else None
+
+
 # ---------------------------------------------------------------------------
 # SVG line plots
 # ---------------------------------------------------------------------------

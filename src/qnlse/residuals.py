@@ -313,16 +313,16 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     """Evaluate one equation's residual over a grid and aggregate.
 
     Field equations scan the full (x, t) mesh; separated time equations
-    scan the time axis and separated space ones the x axis.  Either way
-    the point residual is called once, on the whole mesh; a bare scalar
-    sampler (or potential) is first lifted onto arrays.  Scan order is
-    t-major, then x: ``worst_point`` is the first maximum in that order,
-    ``l2`` is summed in it (scaled by ``max_abs`` only where the plain
-    sum of squares overflows), and a domain error (a non-finite residual
-    included) names the first offending point.  ``lam`` is required for
-    the separated tags.  Only ``new-phi`` and ``nrt-field`` take a
-    potential, and it must be a finite real number at every grid x, as
-    in ``propagate``.  The scanned axes are bounded by
+    scan the time axis at x = 0, and separated space ones the x axis at
+    t = 0.  Either way the point residual is called once, on the whole
+    mesh; a bare scalar sampler (or potential) is first lifted onto
+    arrays.  Scan order is t-major, then x: ``worst_point`` is the first
+    maximum in that order, ``l2`` is summed in it (scaled by ``max_abs``
+    only where the plain sum of squares overflows), and a domain error (a
+    non-finite residual included) names the first offending point.
+    ``lam`` is required for the separated tags.  Only ``new-phi`` and
+    ``nrt-field`` take a potential, and it must be a finite real number at
+    every grid x, as in ``propagate``.  The scanned axes are bounded by
     ``require_frame_memory``, as the frames of a march on the grid are.
     """
     if equation not in _SCANS:
@@ -337,21 +337,15 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
 
     # the axes read are refused as a march's frames are, before any array
-    require_frame_memory(0 if axis == "x" else grid.n_steps, 1 if axis == "t" else grid.n_points,
+    require_frame_memory(grid.n_steps if "t" in axis else 0, grid.n_points if "x" in axis else 1,
                          "scan mesh")
     if potential is not None:
         _potential_values(potential, grid.x_values())  # refused where propagate refuses it
         potential = lift_sampler(potential)
     args = SimpleNamespace(q=q, m=m, hbar=hbar, potential=potential, lam=lam,
                            method=method)
-    if axis == "t":
-        t = grid.t_values()
-        x = np.zeros_like(t)
-    elif axis == "x":
-        x = grid.x_values()
-        t = np.zeros_like(x)
-    else:
-        x, t = np.meshgrid(grid.x_values(), grid.t_values())
+    x, t = np.meshgrid(grid.x_values() if "x" in axis else [0.0],
+                       grid.t_values() if "t" in axis else [0.0])
     if x.size == 0:
         raise DomainError("empty scan grid")
 

@@ -445,6 +445,21 @@ class TestPropagateCommand:
         last_t = float((out / frames[-1]).read_text().splitlines()[1].split(",")[1])
         assert last_t == pytest.approx(2e-5)
 
+    def test_shorter_run_keeps_files_named_almost_as_frames(self, capsys, tmp_path):
+        # each would be a stale step-1 frame if its name were read loosely
+        out = tmp_path / "frames"
+        out.mkdir()
+        keep = ("frame_1.csv", "frame_0000001.csv", "frame_000001.CSV", "frame_+00001.csv")
+        for name in keep:
+            (out / name).write_text("not a frame\n")
+        for steps in ("2", "0"):
+            code, _, _ = run(capsys, "propagate", "--steps", steps, "--dt", "1e-5",
+                             "--nx", "21", "--xmin", "-1", "--xmax", "1",
+                             "--format", "csv", "--out", str(out))
+            assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([frame_filename(0), *keep])
+        assert all((out / name).read_text() == "not a frame\n" for name in keep)
+
     def test_march_over_the_memory_share_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "propagate", "--steps", str(10**12), "--nx", "401")
         assert (code, out) == (2, "")

@@ -85,6 +85,25 @@ def test_deformed_exponentials_match_mpmath_near_q_one(delta):
             assert rel_error(q_exp(q, z), exact_z) <= Q_EXP_BOUND
 
 
+# Points where (q-1)x overflows a double, on both sides of q = 1.  The
+# exponent E = Log(bracket)/(1-q) is formed within a few units of its last
+# place, and exp passes that on times |E|.
+OVERFLOWING_BRACKETS = [(-1e300, -1e300), (1e200, 1e200), (-1.0, -1.7976931348623157e308),
+                        (3.0, 1e308), (3.0, complex(1e308, 1e308)), (3.0, complex(-1e308)),
+                        (-1.0, complex(0.0, -1e308)), (1e200, complex(-1e200, 1.0))]
+
+
+@pytest.mark.parametrize("q, x", OVERFLOWING_BRACKETS)
+def test_deformed_exponentials_match_mpmath_where_the_bracket_overflows(q, x):
+    with mpmath.workdps(30):
+        exact = mpmath.exp(mpmath.log(1 + (mpmath.mpf(q) - 1) * mpmath.mpmathify(x))
+                           / (1 - mpmath.mpf(q)))
+        bound = Q_EXP_BOUND + 4 * U * float(abs(mpmath.log(exact)))
+        assert rel_error(q_exp(q, x), exact) <= bound
+        if isinstance(x, float):
+            assert rel_error(q_exp_real_cutoff(q, x), exact) <= bound
+
+
 def test_q_exp_keeps_the_cut_on_the_upper_side():
     # at q = 1.4 and z = -5 the bracket is -1 and the exponent -2.5: on the
     # upper side of the cut (-1)**-2.5 is exp(-2.5i*pi) = -i, whichever the

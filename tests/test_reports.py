@@ -8,12 +8,15 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnlse.reports import (
     float_reprs,
     frame_csv_text,
+    frame_filename,
+    frame_step,
     frames_json_parts,
 )
 
@@ -120,3 +123,15 @@ def test_float_reprs_is_repr_on_strided_views():
     values = bits.view(np.float64)[:, ::2].ravel().view(np.complex128)
     for part in (values.real, values.imag):
         assert float_reprs(part) == list(map(repr, part.tolist()))
+
+
+@pytest.mark.parametrize("step", [0, 999_999, 1_000_000])
+def test_frame_step_reads_back_the_step_of_frame_filename(step):
+    assert frame_step(frame_filename(step)) == step
+
+
+@pytest.mark.parametrize("name", ["frame_1.csv", "frame_0000001.csv", "frame_000001.CSV",
+                                  "frame_+00001.csv", "frame_.csv", "frame_000001.txt",
+                                  "notes.csv"])
+def test_frame_step_is_none_for_names_frame_filename_does_not_make(name):
+    assert frame_step(name) is None
