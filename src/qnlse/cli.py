@@ -44,12 +44,14 @@ from .integrators import (
     stream_frames,
 )
 from .reports import (
+    csv_table_text,
     field_svg_text,
     float_reprs,
     frame_csv_text,
     frame_filename,
     frame_step,
     frames_json_parts,
+    moduli,
     report_csv_text,
     report_json_text,
     svg_line_plot,
@@ -161,6 +163,11 @@ def _check_usage(args: argparse.Namespace) -> None:
         raise UsageError(f"{args.command} --format {args.fmt} needs --out {target}")
     if "xmin" in args:
         require_interval(args.xmin, args.xmax)
+    if "form" in args:
+        if args.form == "phi" and args.equation != "new":
+            raise UsageError("--form phi applies to --equation new only")
+        if (args.solution or args.equation) == "plane" and args.form in ("time", "space"):
+            raise UsageError("--solution plane has no separated factors; pick new or nrt")
 
 
 def _particle(args: argparse.Namespace) -> FreeParticleSpec:
@@ -202,10 +209,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_residual(args: argparse.Namespace) -> int:
     spec, grid = _particle(args), _grid(args)
     solution = args.solution or args.equation
-    if args.form == "phi" and args.equation != "new":
-        raise UsageError("--form phi applies to --equation new only")
-    if solution == "plane" and args.form in ("time", "space"):
-        raise UsageError("--solution plane has no separated factors; pick new or nrt")
     sampler = closed_form(solution, args.form, spec)
     method = Analytic() if args.method == "analytic" else FiniteDifference()
     rep = scan_residual(
@@ -304,33 +307,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = FreeParticleSpec(q=args.q, p=args.p, hbar=args.hbar)
     # compare samples x only: the grid's time axis is one frame
     xs = GridSpec(args.xmin, args.xmax, args.nx, dt=1.0, n_steps=0).x_values()
-    g_new = separated_space_curve(SolutionKind.NEW, spec)
-    g_nrt = separated_space_curve(SolutionKind.NRT, spec)
-    rows = [(x, abs(vn - vr), abs(vn), abs(vr))
-            for x, vn, vr in zip(xs.tolist(), g_new(xs).tolist(), g_nrt(xs).tolist())]
-    max_diff = max(r[1] for r in rows)
+    g_new = separated_space_curve(SolutionKind.NEW, spec)(xs)
+    g_nrt = separated_space_curve(SolutionKind.NRT, spec)(xs)
+    columns = {"x": xs, "abs_diff": moduli(g_new - g_nrt), "mod_new": moduli(g_new),
+               "mod_nrt": moduli(g_nrt)}
     if args.fmt == "svg":
-        series = [
-            ("|g_new|", [r[2] for r in rows]),
-            ("|g_nrt|", [r[3] for r in rows]),
-            ("|g_new-g_nrt|", [r[1] for r in rows]),
-        ]
+        series = [("|g_new|", columns["mod_new"]), ("|g_nrt|", columns["mod_nrt"]),
+                  ("|g_new-g_nrt|", columns["abs_diff"])]
         write_text(args.out, svg_line_plot(xs, series,
                                            title=f"space factors, q={spec.q:g}"))
         return EXIT_OK
     if args.fmt == "csv":
-        lines = ["x,abs_diff,mod_new,mod_nrt"]
-        lines += [",".join(repr(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = csv_table_text({name: float_reprs(col) for name, col in columns.items()})
     else:
-        text = report_json_text({
-            "q": spec.q,
-            "x": [r[0] for r in rows],
-            "abs_diff": [r[1] for r in rows],
-            "mod_new": [r[2] for r in rows],
-            "mod_nrt": [r[3] for r in rows],
-            "max_abs_diff": max_diff,
-        })
+        text = report_json_text({"q": spec.q, "max_abs_diff": float(columns["abs_diff"].max()),
+                                 **{name: col.tolist() for name, col in columns.items()}})
     _emit_text(text, args)
     return EXIT_OK
 

@@ -605,8 +605,8 @@ class PdeCase:
 
     def error(self, level: int) -> tuple[float, float]:
         """(dx, interior max error of the last frame) at refinement ``level``."""
-        dx = math.ldexp(self.dx0, -level)  # 0.0 once the level is past the float range
-        spans = (self.x_max - self.x_min) / dx if dx else math.inf
+        dx = _refined_step("dx", self.dx0, level)
+        spans = (self.x_max - self.x_min) / dx
         steps = self.t_final / self.dt
         if not (math.isfinite(spans) and math.isfinite(steps)):
             raise DomainError(f"dx={dx:g} and dt={self.dt:g} give no finite grid on "

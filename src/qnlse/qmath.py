@@ -68,10 +68,18 @@ def cpow_principal(base: complex, exponent: complex) -> complex:
 
 
 def _exp_power(base: complex, exponent: complex, log_power: complex) -> complex:
-    """``base ** exponent`` as exp(``log_power``), its logarithm."""
+    """``base ** exponent`` as exp(``log_power``), its logarithm.  Where
+    the phase, the imaginary part of ``log_power``, overflows, the power
+    is 0 if its modulus underflows, whatever the phase, and is refused
+    otherwise."""
     try:
+        if math.isinf(log_power.imag):
+            if math.exp(log_power.real) == 0.0:
+                return 0j
+            raise DomainError("the phase of a complex power overflowed "
+                              f"({base!r} ** {exponent!r})")
         out = cmath.exp(log_power)
-    except (OverflowError, ValueError) as err:  # ValueError: an infinite imaginary part
+    except OverflowError as err:
         raise DomainError(f"complex power overflowed ({base!r} ** {exponent!r})") from err
     return _require_finite(out, "complex power")
 
@@ -180,7 +188,9 @@ def hyp2f1_series(alpha: float, beta: float, gamma: float, z: complex) -> comple
 
     Requires |z| < 1 and the arguments ``HypParams`` requires.  Terms are
     accumulated until three consecutive ones fall below the
-    floating-point noise floor of the partial sum.
+    floating-point noise floor of the partial sum.  A term that fails
+    that test is checked for a NaN sum, which no later term can settle:
+    a term overflowed.
     """
     zc = complex(z)
     if _modulus(zc) >= 1.0:
@@ -199,9 +209,11 @@ def hyp2f1_series(alpha: float, beta: float, gamma: float, z: complex) -> comple
                 quiet += 1
                 if quiet == 3:
                     return _require_finite(total, "hypergeometric series")
+            elif total != total:
+                raise OverflowError("the partial sum is NaN")
             else:
                 quiet = 0
-    except OverflowError as err:  # from abs
+    except OverflowError as err:  # from abs, or a NaN sum
         raise DomainError("hypergeometric series overflowed") from err
     raise ConvergenceError(
         f"hypergeometric series did not settle within {SERIES_MAX_TERMS} terms "

@@ -88,6 +88,12 @@ def float_reprs(values) -> list[str]:
     return items
 
 
+def csv_table_text(columns: dict) -> str:
+    """A header of the column names, then one comma-joined row per item
+    of the columns, which are iterables of strings."""
+    return "\n".join([",".join(columns), *map(",".join, zip(*columns.values()))]) + "\n"
+
+
 def frame_csv_text(x_col: list[str], t: float, values) -> str:
     """One frame as ``x,t,re,im`` rows.
 
@@ -95,9 +101,8 @@ def frame_csv_text(x_col: list[str], t: float, values) -> str:
     of a run.
     """
     values = np.asarray(values)
-    rows = map(",".join, zip(x_col, itertools.repeat(repr(float(t))),
-                             float_reprs(values.real), float_reprs(values.imag)))
-    return "x,t,re,im\n" + "\n".join(rows) + "\n"
+    return csv_table_text({"x": x_col, "t": itertools.repeat(repr(float(t))),
+                           "re": float_reprs(values.real), "im": float_reprs(values.imag)})
 
 
 def frames_json_parts(equation: str, q: float, xs, frames) -> Iterator[str]:
@@ -212,12 +217,14 @@ def svg_line_plot(xs, series, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def moduli(values) -> np.ndarray:
+    """The moduli of a complex array as the hypot of its parts: bit for bit
+    what Python's ``abs`` gives for each complex, which ``np.abs`` is not."""
+    return np.hypot(np.real(values), np.imag(values))
+
+
 def field_svg_text(xs, t: float, values) -> str:
-    series = [
-        ("Re", [v.real for v in values]),
-        ("Im", [v.imag for v in values]),
-        ("|value|", [abs(v) for v in values]),
-    ]
+    series = [("Re", np.real(values)), ("Im", np.imag(values)), ("|value|", moduli(values))]
     return svg_line_plot(xs, series, title=f"field at t={t:.6g}")
 
 

@@ -156,9 +156,8 @@ def marched_form(kind: SolutionKind, q: float) -> tuple[float, float]:
 def manufactured_field(kind: SolutionKind, spec: FreeParticleSpec):
     """The closed form a march of ``kind`` reproduces exactly: the q-power
     equation evolves phi = (q-plane wave)^q, NRT its separated product."""
-    if kind is SolutionKind.NEW:
-        return q_plane_wave_field(spec).pow(spec.q)
-    return product_solution_field(kind, spec)
+    solution, form = ("plane", "phi") if kind is SolutionKind.NEW else ("nrt", "field")
+    return closed_form(solution, form, spec)
 
 
 # ---------------------------------------------------------------------------

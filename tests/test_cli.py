@@ -308,12 +308,29 @@ class TestOutOfRangeInputs:
         assert (code, out, ran) == (2, "", [])
         assert err == "error: the seed (QNLSE_SEED) must be a non-negative integer, got -1\n"
 
-    @pytest.mark.parametrize("study, step", [("ode-time", "dt"), ("ode-space", "dx")])
+    @pytest.mark.parametrize("study, step", [("ode-time", "dt"), ("ode-space", "dx"),
+                                             ("pde", "dx")])
     def test_converge_level_past_the_float_range_names_the_underflow(self, capsys, study, step):
         code, out, err = run(capsys, "converge", "--study", study, "--levels", "2000")
+        step0 = "0.2" if study == "pde" else "0.05"
         assert (code, out) == (2, "")
-        assert err == (f"error: refinement level 1999 takes {step}0=0.05 down to {step}=0: "
+        assert err == (f"error: refinement level 1999 takes {step}0={step0} down to {step}=0: "
                        "the step underflows\n")
+
+    # usage refusals: they come before the command, and so before its grid is built
+    @pytest.mark.parametrize("argv, message", [
+        (("--equation", "nrt", "--form", "phi"), "--form phi applies to --equation new only"),
+        (("--equation", "nrt", "--form", "phi", "--nx", "1"),
+         "--form phi applies to --equation new only"),
+        (("--solution", "plane", "--form", "time"),
+         "--solution plane has no separated factors; pick new or nrt"),
+    ], ids=["nrt-phi", "nrt-phi-nx-1", "plane-time"])
+    def test_residual_form_refusals_run_before_the_command(self, capsys, monkeypatch,
+                                                           argv, message):
+        entered = []
+        monkeypatch.setitem(cli._COMMANDS, "residual", entered.append)
+        code, out, err = run(capsys, "residual", *argv)
+        assert (code, out, err, entered) == (2, "", f"error: {message}\n", [])
 
 
 def _subparsers(parser):
@@ -689,6 +706,31 @@ def test_verify_does_not_import_orjson():
     proc = subprocess.run([sys.executable, "-c", script, os.devnull],
                           capture_output=True, text=True, env=env, check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# What ``import qnlse.cli`` adds to a process that has imported numpy.  The
+# process starts without ``site`` (``-S``), so that no module a ``.pth``
+# file happens to load first drops out of the list.
+CLI_IMPORTS = {
+    "__future__", "_bisect", "_csv", "_json", "_random", "_sha512", "argparse", "bisect",
+    "cmath", "copy", "csv", "dataclasses", "errno", "fnmatch", "gettext", "ipaddress", "json",
+    "json.decoder", "json.encoder", "json.scanner", "ntpath", "pathlib", "random", "urllib",
+    "urllib.parse", "qnlse", "qnlse._kernels", "qnlse._pool", "qnlse.cli", "qnlse.errors",
+    "qnlse.fields", "qnlse.integrators", "qnlse.qmath", "qnlse.reports", "qnlse.residuals",
+    "qnlse.solutions", "qnlse.verify",
+}
+
+
+def test_cli_import_loads_only_the_listed_modules():
+    import numpy
+
+    path = [Path(cli.__file__).parents[1], Path(numpy.__file__).parents[1]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
+    script = ("import sys, numpy; before = set(sys.modules); import qnlse.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=env, check=True)
+    assert set(proc.stdout.split()) - CLI_IMPORTS == set()
 
 
 class TestStudies:

@@ -217,6 +217,12 @@ class TestHyp2f1:
         with pytest.raises(ConvergenceError):
             hyp2f1_series(2.0, 3.0, 0.5, 0.999999 + 0j)
 
+    def test_series_stops_at_a_term_that_overflowed(self):
+        # the second term is nan+infj (inf - inf in the complex product), and
+        # a NaN sum settles at no later term
+        with pytest.raises(DomainError, match="^hypergeometric series overflowed$"):
+            hyp2f1_series(1e154, 1e154, 1.0, 0.6 + 0.6j)
+
 
 class TestHyp2f1Derivatives:
     def test_first_coefficient_at_zero(self):

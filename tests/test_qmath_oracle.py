@@ -18,6 +18,7 @@ import random
 import mpmath
 import pytest
 
+from qnlse.errors import DomainError
 from qnlse.qmath import (
     HypParams,
     cpow_principal,
@@ -121,6 +122,29 @@ def test_cpow_principal_matches_mpmath():
             cond = 1.0 + abs(e * cmath.log(base))
             exact = mpmath.power(mpmath.mpc(base), mpmath.mpc(e))
             assert rel_error(cpow_principal(base, e), exact) <= POWER_UNITS * U * cond
+
+
+HUGE = 1.7976931348623157e308
+
+
+def test_cpow_principal_is_zero_where_the_phase_overflows_and_the_modulus_underflows():
+    # e*Log(0.5j) = -1.2e308 + i*inf: exp(-1.2e308) rounds to 0 at any phase
+    with mpmath.workdps(30):
+        exact = mpmath.power(mpmath.mpc(0.5j), mpmath.mpf(HUGE))
+        assert abs(exact) < mpmath.mpf("1e-1000") and complex(exact) == 0j
+    assert cpow_principal(0.5j, HUGE) == 0j
+
+
+@pytest.mark.parametrize("power", [
+    lambda: cpow_principal(-1.0, HUGE),
+    lambda: hyp2f1(HypParams(-HUGE, 0.999999999999, 0.999999999999, 2.0)),  # (1 - 2)**HUGE
+], ids=["cpow_principal", "hyp2f1"])
+def test_cpow_principal_refuses_a_unit_modulus_whose_phase_overflows(power):
+    # e*Log(-1) = i*inf: the modulus is 1, so only the phase could place the value
+    with mpmath.workdps(30):
+        assert abs(mpmath.power(mpmath.mpc(-1.0), mpmath.mpf(HUGE))) == 1
+    with pytest.raises(DomainError, match=r"^the phase of a complex power overflowed \("):
+        power()
 
 
 def test_hyp2f1_power_route_matches_mpmath():
