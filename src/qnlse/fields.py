@@ -278,21 +278,23 @@ def lift_sampler(sampler):
 
 
 def value_power(sampler, value, s: float, *point):
-    """Raise a sampled field/curve value to a real power.
+    """Raise a sampled field/curve value at ``point`` to a real power.
 
     Uses the sampler's continuous logarithm when it has one (the branch
     on which the closed forms satisfy their equations); otherwise the
     principal branch, which is only valid while the accumulated phase
-    stays within (-pi, pi].
+    stays within (-pi, pi].  A non-finite power raises DomainError
+    naming its point, (x, t) for a field or (u,) for a curve.
     """
     if s == 1.0:
         return value
+    coords = dict(zip(("x", "t") if len(point) == 2 else ("u",), point))
     log = getattr(sampler, "log_value", None)
     if log is not None:
-        return finite_exp(s * log(*point), "powered value")
+        return finite_exp(s * log(*point), "powered value", **coords)
     value = np.asarray(value, dtype=complex)
     if np.any(value == 0):
         raise DomainError("cannot raise a vanishing field value to a fractional power")
     # a negative real base sits on the upper side of the cut, as in cpow_principal
     value = np.where(value.imag == 0.0, value.real + 0j, value)
-    return finite_exp(s * np.log(value), "powered value")
+    return finite_exp(s * np.log(value), "powered value", **coords)

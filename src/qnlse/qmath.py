@@ -52,7 +52,10 @@ def cpow_principal(base: complex, exponent: complex) -> complex:
     The logarithm's argument lies in (-pi, pi]; a negative-zero
     imaginary part on the base is normalized so that negative real
     bases sit on the upper side of the cut.  ``0 ** w`` is 0 when
-    Re(w) > 0 and a domain error otherwise.
+    Re(w) > 0 and a domain error otherwise.  A negative real base with a
+    real integer exponent (every float of magnitude 2**53 or more is one)
+    has a real power, its sign set by the exponent's parity; it is
+    refused where its modulus overflows and 0 where it underflows.
     """
     b = complex(base)
     e = complex(exponent)
@@ -64,6 +67,11 @@ def cpow_principal(base: complex, exponent: complex) -> complex:
         )
     if b.imag == 0.0:
         b = complex(b.real, 0.0)
+        if b.real < 0.0 and e.imag == 0.0 and e.real.is_integer():
+            try:
+                return complex(math.pow(b.real, e.real))
+            except OverflowError as err:
+                raise DomainError(f"complex power overflowed ({b!r} ** {e!r})") from err
     return _exp_power(b, e, e * cmath.log(b))
 
 

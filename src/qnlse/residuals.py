@@ -9,12 +9,11 @@ partials: ``partial`` differentiates a field at (x, t) or a curve at
 ``FiniteDifference`` takes central differences with Richardson
 extrapolation on shifted meshes, with a step per point.
 
-Fractional powers of field values use the sampler's continuous
-logarithm when it carries one (see ``fields``); a bare callable falls
-back to the principal branch, which limits its validity to the region
-where the accumulated phase stays inside (-pi, pi].  The checkers take
-array coordinates only from samplers that broadcast; ``scan_residual``
-lifts a bare scalar callable onto arrays itself.
+Fractional powers of field values take their branch from
+``fields.value_power``: a bare callable's is the principal one, valid
+only while the accumulated phase stays inside (-pi, pi].  The checkers
+take array coordinates only from samplers that broadcast;
+``scan_residual`` lifts a bare scalar callable onto arrays itself.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError
-from .fields import as_sample, finite_exp, lift_sampler, require_everywhere, value_power
+from .fields import as_sample, lift_sampler, require_everywhere, value_power
 from .integrators import _potential_values, require_frame_memory
 from .qmath import HypParams, hyp2f1, hyp2f1_deriv
 from .solutions import SolutionKind, marched_form, positive_scale, separated_form
@@ -214,14 +213,9 @@ def _normalized_power_residual(sampler, s: float, coef: float, m: float,
         raise DomainError("field vanishes at the origin; cannot normalize")
     u_t = method.partial(sampler, point, "t", 1) / v0
     # (u/u(0,0))**s on the sampler's branch
-    log = getattr(sampler, "log_value", None)
-    if log is not None:
-        chi = finite_exp(s * (log(x, t) - log(0.0, 0.0)), "normalized power", x=x, t=t)
-    else:
-        chi = value_power(sampler, value / v0, s)
-    chi_xx = method.powered(sampler, point, "x", s, 2) / value_power(
-        sampler, v0, s, 0.0, 0.0
-    )
+    w0 = value_power(sampler, v0, s, 0.0, 0.0)
+    chi = value_power(sampler, value, s, x, t) / w0
+    chi_xx = method.powered(sampler, point, "x", s, 2) / w0
     v = potential(x) if potential is not None else 0.0
     h_chi = -hbar * hbar / (2.0 * m) * chi_xx + v * chi
     resid = 1j * hbar * coef * u_t - h_chi
@@ -315,15 +309,14 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     Field equations scan the full (x, t) mesh; separated time equations
     scan the time axis at x = 0, and separated space ones the x axis at
     t = 0.  Either way the point residual is called once, on the whole
-    mesh; a bare scalar sampler (or potential) is first lifted onto
-    arrays.  Scan order is t-major, then x: ``worst_point`` is the first
-    maximum in that order, ``l2`` is summed in it (scaled by ``max_abs``
-    only where the plain sum of squares overflows), and a domain error (a
-    non-finite residual included) names the first offending point.
-    ``lam`` is required for the separated tags.  Only ``new-phi`` and
-    ``nrt-field`` take a potential, and it must be a finite real number at
-    every grid x, as in ``propagate``.  The scanned axes are bounded by
-    ``require_frame_memory``, as the frames of a march on the grid are.
+    mesh; a bare scalar sampler is first lifted onto arrays.  Scan order
+    is t-major, then x: ``worst_point`` is the first maximum in that
+    order, ``l2`` is summed in it (scaled by ``max_abs`` only where the
+    plain sum of squares overflows), and a domain error (a non-finite
+    residual included) names the first offending point.  ``lam`` is
+    required for the separated tags.  Only ``new-phi`` and ``nrt-field``
+    take a potential, sampled once per grid x by ``propagate``'s rule.
+    The axes read are bounded by ``require_frame_memory``, as a march's.
     """
     if equation not in _SCANS:
         raise DomainError(
@@ -339,9 +332,9 @@ def scan_residual(equation: str, sampler, grid, method: DerivativeMethod, *,
     # the axes read are refused as a march's frames are, before any array
     require_frame_memory(grid.n_steps if "t" in axis else 0, grid.n_points if "x" in axis else 1,
                          "scan mesh")
-    if potential is not None:
-        _potential_values(potential, grid.x_values())  # refused where propagate refuses it
-        potential = lift_sampler(potential)
+    if potential is not None:  # every mesh row is the grid's x
+        values = _potential_values(potential, grid.x_values())
+        potential = lambda x: values
     args = SimpleNamespace(q=q, m=m, hbar=hbar, potential=potential, lam=lam,
                            method=method)
     x, t = np.meshgrid(grid.x_values() if "x" in axis else [0.0],

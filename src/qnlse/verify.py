@@ -81,6 +81,8 @@ from .solutions import (
 DEFAULT_SEED = 42
 RESIDUAL_Q_SET = (0.5, 0.9, 1.1, 1.5)
 LIMIT_DELTAS = (1e-1, 1e-2, 1e-3)
+# the least fitted order in |q - 1| of a limit that must vanish linearly
+FIRST_ORDER_FLOOR = 0.9
 
 
 def seed_from_env() -> int:
@@ -236,12 +238,12 @@ def suite_deformed_exp_product_rule(rng) -> SuiteResult:
 
 
 def suite_deformed_exp_limit(rng) -> SuiteResult:
-    """q -> 1 limit of the deformed exponential, fitted order >= 0.9.
+    """q -> 1 limit of the deformed exponential, fitted order >= FIRST_ORDER_FLOOR.
 
     With the (q-1)-inside convention the limit is exp(-z); the distance
     to it must shrink linearly in |q - 1|.
     """
-    tol = 0.9
+    tol = FIRST_ORDER_FLOOR
     zs = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(25)]
     zs = [z for z in zs if abs(z) <= 2.0] or [1.0 + 1.0j]
     orders = [_order_in_q(lambda q: _worst(*(abs(q_exp(q, z) - cmath.exp(-z)) for z in zs)),
@@ -308,7 +310,7 @@ def classical_limit_table(p: float = 1.0, m: float = 0.5,
 
 def suite_classical_limit() -> SuiteResult:
     """Distance to exp(i(px - Et)/hbar) vanishes linearly in q - 1."""
-    tol = 0.9
+    tol = FIRST_ORDER_FLOOR
     table = classical_limit_table()
     worst_order = _worst(*(order for _, order in table.values()), pick=min)
     details = " ".join(f"{family}:{order:.3f}" for family, (_, order) in table.items())
@@ -328,9 +330,9 @@ def suite_non_coincidence() -> SuiteResult:
     split = sup_diff(1.5, np.linspace(-5.0, 5.0, 101))
     fit_xs = _limit_grid()[0]
     order = _order_in_q(lambda q: sup_diff(q, fit_xs))[1]
-    passed = split > 1e-3 and order >= 0.9
+    passed = split > 1e-3 and order >= FIRST_ORDER_FLOOR
     return SuiteResult(
-        "non-coincidence", passed, order, 0.9,
+        "non-coincidence", passed, order, FIRST_ORDER_FLOOR,
         detail=f"sup|g_new-g_nrt|(q=1.5)={split:.6g} (must exceed 1e-3); "
                f"vanishing order {order:.3f}",
     )
@@ -515,12 +517,10 @@ def suite_pde_spatial_order() -> SuiteResult:
     spec = FreeParticleSpec(q=1.1)
     worst_dev = 0.0
     detail = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for kind in (SolutionKind.NEW, SolutionKind.NRT):
-            rep = convergence_study(PdeCase(kind, spec), 3)
-            worst_dev = _worst(worst_dev, abs(rep.observed_order - 2.0))
-            detail.append(f"{kind.value}:{rep.observed_order:.3f}")
+    for kind in (SolutionKind.NEW, SolutionKind.NRT):
+        rep = convergence_study(PdeCase(kind, spec), 3)
+        worst_dev = _worst(worst_dev, abs(rep.observed_order - 2.0))
+        detail.append(f"{kind.value}:{rep.observed_order:.3f}")
     return SuiteResult("pde-spatial-order", worst_dev <= 0.3, worst_dev, 0.3,
                        detail=" ".join(detail))
 
@@ -557,10 +557,8 @@ def suite_propagation_determinism() -> SuiteResult:
     grid = GridSpec(-2.0, 2.0, 81, 5e-5, 100)
 
     def run():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return propagate(SolutionKind.NEW, sample_field(exact, grid, 0.0),
-                             spec.q, spec.m, spec.hbar, boundary=exact)
+        return propagate(SolutionKind.NEW, sample_field(exact, grid, 0.0),
+                         spec.q, spec.m, spec.hbar, boundary=exact)
 
     a = run()
     b = run()

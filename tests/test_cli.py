@@ -53,6 +53,28 @@ class TestExitCodes:
         assert code == 2
         assert "2" in err and "nrt" in err
 
+    def test_space_form_takes_the_space_rule_of_q(self, capsys):
+        # the marched (time) rule refused q = 0, which the q-power space factor admits
+        code, out, err = run(capsys, "residual", "--form", "space", "--equation", "new",
+                             "--q", "0")
+        assert code == 0 and err == ""
+        assert json.loads(out)["max_abs"] <= 1e-15
+        code, out, err = run(capsys, "residual", "--form", "time", "--equation", "new",
+                             "--q", "0")
+        assert code == 2 and out == ""
+        assert err == "error: --equation new: the q-power time equation requires q != 0, got q=0.0\n"
+
+    def test_ode_space_study_takes_the_space_rule_of_q(self, capsys):
+        code, out, err = run(capsys, "converge", "--study", "ode-space", "--equation", "new",
+                             "--q", "0", "--levels", "2")
+        assert code == 0 and err == ""
+        # the time rule let q = 2.5 through, and the library refused it unprefixed
+        code, out, err = run(capsys, "converge", "--study", "ode-space", "--equation", "nrt",
+                             "--q", "2.5")
+        assert code == 2 and out == ""
+        assert err == ("error: --equation nrt: the NRT space equation requires q != 2 and "
+                       "(2-q)(3-q) > 0, got q=2.5\n")
+
     def test_separated_ode_overflow_exits_1(self, capsys):
         # at q = 0.01 the coarse RK4 step of the q-power time factor
         # overflows; the run must end with an error line, not a traceback

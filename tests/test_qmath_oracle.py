@@ -136,15 +136,34 @@ def test_cpow_principal_is_zero_where_the_phase_overflows_and_the_modulus_underf
 
 
 @pytest.mark.parametrize("power", [
-    lambda: cpow_principal(-1.0, HUGE),
-    lambda: hyp2f1(HypParams(-HUGE, 0.999999999999, 0.999999999999, 2.0)),  # (1 - 2)**HUGE
+    lambda: cpow_principal(1j, HUGE),
+    lambda: hyp2f1(HypParams(-HUGE, 0.999999999999, 0.999999999999, 1.0 - 1j)),  # 1j**HUGE
 ], ids=["cpow_principal", "hyp2f1"])
 def test_cpow_principal_refuses_a_unit_modulus_whose_phase_overflows(power):
-    # e*Log(-1) = i*inf: the modulus is 1, so only the phase could place the value
+    # e*Log(1j) = i*inf: the modulus is 1, so only the phase could place the value
     with mpmath.workdps(30):
-        assert abs(mpmath.power(mpmath.mpc(-1.0), mpmath.mpf(HUGE))) == 1
+        assert abs(mpmath.power(mpmath.mpc(1j), mpmath.mpf(HUGE))) == 1
     with pytest.raises(DomainError, match=r"^the phase of a complex power overflowed \("):
         power()
+
+
+@pytest.mark.parametrize("base, exponent", [(-1.0, HUGE), (-1.0, 1e20), (-2.0, 3.0)])
+def test_cpow_principal_gives_integer_powers_of_a_negative_real_exactly(base, exponent):
+    # through Log(base) the phase e*pi overflows (HUGE), keeps no digit of
+    # e*pi mod 2*pi (1e20) or leaves a rounding residue (3.0): the value
+    # is real, and the parity of e sets its sign
+    with mpmath.workdps(30):
+        exact = complex(mpmath.power(mpmath.mpf(base), mpmath.mpf(exponent)))
+    got = cpow_principal(base, exponent)
+    assert got == exact and got.imag == 0.0
+
+
+def test_an_integer_power_of_a_negative_real_overflows_or_underflows_as_its_modulus_does():
+    with pytest.raises(DomainError, match=r"^complex power overflowed \("):
+        cpow_principal(-2.0, 1025.0)
+    assert cpow_principal(-0.5, 1075.0) == 0j and cpow_principal(-2.0, -1075.0) == 0j
+    # (1 - 2)**HUGE through hyp2f1's power route
+    assert hyp2f1(HypParams(-HUGE, 0.999999999999, 0.999999999999, 2.0)) == 1.0
 
 
 def test_hyp2f1_power_route_matches_mpmath():

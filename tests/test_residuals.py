@@ -11,7 +11,7 @@ import pytest
 
 import qnlse
 from qnlse.errors import DomainError
-from qnlse.fields import AffineFactor, ExponentialField, PowerProductField
+from qnlse.fields import AffineFactor, ExponentialField, PowerProductField, lift_sampler
 from qnlse.integrators import Frame, GridSpec, propagate
 from qnlse.qmath import HypParams
 from qnlse.residuals import (
@@ -30,6 +30,7 @@ from qnlse.solutions import (
     FreeParticleSpec,
     SolutionKind,
     classical_plane_wave_field,
+    manufactured_field,
     product_solution_field,
     q_plane_wave_field,
     separated_space_curve,
@@ -165,6 +166,23 @@ class TestFieldEquationExactness:
         r = new_nlse_phi_residual(Shifted(), 1.0, spec.m, spec.hbar,
                                   lambda x: c, (0.4, 0.3), AN)
         assert abs(r) <= 1e-10
+
+    @pytest.mark.parametrize("amplitude", [2.0, 0.5 - 1.5j, -3.0])
+    @pytest.mark.parametrize("kind", [SolutionKind.NEW, SolutionKind.NRT])
+    def test_normalized_residual_does_not_see_the_value_at_the_origin(self, kind, amplitude):
+        # the residuals normalize by u(0,0); a closed form scaled away from 1 still solves
+        spec = FreeParticleSpec(q=1.5)
+        u = manufactured_field(kind, spec)
+        scaled = PowerProductField(u.factors, amplitude=amplitude, kx=u.kx, kt=u.kt)
+        tag = "new-phi" if kind is SolutionKind.NEW else "nrt-field"
+        rep = scan_residual(tag, scaled, GRID, AN, q=spec.q, m=spec.m, hbar=spec.hbar)
+        assert rep.max_abs <= 1e-14
+
+    def test_non_finite_normalized_power_is_named_with_its_point(self):
+        # chi = u**s with s = 12 overflows at x = 1 where u = e**60 is finite
+        field = PowerProductField((), kx=60.0)
+        with pytest.raises(DomainError, match=r"is not finite at \(x=1\.0, t=0\.0\)$"):
+            nrt_residual(field, -10.0, 0.5, 1.0, None, (1.0, 0.0), AN)
 
     def test_zero_field_rejected(self):
         zero = lambda x, t: 0j
@@ -423,6 +441,32 @@ class TestScan:
             propagate(kind, Frame(grid, 0.0, np.ones(5, dtype=complex)), spec.q, spec.m,
                       spec.hbar, boundary=lambda x, t: 1.0 + 0j, potential=lambda x: value)
         assert ran == []
+
+    def test_potential_is_called_once_per_grid_x(self):
+        # the scan also called it at every (t, x) mesh point: 1,212 calls on GRID
+        spec = FreeParticleSpec(q=1.5)
+        calls = []
+        scan_residual("nrt-field", manufactured_field(SolutionKind.NRT, spec), GRID, AN,
+                      q=spec.q, potential=lambda x: calls.append(x) or 0.1 * x * x)
+        assert calls == GRID.x_values().tolist()
+
+    @pytest.mark.parametrize("method", [AN, FD], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("tag, residual", [("new-phi", new_nlse_phi_residual),
+                                               ("nrt-field", nrt_residual)])
+    def test_scan_with_a_potential_aggregates_the_point_residual(self, tag, residual, method):
+        spec = FreeParticleSpec(q=0.9)
+        kind = SolutionKind.NEW if tag == "new-phi" else SolutionKind.NRT
+        field = manufactured_field(kind, spec)
+        potential = lambda x: 0.1 * x * x - 0.3 * x
+        rep = scan_residual(tag, field, GRID, method, q=spec.q, m=spec.m, hbar=spec.hbar,
+                            potential=potential)
+        x, t = np.meshgrid(GRID.x_values(), GRID.t_values())
+        r = np.abs(residual(field, spec.q, spec.m, spec.hbar, lift_sampler(potential),
+                            (x, t), method)).ravel()
+        worst = int(np.argmax(r))
+        assert rep.max_abs == r[worst] > 1e-2
+        assert rep.l2 == math.sqrt(sum((r * r).tolist()))
+        assert rep.worst_point == (x.flat[worst], t.flat[worst])
 
     @pytest.mark.parametrize("tag", ["new-field", "new-time", "nrt-time", "new-space",
                                      "nrt-space"])
