@@ -11,7 +11,10 @@ A slope is ``c*d``, with ``c = kappa*dxinv2*cinv`` and
 ``d = lap(w) + (pot/(kappa*dxinv2))*w`` (the Laplacian as the difference
 of first differences, the ``pot`` term skipped where pot is all zero); a
 stage is ``y + (c*h)*d`` on the interior, and the step
-``y + (c*dt/6)*(d1 + 2*(d2 + d3) + d4)``.  Each call allocates its work
+``y + (c*dt/6)*(d1 + 2*(d2 + d3) + d4)``.  A step takes stage 1's power of
+``y`` as the anchor, then runs stages 2-4 through one loop over rows of
+(h, d_in, d_out, boundary); one routine takes every power, and at s = 1
+the powers are ``y`` and the stage themselves.  Each call allocates its work
 arrays and views once; every operation writes into them with ``out``,
 and every scalar operand is a 0-d array made once, so that no ufunc
 converts a Python number per step.  A step makes 20 whole-array calls
@@ -212,9 +215,12 @@ def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, fra
     diff_hi, diff_lo = diff[1:], diff[:-1]
     block_mask = np.empty((min(n_steps, BLOCK_ROWS), 2 * n), dtype=bool)  # re, im of each point
     zero = np.array(0.0)
-    if s == 1.0:
-        tracked_anchor = carried_anchor = stage_power = None
-        y_src, stage_src = (y[1:], y[:-1], y_inner), (stage[1:], stage[:-1], stage_inner)
+    # stages 2-4: y + h*d_in on the interior, the ends from column ``end`` of
+    # the step's boundary rows, and the stage's slope into d_out
+    stages = ((half, d1, d2, 1), (half, d2, d3, 1), (full, d3, d4, 2))
+    unit = s == 1.0
+    if unit:
+        wy, w = y, stage  # the power is the field itself
     else:
         theta = np.array(th0, dtype=np.float64)
         # Horner's coefficients, from C(s, K) down to C(s, 0) = 1
@@ -225,63 +231,41 @@ def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, fra
         y_prev, wy, w, eps = (np.empty(n, dtype=np.complex128) for _ in range(4))
         eps_parts, eps_size, part_mask = eps.view(np.float64), np.empty(2 * n), np.empty(2 * n, bool)
         r, ang, tmp = (np.empty(n, dtype=np.float64) for _ in range(3))
-        y_src, stage_src = (wy[1:], wy[:-1], wy[1:-1]), (w[1:], w[:-1], w[1:-1])
 
-        def series_power(v, out):
-            """out = wy*(1 + eps)**s by the series, eps = (v - y_prev)/y_prev;
-            False, leaving out as it was, where a part of eps is beyond the limit."""
-            subtract(v, y_prev, eps)
-            divide(eps, y_prev, eps)
-            absolute(eps_parts, eps_size)
-            if count_nonzero(less_equal(eps_size, limit, part_mask)) < 2 * n:  # nan is not <= limit
-                return False
-            multiply(top, eps, w)
-            for a in middle:
-                add(w, a, w)
-                multiply(w, eps, w)
-            add(w, one, w)
-            multiply(w, wy, out)
-            return True
-
-        def tracked_anchor(v):
-            """wy = v**s, the tracked power, with theta moved to v's phase."""
-            if _tracked_power(v, theta, s, wy, r, ang, tmp, track=True) is None:
-                return False
-            y_prev[...] = v
-            return True
-
-        def carried_anchor(v):
-            """wy = v**s by the series from the previous step's anchor, else tracked."""
-            if series_power(v, wy):
+        def power(v, out, anchor, tracked):
+            """out = v**s: ``wy*(1 + eps)**s`` by the series, eps = (v - y_prev)/y_prev,
+            unless ``tracked`` or a part of eps is beyond the limit (nan is not
+            <= it), else the tracked power.  An ``anchor`` moves y_prev to v,
+            and theta to v's phase where it takes the tracked power.  A zero
+            |v| raises at ``step``, the step the loop below is marching."""
+            if not tracked:
+                subtract(v, y_prev, eps)
+                divide(eps, y_prev, eps)
+                absolute(eps_parts, eps_size)
+                tracked = count_nonzero(less_equal(eps_size, limit, part_mask)) < 2 * n
+            if not tracked:
+                multiply(top, eps, w)
+                for a in middle:
+                    add(w, a, w)
+                    multiply(w, eps, w)
+                add(w, one, w)
+                multiply(w, wy, out)
+            elif _tracked_power(v, theta, s, out, r, ang, tmp, track=anchor) is None:
+                _raise_first_fault(block[:step - first], first)
+                _fail("zero", step)
+            if anchor:
                 y_prev[...] = v
-                return True
-            return tracked_anchor(v)
+    y_src, w_src = ((a[1:], a[:-1], a[1:-1]) for a in (wy, w))
 
-        def stage_power(v):
-            """w = v**s by the series from the step's anchor, else tracked."""
-            return (series_power(v, w)
-                    or _tracked_power(v, theta, s, w, r, ang, tmp) is not None)
-
-    def rhs(v, power, src, d):
-        """d = lap(w) + (pot/(kappa*dxinv2))*w on the interior, with w = v**s
-        from ``power`` (v itself at s = 1) and ``src`` its views w[1:], w[:-1]
-        and w[1:-1]; False if some |v| is zero."""
-        if power is not None and not power(v):
-            return False
+    def slope(src, d):
+        """d = lap(w) + (pot/(kappa*dxinv2))*w on the interior, from the
+        views ``src`` = (w[1:], w[:-1], w[1:-1]) of a power w."""
         upper, lower, mid = src
         subtract(upper, lower, diff)
         subtract(diff_hi, diff_lo, d)
         if pot_inner is not None:
             multiply(pot_inner, mid, acc)
             add(d, acc, d)
-        return True
-
-    def to_stage(h, d, left, right):
-        multiply(h, d, stage_inner)
-        add(y_inner, stage_inner, stage_inner)
-        stage[0] = left
-        stage[-1] = right
-        return stage
 
     whole = frames.shape[0] > n_steps  # else every block reuses rows 1 on
     frames[0] = v0
@@ -293,24 +277,28 @@ def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, fra
         rows = zip(range(first, last), bl[first:last].tolist(), br[first:last].tolist())
         # a failing march raises at its step, without numpy's warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for step, (l0, l1, l2), (r0, r1, r2) in rows:
-                y[0] = l0
-                y[-1] = r0
-                anchor = carried_anchor if step % REANCHOR_PERIOD else tracked_anchor
-                if not (rhs(y, anchor, y_src, d1)
-                        and rhs(to_stage(half, d1, l1, r1), stage_power, stage_src, d2)
-                        and rhs(to_stage(half, d2, l1, r1), stage_power, stage_src, d3)
-                        and rhs(to_stage(full, d3, l2, r2), stage_power, stage_src, d4)):
-                    _raise_first_fault(block[:step - first], first)
-                    _fail("zero", step)
+            for step, left, right in rows:
+                y[0] = left[0]
+                y[-1] = right[0]
+                if not unit:
+                    power(y, wy, True, not step % REANCHOR_PERIOD)
+                slope(y_src, d1)
+                for h, d_in, d_out, end in stages:
+                    multiply(h, d_in, stage_inner)
+                    add(y_inner, stage_inner, stage_inner)
+                    stage[0] = left[end]
+                    stage[-1] = right[end]
+                    if not unit:
+                        power(stage, w, False, False)
+                    slope(w_src, d_out)
                 add(d2, d3, acc)
                 multiply(two, acc, acc)
                 add(d1, acc, acc)
                 add(acc, d4, acc)
                 multiply(sixth, acc, acc)
                 add(y_inner, acc, y_inner)
-                y[0] = l2
-                y[-1] = r2
+                y[0] = left[2]
+                y[-1] = right[2]
                 block[step - first] = y
 
             parts = block.view(np.float64)

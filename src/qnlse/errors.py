@@ -23,4 +23,5 @@ class PropagationError(QnlseError, RuntimeError):
 
 class DegenerateStudyError(QnlseError, ValueError):
     """A convergence study cannot be fitted (resolutions or errors that are
-    not positive, or resolutions whose logs coincide)."""
+    not positive, resolutions whose logs coincide, or errors that do not
+    fall strictly under refinement)."""

@@ -340,7 +340,9 @@ def integrate_separated_space(kind: SolutionKind, q: float, lam: float,
     For the ``separated_form`` (coef, a, b) along "x" it integrates the
     pair (u, u') of u = g^a (a = 1 where g itself is differentiated), with
     u'' = -(2m*lam/(hbar^2*coef)) u^(b/a), from u'(0) = a*g'(0) of the
-    closed form, and maps back g = u^(1/a).
+    closed form, and maps back g = u^(1/a).  lam = p^2/2m has lost the
+    sign of p: g'(0) is the slope of the branch of p = +sqrt(2m*lam), and
+    that of -p is the same trajectory at -x (integrate to ``-x_end``).
     """
     q, lam = float(q), float(lam)
     m, hbar = positive_scale("m", m), positive_scale("hbar", hbar)
@@ -572,10 +574,11 @@ class OdeSpaceCase:
     dx0: float = 0.05
 
     def error(self, level: int) -> tuple[float, float]:
-        """(dx, |RK4 - closed form| at x_end) at refinement ``level``."""
+        """(dx, |RK4 - closed form| at x_end) at refinement ``level``.  The
+        integrator takes the branch of |p|, whose g at -x is g of -p at x."""
         dx, spec = _refined_step("dx", self.dx0, level), self.spec
         traj = integrate_separated_space(self.kind, spec.q, spec.energy, spec.m,
-                                         spec.hbar, self.x_end, dx)
+                                         spec.hbar, math.copysign(self.x_end, spec.p), dx)
         return dx, abs(traj[-1][1] - separated_space_curve(self.kind, spec)(self.x_end))
 
 
@@ -627,17 +630,23 @@ def convergence_study(case, refinement_levels: int = 3) -> ConvergenceReport:
 
     The levels are independent, so the finest runs first: a study the
     case refuses (too many steps or too large frames) raises before any
-    level has run.
+    level has run.  A study whose errors do not fall strictly from the
+    coarsest level to the finest (rounding-level errors, or a march past
+    its horizon) fits no order: it raises DegenerateStudyError.
     """
     if refinement_levels < 2:
         raise DegenerateStudyError("a convergence study needs at least two levels")
     finest_first = [case.error(level) for level in reversed(range(refinement_levels))]
     resolutions, errors = zip(*reversed(finest_first))
     order = fit_observed_order(resolutions, errors)
-    monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
+    if not all(finer < coarser for coarser, finer in zip(errors, errors[1:])):
+        raise DegenerateStudyError(
+            f"the errors {', '.join(f'{e:.3g}' for e in errors)} at steps "
+            f"{', '.join(f'{r:g}' for r in resolutions)} do not fall strictly from the "
+            "coarsest level to the finest, so they fit no order")
     return ConvergenceReport(
         resolutions=resolutions,
         errors=errors,
         observed_order=order,
-        monotone=monotone,
+        monotone=True,
     )

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -65,14 +66,35 @@ class TestExitCodes:
         assert err == "error: --equation new: the q-power time equation requires q != 0, got q=0.0\n"
 
     def test_ode_space_study_takes_the_space_rule_of_q(self, capsys):
+        # the space rule admits q = 0; the study then runs, and refuses its
+        # rounding-level errors itself (exit 1, not a usage refusal)
         code, out, err = run(capsys, "converge", "--study", "ode-space", "--equation", "new",
                              "--q", "0", "--levels", "2")
-        assert code == 0 and err == ""
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the errors ") and "fit no order" in err
         # the time rule let q = 2.5 through, and the library refused it unprefixed
         code, out, err = run(capsys, "converge", "--study", "ode-space", "--equation", "nrt",
                              "--q", "2.5")
         assert code == 2 and out == ""
         assert err == ("error: --equation nrt: the NRT space equation requires q != 2 and "
+                       "(2-q)(3-q) > 0, got q=2.5\n")
+
+    # the NRT product form samples the space factor, so its rule of q
+    @pytest.mark.parametrize("argv", [
+        ("propagate",), ("residual", "--form", "field"), ("converge", "--study", "pde"),
+    ], ids=["propagate", "residual-field", "converge-pde"])
+    def test_nrt_product_form_takes_the_space_rule_of_q(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--equation", "nrt", "--q", "2.5")
+        assert (code, out) == (2, "")
+        assert err == ("error: --equation nrt: the NRT space equation requires q != 2 and "
+                       "(2-q)(3-q) > 0, got q=2.5\n")
+
+    def test_solution_rule_names_the_solution(self, capsys):
+        # the closed form of --solution, not the equation, refuses the q
+        code, out, err = run(capsys, "residual", "--equation", "new", "--solution", "nrt",
+                             "--q", "2.5")
+        assert (code, out) == (2, "")
+        assert err == ("error: --solution nrt: the NRT space equation requires q != 2 and "
                        "(2-q)(3-q) > 0, got q=2.5\n")
 
     def test_separated_ode_overflow_exits_1(self, capsys):
@@ -775,6 +797,42 @@ class TestStudies:
         report = json.loads(out)
         assert abs(report["observed_order"] - 2.0) <= 0.3
 
+    @pytest.mark.parametrize("equation", ["new", "nrt"])
+    @pytest.mark.parametrize("p", ["-1", "-3"])
+    def test_converge_ode_space_at_negative_p_fits_order_4(self, capsys, equation, p):
+        # the integrator took the branch of |p| and so missed the closed
+        # form of p < 0 by an O(1) error at every level
+        code, out, err = run(capsys, "converge", "--study", "ode-space", "--equation", equation,
+                             "--p", p, "--q", "1.1")
+        report = json.loads(out)
+        assert (code, err, report["monotone"]) == (0, "", 1)
+        assert abs(report["observed_order"] - 4.0) <= 0.05
+        assert report["error_2"] <= 1e-7
+
+    # studies whose errors do not fall strictly, which fit no order: at
+    # rounding level, where the scheme is exact, or past the march's horizon
+    @pytest.mark.parametrize("argv, errors", [
+        (("--study", "ode-space", "--equation", "new", "--q", "0"),
+         "3.55e-16, 5.47e-16, 1.34e-15"),
+        (("--study", "ode-time", "--equation", "new", "--q", "-0.9", "--p", "0.1"),
+         "6.59e-17, 1.11e-16, 1.11e-16"),
+        (("--study", "pde", "--equation", "new", "--q", "0.7"),
+         "1.87e-07, 4.67e-08, 4.81e-08"),
+        (("--study", "pde", "--equation", "new", "--q", "0.5"), None),
+        (("--study", "pde", "--equation", "new", "--q", "-0.9"), None),
+        (("--study", "pde", "--equation", "nrt", "--q", "1.9"), None),
+        (("--study", "pde", "--equation", "nrt", "--q", "3.5"), None),
+    ], ids=["ode-space-new-q0", "ode-time-new-q-0.9", "pde-new-q0.7", "pde-new-q0.5",
+            "pde-new-q-0.9", "pde-nrt-q1.9", "pde-nrt-q3.5"])
+    def test_converge_refuses_errors_that_do_not_fall(self, capsys, argv, errors):
+        code, out, err = run(capsys, "converge", *argv)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: the errors (\S+), (\S+), (\S+) at steps (0\.2, 0\.1, 0\.05|"
+                            r"0\.05, 0\.025, 0\.0125) do not fall strictly from the coarsest "
+                            r"level to the finest, so they fit no order\n", err)
+        if errors is not None:
+            assert f"the errors {errors} at" in err
+
     def test_limit_orders(self, capsys):
         code, out, _ = run(capsys, "limit")
         assert code == 0
@@ -812,3 +870,59 @@ class TestVerifyCommand:
             if isinstance(value, float):
                 assert from_csv[key] == value
         assert from_csv["all_passed"] == 1
+
+
+# q at the poles and edges of both equations' rules, and about q = 1
+FUZZ_Q = (-1.5, -1.0, -0.9, -0.5, 0.0, 1e-9, 0.01, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 1.1, 1.5,
+          1.9, 2.0, 2.5, 3.0, 3.5, 5.0, 20.0)
+FUZZ_P = (1e-8, 0.1, 1.0, 3.0, 10.0, -1.0)
+EQUATION_RULE = re.compile(r"the (q-power|NRT) (time|space) equation requires")
+
+
+def fuzz_argv(rng):
+    command = rng.choice(("converge", "residual", "compare", "limit"))
+    argv = [command, "--p", repr(rng.choice(FUZZ_P))]
+    if command != "limit":
+        argv += ["--q", repr(rng.choice(FUZZ_Q))]
+    if command in ("converge", "residual"):
+        argv += ["--equation", rng.choice(("new", "nrt"))]
+    if command == "converge":
+        argv += ["--study", rng.choice(("pde", "ode-time", "ode-space")),
+                 "--levels", str(rng.choice((2, 3, 4)))]
+    if command == "residual":
+        argv += ["--form", rng.choice(("field", "phi", "time", "space")),
+                 "--solution", rng.choice(("plane", "new", "nrt")),
+                 "--method", rng.choice(("analytic", "fd"))]
+    return argv
+
+
+def report_numbers(report):
+    for value in report.values():
+        if isinstance(value, list):
+            yield from value
+        elif not isinstance(value, str):
+            yield value
+
+
+@pytest.mark.filterwarnings("ignore:dt=.*diffusive-scaling heuristic:RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fuzzed_commands_keep_the_exit_contract(capsys, seed):
+    # random.Random(seed) replays a failing draw, named by its argv
+    rng = random.Random(seed)
+    for _ in range(200):
+        argv = fuzz_argv(rng)
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        if not out:
+            # a refusal: one error line, no traceback
+            assert code != 0 and err.startswith("error: ") and err.count("\n") == 1, argv
+            if EQUATION_RULE.search(err) and argv[0] != "compare":  # compare has no --equation
+                assert re.match(r"error: --(equation|solution) (new|nrt): ", err), argv
+            continue
+        # a report, whole and finite; exit 1 is a check it failed
+        report = json.loads(out)
+        assert err == "" and all(map(math.isfinite, report_numbers(report))), argv
+        assert code == 0 or report["passed"] == 0, argv
+        if argv[0] == "converge":
+            errors = [report[f"error_{i}"] for i in range(int(argv[-1]))]
+            assert all(b < a for a, b in zip(errors, errors[1:])), argv

@@ -661,6 +661,17 @@ class TestConvergenceStudies:
         assert fit_observed_order(hs, errs) == pytest.approx(3.0, rel=1e-12)
 
     def test_non_monotone_errors_are_flagged_not_fatal(self):
-        # fitting still works when the error dips and recovers
+        # the fit itself still works when the error dips and recovers; the
+        # study refuses such errors (below)
         order = fit_observed_order([0.1, 0.05, 0.025], [1e-3, 5e-6, 1e-5])
         assert math.isfinite(order)
+
+    def test_study_whose_errors_do_not_fall_strictly_is_refused(self):
+        class Case:
+            def error(self, level):
+                return 0.1 / 2**level, (1e-3, 5e-6, 5e-6)[level]
+
+        with pytest.raises(DegenerateStudyError,
+                           match=r"^the errors 0\.001, 5e-06, 5e-06 at steps 0\.1, 0\.05, "
+                                 r"0\.025 do not fall strictly"):
+            convergence_study(Case(), 3)
