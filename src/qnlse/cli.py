@@ -62,7 +62,10 @@ from .solutions import (
     FreeParticleSpec,
     SolutionKind,
     closed_form,
+    form_factors,
     manufactured_field,
+    manufactured_form,
+    marched_form,
     separated_form,
     separated_space_curve,
 )
@@ -144,46 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the separated factors a closed form samples in each --form: its time
-# factor ("t"), its space factor ("x"), or both, as their product
-_FORM_FACTORS = {"time": "t", "space": "x", "field": "tx", "phi": "tx"}
-
-
-def _q_rules(args: argparse.Namespace) -> list:
-    """(flag, kind, factors): each equation whose residual, march or closed
-    form the command samples, the flag that names it, and the separated
-    factors whose rule of q it needs (the marched form takes the time
-    factor's rule)."""
-    kind = SolutionKind(args.equation)
-    if args.command == "residual":
-        # the equation's residual in --form, and the closed form it is scanned on
-        rules = [("--equation", kind, "x" if args.form == "space" else "t")]
-        solution = args.solution or args.equation
-        if solution != "plane":
-            flag = "--equation" if solution == args.equation else "--solution"
-            rules.append((flag, SolutionKind(solution), _FORM_FACTORS[args.form]))
-        return rules
-    # propagate and the pde study march the manufactured field: the q-plane
-    # wave's phi, or the NRT product form
-    march = "tx" if kind is SolutionKind.NRT else "t"
-    study = vars(args).get("study")
-    return [("--equation", kind, {"ode-time": "t", "ode-space": "x"}.get(study, march))]
-
-
 def _check_usage(args: argparse.Namespace) -> None:
     """The checks that reject a configuration before any command runs."""
-    if "form" in args:
-        if args.form == "phi" and args.equation != "new":
-            raise UsageError("--form phi applies to --equation new only")
-        if (args.solution or args.equation) == "plane" and args.form in ("time", "space"):
-            raise UsageError("--solution plane has no separated factors; pick new or nrt")
     if "equation" in args:
-        for flag, kind, factors in _q_rules(args):
-            for axis in factors:
-                try:
-                    separated_form(kind, axis, args.q)
-                except DomainError as err:
-                    raise UsageError(f"{flag} {kind.value}: {err}") from err
+        # q by the rule of the factor the command uses: the space factor or the marched form
+        space = vars(args).get("form") == "space" or vars(args).get("study") == "ode-space"
+        kind = SolutionKind(args.equation)
+        try:
+            separated_form(kind, "x", args.q) if space else marched_form(kind, args.q)
+        except DomainError as err:
+            raise UsageError(f"--equation {args.equation}: {err}") from err
     if "tol" in args and not 0 < args.tol < float("inf"):  # nan fails both tests
         raise UsageError("--tol must be positive and finite")
     if args.command in ("converge", "limit") and args.p == 0:
@@ -196,6 +169,25 @@ def _check_usage(args: argparse.Namespace) -> None:
         raise UsageError(f"{args.command} --format {args.fmt} needs --out {target}")
     if "xmin" in args:
         require_interval(args.xmin, args.xmax)
+    if "form" in args:
+        if args.form == "phi" and args.equation != "new":
+            raise UsageError("--form phi applies to --equation new only")
+        if (args.solution or args.equation) == "plane" and args.form in ("time", "space"):
+            raise UsageError("--solution plane has no separated factors; pick new or nrt")
+    # last, q by the rule of each factor of the closed form the command
+    # samples: the scanned --solution, or the field a march reproduces
+    if args.command == "residual":
+        solution, form = args.solution or args.equation, args.form
+    elif args.command == "propagate" or vars(args).get("study") == "pde":
+        solution, form = manufactured_form(SolutionKind(args.equation))
+    else:
+        return
+    flag = "--equation" if solution == args.equation else "--solution"
+    for axis in form_factors(solution, form):
+        try:
+            separated_form(SolutionKind(solution), axis, args.q)
+        except DomainError as err:
+            raise UsageError(f"{flag} {solution}: {err}") from err
 
 
 def _particle(args: argparse.Namespace) -> FreeParticleSpec:

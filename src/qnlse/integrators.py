@@ -631,8 +631,10 @@ def convergence_study(case, refinement_levels: int = 3) -> ConvergenceReport:
     The levels are independent, so the finest runs first: a study the
     case refuses (too many steps or too large frames) raises before any
     level has run.  A study whose errors do not fall strictly from the
-    coarsest level to the finest (rounding-level errors, or a march past
-    its horizon) fits no order: it raises DegenerateStudyError.
+    coarsest level to the finest fits no order: it raises
+    DegenerateStudyError.  Such errors are at rounding level (the scheme
+    is exact), or a PDE level marches past the horizon of its grid, which
+    shortens as dx halves whatever dt is (README, "Propagation horizon").
     """
     if refinement_levels < 2:
         raise DegenerateStudyError("a convergence study needs at least two levels")

@@ -153,11 +153,16 @@ def marched_form(kind: SolutionKind, q: float) -> tuple[float, float]:
     return (1.0 / c, 1.0) if kind is SolutionKind.NEW else (c, c)
 
 
+def manufactured_form(kind: SolutionKind) -> tuple[str, str]:
+    """(solution, form) of the closed form a march of ``kind`` reproduces
+    exactly: the q-power equation evolves phi = (q-plane wave)^q, NRT its
+    separated product."""
+    return ("plane", "phi") if kind is SolutionKind.NEW else ("nrt", "field")
+
+
 def manufactured_field(kind: SolutionKind, spec: FreeParticleSpec):
-    """The closed form a march of ``kind`` reproduces exactly: the q-power
-    equation evolves phi = (q-plane wave)^q, NRT its separated product."""
-    solution, form = ("plane", "phi") if kind is SolutionKind.NEW else ("nrt", "field")
-    return closed_form(solution, form, spec)
+    """The closed form ``manufactured_form(kind)``."""
+    return closed_form(*manufactured_form(kind), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +222,28 @@ def product_solution_field(kind: SolutionKind, spec: FreeParticleSpec):
     )
 
 
+def form_factors(solution: str, form: str) -> str:
+    """The separated factors that the closed form of ``solution`` in
+    ``form`` samples, each bound by its rule of q: the time factor ("t"),
+    the space factor ("x"), or their product ("tx", the field and phi).
+    The plane wave samples none, and has no separated factors to give."""
+    if solution == "plane":
+        if form in ("time", "space"):
+            raise DomainError("the plane wave has no separated factors")
+        return ""
+    return {"time": "t", "space": "x"}.get(form, "tx")
+
+
 def closed_form(solution: str, form: str, spec: FreeParticleSpec):
     """The closed form of ``solution`` ("plane", "new" or "nrt") in ``form``:
     the field psi ("field"), phi = psi^q ("phi"), or its separated time or
-    space factor ("time", "space"); the plane wave has no separated factors."""
-    if form in ("time", "space"):
-        if solution == "plane":
-            raise DomainError("the plane wave has no separated factors")
-        curve = separated_time_curve if form == "time" else separated_space_curve
+    space factor ("time", "space")."""
+    factors = form_factors(solution, form)
+    if len(factors) == 1:
+        curve = separated_time_curve if factors == "t" else separated_space_curve
         return curve(SolutionKind(solution), spec)
-    psi = (q_plane_wave_field(spec) if solution == "plane"
-           else product_solution_field(SolutionKind(solution), spec))
+    psi = (product_solution_field(SolutionKind(solution), spec) if factors
+           else q_plane_wave_field(spec))
     return psi.pow(spec.q) if form == "phi" else psi
 
 

@@ -660,9 +660,8 @@ class TestConvergenceStudies:
         errs = [2.0 * h**3 for h in hs]
         assert fit_observed_order(hs, errs) == pytest.approx(3.0, rel=1e-12)
 
-    def test_non_monotone_errors_are_flagged_not_fatal(self):
-        # the fit itself still works when the error dips and recovers; the
-        # study refuses such errors (below)
+    def test_fit_accepts_errors_that_dip_and_recover(self):
+        # the fit itself works on such errors; the study refuses them (below)
         order = fit_observed_order([0.1, 0.05, 0.025], [1e-3, 5e-6, 1e-5])
         assert math.isfinite(order)
 
