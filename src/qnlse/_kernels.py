@@ -15,9 +15,9 @@ stage is ``y + (c*h)*d`` on the interior, and the step
 ``y`` as the anchor, then runs stages 2-4 through one loop over rows of
 (h, d_in, d_out, boundary); one routine takes every power, and at s = 1
 the powers are ``y`` and the stage themselves.  Each call allocates its work
-arrays and views once; every operation writes into them with ``out``,
-and every scalar operand is a 0-d array made once, so that no ufunc
-converts a Python number per step.  A step makes 20 whole-array calls
+arrays and views once; every operation writes into them with ``out``, and
+every scalar operand is a 0-d array, made once (2pi at each tracked power),
+so that no ufunc converts a Python number.  A step makes 20 whole-array calls
 (ufuncs and ``count_nonzero``) at s = 1 and 76 at s != 1 where each
 power takes the series or the tracked power at once, 2 more per slope
 with a potential.  Its frames differ from the unfolded form's
@@ -59,6 +59,11 @@ each block's steps and check.
 There is one march loop.  It writes into the whole march's array, or
 into ``BLOCK_ROWS + 1`` rows that every block reuses, so that a streaming
 consumer's memory is set by the block and not by the step count.
+
+The march runs in ``v0``'s precision: every array and 0-d operand is of
+its complex dtype or of its real parts'; the step scalars ``c*h`` are
+Python numbers, as at float64, cast once; u and 2pi are the dtype's.  So
+at ``np.clongdouble`` the same march is an oracle for the float64 rounding.
 """
 
 from __future__ import annotations
@@ -70,8 +75,7 @@ import numpy as np
 from .errors import PropagationError
 
 TWO_PI = 2.0 * math.pi
-_TWO_PI = np.array(TWO_PI)  # the ufuncs' operand
-_TWO_PI.flags.writeable = False
+_TWO_PI = "6.283185307179586476925286766559005768"  # rounded in the dtype it is read into
 
 SERIES_ORDER = 4  # K, the highest power of eps in a stage's series
 SERIES_RADIUS_CAP = 2.0 ** -10
@@ -87,7 +91,7 @@ def binomial_coefficients(s: float) -> list:
     return c
 
 
-def series_radius(s: float) -> float:
+def series_radius(s: float, dtype=float) -> float:
     """The largest ``|eps|`` the stage series takes at power ``s``.
 
     For ``|eps| < 1``, ``(1 + eps)**s`` (principal branch) is the sum over
@@ -96,7 +100,7 @@ def series_radius(s: float) -> float:
     so for ``|eps| <= g`` with ``M g < 1`` the truncation remainder is at
     most ``|C(s, K+1)| g**(K+1) / (1 - M g)``, while
     ``|(1 + eps)**s| = |1 + eps|**s >= (1 - g)**|s|``.  So the remainder
-    stays below u/4 relative, u being machine epsilon, wherever
+    stays below u/4 relative, u being ``dtype``'s machine epsilon, wherever
     ``g <= F(g)`` with
 
         F(g) = [u/4 (1 - M g) (1 - g)**|s| / |C(s, K+1)|]**(1/(K+1)).
@@ -114,7 +118,7 @@ def series_radius(s: float) -> float:
     if head == 0.0:
         return SERIES_RADIUS_CAP
     m = max(1.0, abs(s - k1) / (k1 + 1))
-    quarter_u = np.finfo(np.float64).eps / 4.0
+    quarter_u = float(np.finfo(dtype).eps) / 4.0
 
     def bound(g):
         return (quarter_u * (1.0 - m * g) * (1.0 - g) ** abs(s) / head) ** (1.0 / k1)
@@ -125,11 +129,12 @@ def series_radius(s: float) -> float:
 
 def _phase_step(y, theta, out, tmp):
     """Argument of ``y`` relative to ``theta``, wrapped into [-pi, pi], into ``out``."""
+    two_pi = np.array(_TWO_PI, dtype=out.dtype)
     np.arctan2(y.imag, y.real, out)
     np.subtract(out, theta, out)
-    np.divide(out, _TWO_PI, tmp)
+    np.divide(out, two_pi, tmp)
     np.rint(tmp, tmp)
-    np.multiply(_TWO_PI, tmp, tmp)
+    np.multiply(two_pi, tmp, tmp)
     np.subtract(out, tmp, out)
     return out
 
@@ -187,7 +192,7 @@ def propagate_frames(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, 
     args = (v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br)
     if frames is not None:
         return _march_blocks(*args, frames)
-    frames = np.empty((n_steps + 1, v0.shape[0]), dtype=np.complex128)
+    frames = np.empty((n_steps + 1, v0.shape[0]), dtype=v0.dtype)
     for _ in _march_blocks(*args, frames):
         pass
     return frames
@@ -199,22 +204,23 @@ def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, fra
         np.multiply, np.add, np.subtract, np.divide, np.absolute, np.less_equal, np.isfinite,
         np.not_equal, np.count_nonzero)
     n = v0.shape[0]
+    cdt, rdt = v0.dtype, np.finfo(v0.dtype).dtype  # the march's precision, and its parts'
 
     scale = kappa * dxinv2
     c = scale * cinv
     # pot's term of d, cast to complex once, as its product with w would cast it
-    pot_inner = (pot[1:-1] / scale).astype(np.complex128) if np.any(pot) else None
-    two, half, full, sixth = (np.array(a, dtype=np.complex128)
+    pot_inner = (pot[1:-1] / scale).astype(cdt) if np.any(pot) else None
+    two, half, full, sixth = (np.array(a, dtype=cdt)
                               for a in (2.0, c * (0.5 * dt), c * dt, c * dt / 6.0))
 
     y = v0.copy()
-    stage = np.empty(n, dtype=np.complex128)
+    stage = np.empty(n, dtype=cdt)
     y_inner, stage_inner = y[1:-1], stage[1:-1]
-    d1, d2, d3, d4, acc = (np.empty(n - 2, dtype=np.complex128) for _ in range(5))
-    diff = np.empty(n - 1, dtype=np.complex128)
+    d1, d2, d3, d4, acc = (np.empty(n - 2, dtype=cdt) for _ in range(5))
+    diff = np.empty(n - 1, dtype=cdt)
     diff_hi, diff_lo = diff[1:], diff[:-1]
     block_mask = np.empty((min(n_steps, BLOCK_ROWS), 2 * n), dtype=bool)  # re, im of each point
-    zero = np.array(0.0)
+    zero = np.array(0.0, dtype=rdt)
     # stages 2-4: y + h*d_in on the interior, the ends from column ``end`` of
     # the step's boundary rows, and the stage's slope into d_out
     stages = ((half, d1, d2, 1), (half, d2, d3, 1), (full, d3, d4, 2))
@@ -222,15 +228,15 @@ def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, fra
     if unit:
         wy, w = y, stage  # the power is the field itself
     else:
-        theta = np.array(th0, dtype=np.float64)
+        theta = np.array(th0, dtype=rdt)
         # Horner's coefficients, from C(s, K) down to C(s, 0) = 1
-        top, *middle, one = (np.array(a, dtype=np.complex128)
+        top, *middle, one = (np.array(a, dtype=cdt)
                              for a in reversed(binomial_coefficients(s)))
-        limit = np.array(series_radius(s) * math.sqrt(0.5))  # on each part of eps
-        s = np.array(s, dtype=np.float64)
-        y_prev, wy, w, eps = (np.empty(n, dtype=np.complex128) for _ in range(4))
-        eps_parts, eps_size, part_mask = eps.view(np.float64), np.empty(2 * n), np.empty(2 * n, bool)
-        r, ang, tmp = (np.empty(n, dtype=np.float64) for _ in range(3))
+        limit = np.array(series_radius(s, rdt) * math.sqrt(0.5), dtype=rdt)  # on each part of eps
+        s = np.array(s, dtype=rdt)
+        y_prev, wy, w, eps = (np.empty(n, dtype=cdt) for _ in range(4))
+        eps_parts, eps_size, part_mask = eps.view(rdt), np.empty(2 * n, rdt), np.empty(2 * n, bool)
+        r, ang, tmp = (np.empty(n, dtype=rdt) for _ in range(3))
 
         def power(v, out, anchor, tracked):
             """out = v**s: ``wy*(1 + eps)**s`` by the series, eps = (v - y_prev)/y_prev,
@@ -301,7 +307,7 @@ def _march_blocks(v0, th0, s, cinv, kappa, dxinv2, pot, dt, n_steps, bl, br, fra
                 y[-1] = right[2]
                 block[step - first] = y
 
-            parts = block.view(np.float64)
+            parts = block.view(rdt)
             mask = block_mask[:last - first]
             if (count_nonzero(isfinite(parts, mask)) < mask.size
                     # a point is zero where both its parts are

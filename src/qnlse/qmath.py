@@ -92,23 +92,26 @@ def _exp_power(base: complex, exponent: complex, log_power: complex) -> complex:
     return _require_finite(out, "complex power")
 
 
-def _log1p(a: float, z: complex) -> complex:
-    """Principal Log(1 + w) for w = az, with a negative real 1 + w on the
+def _log1p(q: float, z: complex) -> complex:
+    """Principal Log(1 + w) for w = (q-1)z, with a negative real 1 + w on the
     upper side of the cut.  Where |w| < 1/2 it is 0.5*log1p(2x + x^2 +
     y^2) + i*atan2(y, 1 + x), for w = x + iy: it keeps its relative
     accuracy as w -> 0, where Log(1 + w) would lose the digits of w that
     1 + w rounds away, and |1 + w| >= 1/2 keeps log1p's argument from
-    cancelling.  Where |w| overflows it is log|a| + Log(z) or Log(-z), as
-    the sign of a says: Log(w), which Log(1 + w) equals to the last bit."""
-    w = a * z
+    cancelling.  Elsewhere 1 + w takes back x's rounding, so that it stays
+    accurate as it vanishes.  Where |w| overflows it is log|q-1| + Log(sz),
+    s the sign of q-1: Log(w), which Log(1 + w) equals to the last bit."""
+    w = (q - 1.0) * z
     x, y = w.real, w.imag + 0.0  # -0.0 + 0.0 is 0.0
     size = _modulus(w)
     if size == math.inf:
-        v = z if a > 0.0 else -z
-        return math.log(abs(a)) + cmath.log(complex(v.real, v.imag + 0.0))
+        v = z if q > 1.0 else -z
+        return math.log(abs(q - 1.0)) + cmath.log(complex(v.real, v.imag + 0.0))
     if size < 0.5:
         return complex(0.5 * math.log1p(x * (2.0 + x) + y * y), math.atan2(y, 1.0 + x))
-    return cmath.log(complex(1.0 + x, y))
+    # x's rounding, (q-1)*z.real - x, exactly from integer ratios (Python 3.11 has no math.fma)
+    (qn, qd), (zn, zd), (xn, xd) = (v.as_integer_ratio() for v in (q, z.real, x))
+    return cmath.log(complex(1.0 + x + ((qn - qd) * zn * xd - xn * qd * zd) / (qd * zd * xd), y))
 
 
 def q_exp(q: float, z: complex) -> complex:
@@ -131,7 +134,7 @@ def q_exp(q: float, z: complex) -> complex:
     base = complex(1.0 + w.real, w.imag + 0.0)  # as cpow_principal normalizes it
     if base == 0:
         raise DomainError(f"q_exp pole: 1 + (q-1)z vanished for q={q}, z={zc}")
-    return _exp_power(base, complex(1.0 / (1.0 - q)), _log1p(q - 1.0, zc) / (1.0 - q))
+    return _exp_power(base, complex(1.0 / (1.0 - q)), _log1p(q, zc) / (1.0 - q))
 
 
 def q_exp_real_cutoff(q: float, x: float) -> float:
@@ -139,19 +142,17 @@ def q_exp_real_cutoff(q: float, x: float) -> float:
 
     Returns [1 + (q-1)x]^(1/(1-q)) where the bracket is positive and 0
     otherwise, or refuses a value that overflows.  It is taken as
-    exp(log1p((q-1)x)/(1-q)), which stays accurate as q -> 1; where
-    (q-1)x overflows, log1p((q-1)x) is log|q-1| + log|x|.
+    exp(log(1 + (q-1)x)/(1-q)), the log as ``q_exp`` takes it: accurate as
+    q -> 1, as the bracket vanishes, and where (q-1)x overflows.
     """
     if not (math.isfinite(q) and math.isfinite(x)):
         raise DomainError(f"non-finite deformed exponential argument (q={q}, x={x})")
     if abs(q - 1.0) < EPS_Q_ONE:
         power = -x
     else:
-        t = (q - 1.0) * x
-        if 1.0 + t <= 0.0:
+        if 1.0 + (q - 1.0) * x <= 0.0:
             return 0.0
-        log_bracket = math.log1p(t) if t < math.inf else math.log(abs(q - 1.0)) + math.log(abs(x))
-        power = log_bracket / (1.0 - q)
+        power = _log1p(q, complex(x)).real / (1.0 - q)
     try:
         return math.exp(power)
     except OverflowError as err:

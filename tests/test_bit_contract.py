@@ -43,8 +43,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 NUMPY_VERSION = "2.4.6"
 
 VERIFY_DIGESTS = {
-    "json": "bdc2bf7706a8b78cc94c9d05ba96fa8b8ab660080323c382ce6e25ad5dbb631a",
-    "csv": "0a987178d4005e24229c4c9b0e836ca8e2167b226cda61e514208127137fb7c2",
+    "json": "64b31d62f19b6ee79606c00e87ed4420d1f3fcb6b86b1f6d3df7c37b7e5c88db",
+    "csv": "57ce965241a3dcb5ee65e47e486db2d585935da4b86ab7374e37199dde66a1f1",
 }
 
 # sha256 of ``Trajectory.values.tobytes()`` for each march of the

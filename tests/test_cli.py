@@ -880,11 +880,11 @@ EQUATION_RULE = re.compile(r"the (q-power|NRT) (time|space) equation requires")
 
 
 def fuzz_argv(rng):
-    command = rng.choice(("converge", "residual", "compare", "limit"))
+    command = rng.choice(("converge", "residual", "compare", "limit", "propagate"))
     argv = [command, "--p", repr(rng.choice(FUZZ_P))]
     if command != "limit":
         argv += ["--q", repr(rng.choice(FUZZ_Q))]
-    if command in ("converge", "residual"):
+    if command in ("converge", "residual", "propagate"):
         argv += ["--equation", rng.choice(("new", "nrt"))]
     if command == "converge":
         argv += ["--study", rng.choice(("pde", "ode-time", "ode-space")),
@@ -893,13 +893,18 @@ def fuzz_argv(rng):
         argv += ["--form", rng.choice(("field", "phi", "time", "space")),
                  "--solution", rng.choice(("plane", "new", "nrt")),
                  "--method", rng.choice(("analytic", "fd"))]
+    if command == "propagate":  # JSON on stdout; in one block, a failing march writes nothing
+        argv += ["--nx", str(rng.choice((3, 11, 41))), "--steps", str(rng.choice((0, 1, 64))),
+                 "--dt", repr(rng.choice((1e-5, 1e-3, 1e-2)))]
     return argv
 
 
 def report_numbers(report):
+    """Every number of a report, the values of its frames included."""
     for value in report.values():
         if isinstance(value, list):
-            yield from value
+            for item in value:
+                yield from report_numbers(item) if isinstance(item, dict) else [item]
         elif not isinstance(value, str):
             yield value
 

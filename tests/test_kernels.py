@@ -636,16 +636,27 @@ MARCHED_POWERS = sorted({s for q in np.linspace(0.05, 1.9, 38)
                          for s in (1.0 / q, 2.0 - q, 1.0 / (2.0 - q))} | {0.5, 2.0, 3.0})
 
 
+def mp_complex(value):
+    """``value``, a numpy complex of any precision, as an mpmath number, exactly."""
+    return mpmath.mpc(*(mpmath.mpf(n) / d for n, d in (value.real.as_integer_ratio(),
+                                                      value.imag.as_integer_ratio())))
+
+
+# at np.longdouble the kernel's march runs in that precision, with the
+# series radius of its u (1.08e-19 where numpy's longdouble is x87's)
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
 @pytest.mark.parametrize("s", MARCHED_POWERS)
-def test_stage_series_is_the_power_to_machine_precision_at_its_radius(s):
-    radius = _kernels.series_radius(s)
+def test_stage_series_is_the_power_to_machine_precision_at_its_radius(s, dtype):
+    radius = _kernels.series_radius(s, dtype)
     assert 0.0 < radius <= _kernels.SERIES_RADIUS_CAP
-    eps = radius * np.exp(1j * np.linspace(-math.pi, math.pi, 16, endpoint=False))
+    u = float(np.finfo(dtype).eps)
+    eps = radius * np.exp(1j * np.linspace(-math.pi, math.pi, 16, endpoint=False, dtype=dtype))
     series = binomial_series(eps, s)
+    assert series.dtype == np.result_type(dtype, 1j)
     with mpmath.workdps(40):
         for e, value in zip(eps, series):
-            exact = (1 + mpmath.mpc(e.real, e.imag)) ** s
-            assert abs(mpmath.mpc(value.real, value.imag) - exact) <= 4 * EPS * abs(exact)
+            exact = (1 + mp_complex(e)) ** s
+            assert abs(mp_complex(value) - exact) <= 4 * u * abs(exact)
 
 
 # ---------------------------------------------------------------------------

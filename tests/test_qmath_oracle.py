@@ -33,7 +33,7 @@ U = 2.0 ** -53
 
 # Relative forward error of both deformed exponentials at |q - 1| from
 # 1e-2 down to 1e-8, |x| and each part of z at most 2.  The worst seen is
-# 5.6e-16.  Taken as [1 + (q-1)z]**(1/(1-q)), the bracket's rounding is
+# 6.1e-16.  Taken as [1 + (q-1)z]**(1/(1-q)), the bracket's rounding is
 # amplified by 1/|q - 1|: the worst errors were 9.3e-15, 1.1e-12, 1.1e-10
 # and 8.9e-9 on these draws, so that form fails the bound at every row.
 Q_EXP_BOUND = 2e-15
@@ -103,6 +103,26 @@ def test_deformed_exponentials_match_mpmath_where_the_bracket_overflows(q, x):
         assert rel_error(q_exp(q, x), exact) <= bound
         if isinstance(x, float):
             assert rel_error(q_exp_real_cutoff(q, x), exact) <= bound
+
+
+# Brackets 1 + (q-1)x of 1e-6 to 1e-3, where the q-exponential's condition
+# is about 1/(bracket*|1-q|): rounding (q-1)x moved it by up to 2.4e-10
+# (relative) on these draws.  Formed exactly, the bracket's log is within a
+# few u, and exp passes the exponent's rounding on times |E|, as above.
+@pytest.mark.parametrize("side", ["q<1", "q>1"])
+def test_deformed_exponentials_match_mpmath_near_a_vanishing_bracket(side):
+    rng = random.Random(f"bracket:{side}")
+    with mpmath.workdps(50):
+        for _ in range(100):
+            q = rng.uniform(0.2, 0.9) if side == "q<1" else rng.uniform(1.1, 1.8)
+            bracket = 10.0 ** rng.uniform(-6.0, -3.0)
+            x = (bracket - 1.0) / (q - 1.0)
+            z = (bracket * cmath.exp(1j * rng.uniform(-3.0, 3.0)) - 1.0) / (q - 1.0)
+            for got, arg in ((q_exp_real_cutoff(q, x), mpmath.mpf(x)),
+                             (q_exp(q, z), mpmath.mpc(z))):
+                exact = mpmath.exp(mpmath.log(1 + (mpmath.mpf(q) - 1) * arg) / (1 - mpmath.mpf(q)))
+                bound = Q_EXP_BOUND + 4 * U * float(abs(mpmath.log(exact)))
+                assert rel_error(got, exact) <= bound
 
 
 def test_q_exp_keeps_the_cut_on_the_upper_side():

@@ -80,6 +80,15 @@ def test_product_rule_passes_where_the_power_form_rounded_the_bracket(seed):
     assert result.passed, result.worst
 
 
+@pytest.mark.parametrize("seed", [30, 128, 161, 217])
+def test_product_rule_passes_where_its_argument_or_bracket_rounded(seed):
+    # rounding c = x + y + (q-1)xy, or (q-1)x in q_exp_real_cutoff, near a
+    # bracket of 1e-4 failed these seeds at 1.27e-12, 1.14e-12, 3.70e-12 and
+    # 3.33e-12; with neither rounded the worst of seeds 0..399 is 2.7e-15
+    (result,) = run_verification(seed=seed, names=["deformed-exp-product-rule"])
+    assert result.passed, result.worst
+
+
 def test_all_suites_pass_with_default_seed():
     results = run_verification()
     failed = [r.name for r in results if not r.passed]
